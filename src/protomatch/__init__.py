@@ -41,6 +41,7 @@ from .losses import LossBreakdown, LossConfig, contrastive_loss, total_loss, var
 from .matching import (
     SimilarityMatrix,
     base_similarity,
+    prototype_scores,
     save_similarity_csv,
     similarity_matrix,
     similarity_vjp,

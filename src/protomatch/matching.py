@@ -4,6 +4,12 @@ A text matches a video through whichever of the video's K+1 embedded
 prototypes it is most similar to.  The winning prototype index is recorded
 per (text, video) pair, and the backward pass routes the upstream gradient
 only through that winning row (the subgradient of max).
+
+Batched scoring is one matmul of the texts against the flattened
+(V*(K+1), D) prototype stack, followed by a max over each video's K+1
+columns.  The VJP scatters the upstream gradient into a one-hot
+(T, V*(K+1)) weight matrix at the winning columns and is then two
+matmuls.  Memory is O(T*V*(K+1)); no (T, V, D) temporary is built.
 """
 
 from __future__ import annotations
@@ -52,11 +58,11 @@ def tmvm_similarity(text_embedded: np.ndarray, prototypes: np.ndarray) -> tuple[
     return float(scores[winner]), winner
 
 
-def similarity_matrix(text_embedded: np.ndarray, video_embedded: np.ndarray) -> SimilarityMatrix:
-    """All-pairs max-over-prototypes scores.
+def prototype_scores(text_embedded: np.ndarray, video_embedded: np.ndarray) -> np.ndarray:
+    """Inner product of every text row with every prototype row.
 
-    text_embedded: (n_texts, embed_dim) unit rows.
-    video_embedded: (n_videos, K+1, embed_dim) unit rows per video.
+    text_embedded: (n_texts, embed_dim); video_embedded: (n_videos, K+1,
+    embed_dim).  Returns (n_texts, n_videos, K+1), computed as one matmul.
     """
     if (
         text_embedded.ndim != 2
@@ -67,10 +73,26 @@ def similarity_matrix(text_embedded: np.ndarray, video_embedded: np.ndarray) -> 
             f"text embeddings {text_embedded.shape} do not conform with video "
             f"prototype stack {video_embedded.shape}"
         )
-    per_proto = np.einsum("td,vkd->tvk", text_embedded, video_embedded)
+    n_videos, n_rows, dim = video_embedded.shape
+    flat = text_embedded @ video_embedded.reshape(n_videos * n_rows, dim).T
+    return flat.reshape(text_embedded.shape[0], n_videos, n_rows)
+
+
+def similarity_matrix(text_embedded: np.ndarray, video_embedded: np.ndarray) -> SimilarityMatrix:
+    """All-pairs max-over-prototypes scores.
+
+    text_embedded: (n_texts, embed_dim) unit rows.
+    video_embedded: (n_videos, K+1, embed_dim) unit rows per video.
+    Ties break toward the lowest prototype index.
+    """
+    per_proto = prototype_scores(text_embedded, video_embedded)
+    if per_proto.shape[2] == 0:
+        raise ValidationError(
+            f"prototype stack must have at least one row per video, got {video_embedded.shape}"
+        )
     winners = per_proto.argmax(axis=2)
     scores = np.take_along_axis(per_proto, winners[:, :, None], axis=2)[:, :, 0]
-    return SimilarityMatrix(scores, winners.astype(np.int64))
+    return SimilarityMatrix(scores, winners.astype(np.int64, copy=False))
 
 
 def similarity_vjp(
@@ -85,19 +107,28 @@ def similarity_vjp(
     winning prototype row of video v recorded in winners.  Returns
     (grad_text_embedded, grad_video_embedded).
     """
-    n_texts, n_videos = grad_scores.shape
-    if text_embedded.shape[0] != n_texts or video_embedded.shape[0] != n_videos:
+    if (
+        grad_scores.ndim != 2
+        or winners.shape != grad_scores.shape
+        or text_embedded.ndim != 2
+        or video_embedded.ndim != 3
+        or text_embedded.shape[0] != grad_scores.shape[0]
+        or video_embedded.shape[0] != grad_scores.shape[1]
+        or text_embedded.shape[1] != video_embedded.shape[2]
+    ):
         raise ShapeError(
-            f"grad {grad_scores.shape} does not conform with {text_embedded.shape} "
-            f"texts and {video_embedded.shape} videos"
+            f"grad {grad_scores.shape} and winners {winners.shape} do not conform with "
+            f"{text_embedded.shape} texts and {video_embedded.shape} videos"
         )
-    video_index = np.broadcast_to(np.arange(n_videos), (n_texts, n_videos))
-    # winning_rows[t, v, :] is the prototype that produced scores[t, v]
-    winning_rows = video_embedded[video_index, winners]  # (T, V, D_e)
-    grad_text = np.einsum("tv,tvd->td", grad_scores, winning_rows)
-    grad_video = np.zeros_like(video_embedded)
-    contrib = grad_scores[:, :, None] * text_embedded[:, None, :]  # (T, V, D_e)
-    np.add.at(grad_video, (video_index, winners), contrib)
+    n_texts = grad_scores.shape[0]
+    n_videos, n_rows, dim = video_embedded.shape
+    # weights[t, v, k] is grad_scores[t, v] where k won the pair, else 0:
+    # the max subgradient itself, not an approximation of it
+    weights = np.zeros((n_texts, n_videos, n_rows))
+    np.put_along_axis(weights, winners[:, :, None], grad_scores[:, :, None], axis=2)
+    weights = weights.reshape(n_texts, n_videos * n_rows)
+    grad_text = weights @ video_embedded.reshape(n_videos * n_rows, dim)
+    grad_video = (weights.T @ text_embedded).reshape(video_embedded.shape)
     return grad_text, grad_video
 
 

@@ -23,7 +23,7 @@ import numpy as np
 from .dataset import Batch, Corpus, make_batches
 from .errors import CheckpointError, NumericError, ValidationError
 from .losses import LossBreakdown, LossConfig, contrastive_loss, total_loss, variance_loss
-from .matching import SimilarityMatrix, similarity_matrix, similarity_vjp
+from .matching import SimilarityMatrix, prototype_scores, similarity_matrix, similarity_vjp
 from .numerics import (
     AdamState,
     LrSchedule,
@@ -436,7 +436,7 @@ def _near_nonsmooth_point(
     if np.abs(cache.acts).min() < margin:  # relu kink
         return True
     text_emb = text_forward(text, params).embedded
-    per_proto = np.einsum("td,vkd->tvk", text_emb, cache.embedded)
+    per_proto = prototype_scores(text_emb, cache.embedded)
     if per_proto.shape[2] >= 2:  # prototype-max tie
         top2 = np.sort(per_proto, axis=2)[:, :, -2:]
         if (top2[:, :, 1] - top2[:, :, 0]).min() < margin:

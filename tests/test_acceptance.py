@@ -15,7 +15,12 @@ import pytest
 from protomatch.dataset import BLOB_DTYPE, SynthConfig, load_corpus, save_corpus, synth_corpus
 from protomatch.diagnostics import matching_purity, prototype_diversity
 from protomatch.losses import LossConfig, contrastive_loss, variance_loss
-from protomatch.matching import base_similarity, similarity_matrix, tmvm_similarity
+from protomatch.matching import (
+    base_similarity,
+    prototype_scores,
+    similarity_matrix,
+    tmvm_similarity,
+)
 from protomatch.metrics import (
     evaluate,
     median_rank,
@@ -172,7 +177,7 @@ def test_max_matching_structural_properties():
     videos = embed_videos(draw.normal((10, 9, 8)), params)
     texts = embed_texts(draw.normal((100, 7)), params)
     sim = similarity_matrix(texts, videos)
-    class_scores = np.einsum("td,vkd->tvk", texts, videos)[:, :, -1]
+    class_scores = prototype_scores(texts, videos)[:, :, -1]
     dominated = int((sim.scores >= class_scores).sum())
 
     check(

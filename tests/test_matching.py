@@ -5,7 +5,9 @@ import pytest
 
 from protomatch.errors import ShapeError, ValidationError
 from protomatch.matching import (
+    SimilarityMatrix,
     base_similarity,
+    prototype_scores,
     save_similarity_csv,
     similarity_matrix,
     similarity_vjp,
@@ -15,6 +17,26 @@ from protomatch.numerics import RngStream, finite_diff_check, l2_normalize_rows
 from protomatch.prototypes import embed_texts, embed_videos
 
 from conftest import make_head, unit
+
+
+def _einsum_similarity_oracle(text_embedded, video_embedded):
+    """Reference forward: per-prototype scores by einsum, then max."""
+    per_proto = np.einsum("td,vkd->tvk", text_embedded, video_embedded)
+    winners = per_proto.argmax(axis=2)
+    scores = np.take_along_axis(per_proto, winners[:, :, None], axis=2)[:, :, 0]
+    return SimilarityMatrix(scores, winners.astype(np.int64))
+
+
+def _scatter_vjp_oracle(grad_scores, text_embedded, video_embedded, winners):
+    """Reference VJP: gather each pair's winning row, scatter-add with np.add.at."""
+    n_texts, n_videos = grad_scores.shape
+    video_index = np.broadcast_to(np.arange(n_videos), (n_texts, n_videos))
+    winning_rows = video_embedded[video_index, winners]  # (T, V, D_e)
+    grad_text = np.einsum("tv,tvd->td", grad_scores, winning_rows)
+    grad_video = np.zeros_like(video_embedded)
+    contrib = grad_scores[:, :, None] * text_embedded[:, None, :]  # (T, V, D_e)
+    np.add.at(grad_video, (video_index, winners), contrib)
+    return grad_text, grad_video
 
 
 # ---------------------------------------------------------------------------
@@ -144,7 +166,7 @@ def test_matrix_matches_double_loop_oracle():
     for t in range(3):
         for v in range(3):
             score, winner = tmvm_similarity(texts[t], videos[v])
-            # batched einsum and the per-row dot loop may round differently
+            # the batched matmul and the per-row dot loop may round differently
             # in the last bit; anything beyond 2 ulps is a real bug
             assert abs(sim.scores[t, v] - score) <= 2 * eps
             assert sim.winners[t, v] == winner
@@ -172,8 +194,7 @@ def test_similarity_vjp_matches_finite_differences_away_from_ties():
         videos0 = np.stack([l2_normalize_rows(rng.normal((4, 5))) for _ in range(3)])
         probe = rng.normal((3, 3))
         # the winner set must be stable in the perturbation neighborhood
-        base = similarity_matrix(texts0, videos0)
-        per_proto = np.einsum("td,vkd->tvk", texts0, videos0)
+        per_proto = prototype_scores(texts0, videos0)
         sorted_scores = np.sort(per_proto, axis=2)
         if (sorted_scores[:, :, -1] - sorted_scores[:, :, -2]).min() < 1e-3:
             continue
@@ -190,7 +211,6 @@ def test_similarity_vjp_matches_finite_differences_away_from_ties():
 
         err = finite_diff_check(fn, {"texts": texts0.copy(), "videos": videos0.copy()})
         assert err < 1e-5
-        del base
 
 
 def test_vjp_at_tie_follows_lowest_index_branch():
@@ -214,6 +234,84 @@ def test_vjp_routes_nothing_to_losing_prototypes():
         for k in range(3):
             if k not in winners_of_v:
                 np.testing.assert_array_equal(grad_video[v, k], 0.0)
+
+
+def _unit_stack(rng, n_videos, n_rows, dim):
+    return np.stack([l2_normalize_rows(rng.normal((n_rows, dim))) for _ in range(n_videos)])
+
+
+def _texts_near_rows(rng, rows, n_texts, noise):
+    picks = rows[np.arange(n_texts) % len(rows)]
+    return l2_normalize_rows(picks + noise * rng.normal(picks.shape))
+
+
+def _oracle_case(case, seed):
+    rng = RngStream(seed)
+    if case == "more_texts_than_videos":  # the CLI check's 4x3 shape
+        return l2_normalize_rows(rng.normal((4, 6))), _unit_stack(rng, 3, 4, 6)
+    if case == "fewer_texts_than_videos":
+        return l2_normalize_rows(rng.normal((5, 8))), _unit_stack(rng, 9, 3, 8)
+    if case == "single_row_baseline":  # K+1 = 1
+        return l2_normalize_rows(rng.normal((7, 5))), _unit_stack(rng, 6, 1, 5)
+    if case == "duplicated_rows":
+        videos = _unit_stack(rng, 6, 4, 5)
+        videos[:, 3] = videos[:, 1]
+        return _texts_near_rows(rng, videos[:, 1], 12, 0.3), videos
+    if case == "many_texts_one_row":  # the pile-up np.add.at existed for
+        videos = _unit_stack(rng, 2, 3, 6)
+        return _texts_near_rows(rng, videos[:1, 2], 40, 0.05), videos
+    raise AssertionError(case)
+
+
+@pytest.mark.parametrize(
+    "case",
+    [
+        "more_texts_than_videos",
+        "fewer_texts_than_videos",
+        "single_row_baseline",
+        "duplicated_rows",
+        "many_texts_one_row",
+    ],
+)
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_kernels_match_einsum_and_scatter_oracles(case, seed):
+    texts, videos = _oracle_case(case, seed)
+    grad_scores = RngStream(seed + 50).normal((texts.shape[0], videos.shape[0]))
+    sim = similarity_matrix(texts, videos)
+    ref = _einsum_similarity_oracle(texts, videos)
+    np.testing.assert_array_equal(sim.winners, ref.winners)
+    assert sim.winners.dtype == np.int64
+    np.testing.assert_allclose(sim.scores, ref.scores, rtol=0, atol=1e-12)
+    grad_text, grad_video = similarity_vjp(grad_scores, texts, videos, sim.winners)
+    ref_text, ref_video = _scatter_vjp_oracle(grad_scores, texts, videos, ref.winners)
+    np.testing.assert_allclose(grad_text, ref_text, rtol=0, atol=1e-12)
+    np.testing.assert_allclose(grad_video, ref_video, rtol=0, atol=1e-12)
+    if case == "duplicated_rows":
+        assert (sim.winners == 1).any() and not (sim.winners == 3).any()
+    if case == "many_texts_one_row":
+        assert (sim.winners[:, 0] == 2).all()
+
+
+def test_similarity_matrix_rejects_empty_prototype_stack():
+    with pytest.raises(ValidationError):
+        similarity_matrix(np.zeros((2, 3)), np.zeros((4, 0, 3)))
+
+
+def test_similarity_matrix_rejects_width_mismatch():
+    with pytest.raises(ShapeError):
+        similarity_matrix(np.zeros((2, 3)), np.zeros((4, 2, 5)))
+
+
+def test_vjp_rejects_winners_shape_mismatch():
+    texts, videos = np.zeros((2, 3)), np.zeros((4, 2, 3))
+    with pytest.raises(ShapeError):
+        similarity_vjp(np.ones((2, 4)), texts, videos, np.zeros((2, 3), dtype=np.int64))
+
+
+def test_vjp_rejects_embedding_width_mismatch():
+    texts, videos = np.zeros((2, 3)), np.zeros((4, 2, 5))
+    with pytest.raises(ShapeError):
+        similarity_vjp(np.ones((2, 4)), texts, videos, np.zeros((2, 4), dtype=np.int64))
 
 
 # ---------------------------------------------------------------------------
