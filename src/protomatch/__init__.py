@@ -40,12 +40,9 @@ from .errors import (
 from .losses import LossBreakdown, LossConfig, contrastive_loss, total_loss, variance_loss
 from .matching import (
     SimilarityMatrix,
-    base_similarity,
     prototype_scores,
-    save_similarity_csv,
     similarity_matrix,
     similarity_vjp,
-    tmvm_similarity,
 )
 from .metrics import (
     DirectionReport,
@@ -68,10 +65,7 @@ from .numerics import (
 )
 from .prototypes import (
     HeadParameters,
-    aggregate_prototypes,
     compute_masks,
-    embed_prototypes,
-    embed_text,
     embed_texts,
     embed_videos,
     head_backward,
@@ -94,5 +88,3 @@ from .trainer import (
 )
 
 __version__ = "0.1.0"
-
-__all__ = [name for name in dir() if not name.startswith("_")]

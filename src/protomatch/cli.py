@@ -15,9 +15,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import hashlib
-import json
 import sys
-from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -42,78 +40,18 @@ GRADCHECK_TOLERANCE = 1e-5
 GRADCHECK_SEEDS = 20
 
 
-@dataclass(frozen=True)
-class RunConfig:
-    """Flat key-value view of every tunable in the package."""
-
-    # synthetic corpus
-    num_videos: int = 64
-    captions_per_video: int = 3
-    events_per_video: int = 3
-    latent_dim: int = 8
-    tokens_per_video: int = 10
-    token_dim: int = 16
-    text_dim: int = 12
-    token_noise: float = 0.02
-    caption_noise: float = 0.02
-    # head and schedule
-    n_prototypes: int = 3
-    embed_dim: int = 256
-    batch_size: int = 64
-    epochs: int = 50
-    warmup_epochs: float = 5.0
-    peak_lr: float = 3e-5
-    variant: str = "mask"
-    checkpoint_every: int = 10
-    # objective
-    std_target: float = 0.75
-    variance_floor: float = 1e-4
-    variance_weight: float = 5.0
-    temperature: float = 0.05
-    # shared
-    seed: int = 0
-
-    def synth_config(self) -> SynthConfig:
-        return SynthConfig(
-            num_videos=self.num_videos,
-            captions_per_video=self.captions_per_video,
-            events_per_video=self.events_per_video,
-            latent_dim=self.latent_dim,
-            tokens_per_video=self.tokens_per_video,
-            token_dim=self.token_dim,
-            text_dim=self.text_dim,
-            token_noise=self.token_noise,
-            caption_noise=self.caption_noise,
-            seed=self.seed,
-        )
-
-    def loss_config(self) -> LossConfig:
-        return LossConfig(
-            std_target=self.std_target,
-            variance_floor=self.variance_floor,
-            variance_weight=self.variance_weight,
-            temperature=self.temperature,
-        )
-
-    def train_config(self) -> TrainConfig:
-        return TrainConfig(
-            n_prototypes=self.n_prototypes,
-            embed_dim=self.embed_dim,
-            batch_size=self.batch_size,
-            epochs=self.epochs,
-            warmup_epochs=self.warmup_epochs,
-            peak_lr=self.peak_lr,
-            loss=self.loss_config(),
-            seed=self.seed,
-            variant=self.variant,
-            checkpoint_every=self.checkpoint_every,
-        )
+# Every tunable is declared once, on the package's config dataclasses: the
+# corpus, then training (less its nested loss and the seed the corpus
+# already declares), then the objective.
+_FIELDS = [
+    *dataclasses.fields(SynthConfig),
+    *(f for f in dataclasses.fields(TrainConfig) if f.name not in ("loss", "seed")),
+    *dataclasses.fields(LossConfig),
+]
+_FIELD_TYPES = {f.name: f.type for f in _FIELDS}
 
 
-_FIELD_TYPES = {f.name: f.type for f in dataclasses.fields(RunConfig)}
-
-
-def _coerce(key: str, raw: str):
+def _coerce(key: str, raw):
     kind = _FIELD_TYPES[key]
     try:
         if kind == "int":
@@ -123,6 +61,25 @@ def _coerce(key: str, raw: str):
         return raw
     except ValueError as exc:
         raise ConfigError(f"config key '{key}' expects {kind}, got {raw!r}") from exc
+
+
+# Defaults pass through _coerce like any configured value, so TrainConfig's
+# int warmup_epochs = 5 is 5.0 here and config_lines renders it as a float.
+RunConfig = dataclasses.make_dataclass(
+    "RunConfig",
+    [(f.name, f.type, dataclasses.field(default=_coerce(f.name, f.default))) for f in _FIELDS],
+    frozen=True,
+    namespace={
+        "__doc__": "Flat key-value view of every tunable in the package.",
+        "__module__": __name__,
+    },
+)
+
+
+def _project(cfg: RunConfig, cls, **extra):
+    """The config dataclass cls, filled from the same-named fields of cfg."""
+    names = [f.name for f in dataclasses.fields(cls) if f.name not in extra]
+    return cls(**{name: getattr(cfg, name) for name in names}, **extra)
 
 
 def parse_config_file(path: str | Path) -> dict[str, str]:
@@ -193,7 +150,7 @@ def _prepare_run_dir(cfg: RunConfig, args: argparse.Namespace) -> Path:
 
 def cmd_synth(args: argparse.Namespace) -> int:
     cfg = build_run_config(args)
-    corpus = synth_corpus(cfg.synth_config())
+    corpus = synth_corpus(_project(cfg, SynthConfig))
     run_dir = _prepare_run_dir(cfg, args)
     manifest = run_dir / "corpus" / "manifest.jsonl"
     save_corpus(corpus, manifest)
@@ -204,7 +161,7 @@ def cmd_synth(args: argparse.Namespace) -> int:
 def cmd_train(args: argparse.Namespace) -> int:
     cfg = build_run_config(args)
     corpus = load_corpus(args.corpus)
-    train_cfg = cfg.train_config()
+    train_cfg = _project(cfg, TrainConfig, loss=_project(cfg, LossConfig))
     validate_setup(corpus, train_cfg)
     run_dir = _prepare_run_dir(cfg, args)
 
@@ -235,7 +192,7 @@ def cmd_eval(args: argparse.Namespace) -> int:
 def cmd_gradcheck(args: argparse.Namespace) -> int:
     cfg = build_run_config(args)
     failures = 0
-    for name, err in run_gradcheck_suite(cfg.seed, cfg.loss_config()):
+    for name, err in run_gradcheck_suite(cfg.seed, _project(cfg, LossConfig)):
         status = "PASS" if err < GRADCHECK_TOLERANCE else "FAIL"
         failures += status == "FAIL"
         print(f"{name}: max rel err {err:.3e} {status}")
@@ -264,6 +221,11 @@ def cmd_heatmap(args: argparse.Namespace) -> int:
     cfg = build_run_config(args)
     corpus = load_corpus(args.corpus)
     state = load_checkpoint(args.checkpoint)
+    if state.config.head_variant != "mask":
+        raise ValidationError(
+            f"checkpoint {args.checkpoint} has a {state.config.head_variant} head, "
+            "which learns no masks to export"
+        )
     matches = [v for v in corpus.videos if v.video_id == args.video_id]
     if not matches:
         raise ValidationError(f"video id {args.video_id!r} not present in {args.corpus}")

@@ -226,6 +226,37 @@ def save_corpus(corpus: Corpus, manifest_path: str | Path) -> None:
     manifest_path.write_text("\n".join(lines) + "\n")
 
 
+# Keys each record kind must carry, with the JSON type of each value;
+# every integer here is a count and must also be non-negative.
+_REQUIRED_KEYS = {
+    "video": (("id", str), ("blob", str), ("rows", int), ("cols", int)),
+    "text": (("id", str), ("video_id", str)),
+}
+_TYPE_NAMES = {str: "a string", int: "a non-negative integer"}
+
+
+def _check_record(rec: dict, kind: str, source: str, lineno: int, keys=None) -> None:
+    for key, want in keys or _REQUIRED_KEYS[kind]:
+        value = rec.get(key)
+        if type(value) is not want or (want is int and value < 0):
+            record = f"{source}:{lineno}: {kind} record {rec.get('id')!r}"
+            if key not in rec:
+                raise CorpusError(f"{record} lacks key '{key}'")
+            raise CorpusError(f"{record} key '{key}' must be {_TYPE_NAMES[want]}, got {value!r}")
+
+
+def _text_features(rec: dict, source: str, lineno: int) -> np.ndarray:
+    try:
+        feats = np.asarray(rec["features"], dtype=np.float32).astype(np.float64)
+    except (TypeError, ValueError):
+        feats = None
+    if feats is None or feats.ndim != 1:
+        raise CorpusError(
+            f"{source}:{lineno}: text record {rec['id']!r} key 'features' must be a list of numbers"
+        )
+    return feats
+
+
 def load_corpus(manifest_path: str | Path) -> Corpus:
     """Materialize a corpus from a JSON-lines manifest; validates everything."""
     manifest_path = Path(manifest_path)
@@ -233,6 +264,7 @@ def load_corpus(manifest_path: str | Path) -> Corpus:
         raise MissingBlobError(f"manifest {manifest_path} does not exist")
     base = manifest_path.parent
 
+    source = str(manifest_path)
     videos: list[VideoRecord] = []
     texts: list[TextRecord] = []
     for lineno, line in enumerate(manifest_path.read_text().splitlines(), start=1):
@@ -242,14 +274,19 @@ def load_corpus(manifest_path: str | Path) -> Corpus:
             rec = json.loads(line)
         except json.JSONDecodeError as exc:
             raise CorpusError(f"{manifest_path}:{lineno}: malformed JSON ({exc})") from exc
+        if not isinstance(rec, dict):
+            raise CorpusError(f"{source}:{lineno}: expected a JSON object, got {line!r}")
         kind = rec.get("kind")
         if kind == "video":
+            _check_record(rec, kind, source, lineno)
             tokens = _read_blob(base / rec["blob"], rec["rows"], rec["cols"], rec["id"])
             videos.append(VideoRecord(rec["id"], tokens))
         elif kind == "text":
+            _check_record(rec, kind, source, lineno)
             if "features" in rec:
-                feats = np.asarray(rec["features"], dtype=np.float32).astype(np.float64)
+                feats = _text_features(rec, source, lineno)
             elif "blob" in rec:
+                _check_record(rec, kind, source, lineno, (("blob", str),))
                 raw = base / rec["blob"]
                 if not raw.is_file():
                     raise MissingBlobError(f"record '{rec['id']}': blob file {raw} does not exist")

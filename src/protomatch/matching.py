@@ -1,7 +1,8 @@
-"""Similarity scoring: plain inner product and text-adaptive max over prototypes.
+"""Similarity scoring: text-adaptive max over each video's prototypes.
 
 A text matches a video through whichever of the video's K+1 embedded
-prototypes it is most similar to.  The winning prototype index is recorded
+prototypes it is most similar to; with one row per video (the
+single-vector baseline) this is the plain inner product.  The winning prototype index is recorded
 per (text, video) pair, and the backward pass routes the upstream gradient
 only through that winning row (the subgradient of max).
 
@@ -15,7 +16,6 @@ matmuls.  Memory is O(T*V*(K+1)); no (T, V, D) temporary is built.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
@@ -28,34 +28,6 @@ class SimilarityMatrix:
 
     scores: np.ndarray  # (n_texts, n_videos) float64
     winners: np.ndarray  # (n_texts, n_videos) int64, values in [0, K]
-
-
-def base_similarity(text_embedded: np.ndarray, video_embedded: np.ndarray) -> float:
-    """Inner product of two joint-space unit vectors."""
-    if text_embedded.shape != video_embedded.shape or text_embedded.ndim != 1:
-        raise ShapeError(
-            f"similarity needs two equal-length vectors, got {text_embedded.shape} "
-            f"and {video_embedded.shape}"
-        )
-    return float(np.dot(text_embedded, video_embedded))
-
-
-def tmvm_similarity(text_embedded: np.ndarray, prototypes: np.ndarray) -> tuple[float, int]:
-    """Max inner product over a video's (K+1, embed_dim) prototype rows.
-
-    Returns (score, winner index).  Ties break toward the lowest index.
-    Each row score is computed with the same dot kernel base_similarity
-    uses, so a single-row prototype set reduces to it bit-for-bit.
-    """
-    if prototypes.ndim != 2 or prototypes.shape[0] == 0:
-        raise ValidationError(f"prototype set must be a non-empty matrix, got {prototypes.shape}")
-    if text_embedded.shape != (prototypes.shape[1],):
-        raise ShapeError(
-            f"text vector {text_embedded.shape} does not conform with prototypes {prototypes.shape}"
-        )
-    scores = np.array([np.dot(text_embedded, row) for row in prototypes])
-    winner = int(np.argmax(scores))
-    return float(scores[winner]), winner
 
 
 def prototype_scores(text_embedded: np.ndarray, video_embedded: np.ndarray) -> np.ndarray:
@@ -131,21 +103,3 @@ def similarity_vjp(
     grad_video = (weights.T @ text_embedded).reshape(video_embedded.shape)
     return grad_text, grad_video
 
-
-def save_similarity_csv(
-    path: str | Path,
-    matrix: SimilarityMatrix,
-    text_ids: list[str],
-    video_ids: list[str],
-) -> None:
-    """Scores as CSV: header of video ids, one row per text id, full precision."""
-    n_texts, n_videos = matrix.scores.shape
-    if len(text_ids) != n_texts or len(video_ids) != n_videos:
-        raise ValidationError(
-            f"id lists ({len(text_ids)} texts, {len(video_ids)} videos) do not match "
-            f"matrix shape {matrix.scores.shape}"
-        )
-    lines = ["text_id," + ",".join(video_ids)]
-    for i, tid in enumerate(text_ids):
-        lines.append(tid + "," + ",".join(repr(float(v)) for v in matrix.scores[i]))
-    Path(path).write_text("\n".join(lines) + "\n")

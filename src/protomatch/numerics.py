@@ -20,29 +20,6 @@ from .errors import NumericError, ShapeError, ValidationError
 NORM_GUARD = 1e-12
 
 
-def linear_forward(x: np.ndarray, w: np.ndarray, b: np.ndarray | None = None) -> np.ndarray:
-    """y = x @ w + b.  x (n, d_in), w (d_in, d_out), b (d_out,) or None."""
-    if x.ndim != 2 or w.ndim != 2 or x.shape[1] != w.shape[0]:
-        raise ShapeError(f"linear_forward: x {x.shape} does not conform with w {w.shape}")
-    y = x @ w
-    if b is not None:
-        if b.shape != (w.shape[1],):
-            raise ShapeError(f"linear_forward: bias {b.shape} does not conform with w {w.shape}")
-        y = y + b
-    return y
-
-
-def linear_vjp(
-    x: np.ndarray, w: np.ndarray, grad_out: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Backward of y = x @ w + b.  Returns (grad_x, grad_w, grad_b)."""
-    if grad_out.shape != (x.shape[0], w.shape[1]):
-        raise ShapeError(
-            f"linear_vjp: grad {grad_out.shape} does not conform with x {x.shape}, w {w.shape}"
-        )
-    return grad_out @ w.T, x.T @ grad_out, grad_out.sum(axis=0)
-
-
 def relu(x: np.ndarray) -> np.ndarray:
     """Elementwise max(0, x)."""
     return np.maximum(0.0, x)

@@ -96,8 +96,8 @@ def init_head(
 
 
 # ---------------------------------------------------------------------------
-# Single-video ops.  These mirror the batched path exactly and exist for
-# pairwise scoring and for oracle-style checks against the batched kernels.
+# Single-video ops: the masks the heatmap exporter reads, and the part
+# variant's pooling, which head_forward applies to each video in turn.
 # ---------------------------------------------------------------------------
 
 
@@ -107,17 +107,6 @@ def compute_masks(tokens: np.ndarray, params: HeadParameters) -> tuple[np.ndarra
         raise ShapeError(f"tokens {tokens.shape} do not conform with mask_w {params.mask_w.value.shape}")
     acts = tokens @ params.mask_w.value + params.mask_b.value
     return acts, relu(acts)
-
-
-def aggregate_prototypes(tokens: np.ndarray, masks: np.ndarray) -> np.ndarray:
-    """Stack K mask-weighted token sums with the class token: (K+1, token_dim).
-
-    Prototype k is sum_j masks[j, k] * tokens[j] over all B tokens, class
-    token included.  Row K is the raw class token (tokens[0]).
-    """
-    if masks.shape[0] != tokens.shape[0]:
-        raise ShapeError(f"masks {masks.shape} do not conform with tokens {tokens.shape}")
-    return np.vstack([masks.T @ tokens, tokens[0:1]])
 
 
 def part_prototypes(tokens: np.ndarray, n_parts: int) -> np.ndarray:
@@ -134,18 +123,6 @@ def part_prototypes(tokens: np.ndarray, n_parts: int) -> np.ndarray:
         )
     chunks = np.array_split(tokens[1:], n_parts)
     return np.vstack([np.stack([c.mean(axis=0) for c in chunks]), tokens[0:1]])
-
-
-def embed_prototypes(protos: np.ndarray, params: HeadParameters) -> tuple[np.ndarray, np.ndarray]:
-    """Project prototypes into the joint space and unit-normalize each row."""
-    projected = protos @ params.vproj_w.value
-    return projected, l2_normalize_rows(projected)
-
-
-def embed_text(features: np.ndarray, params: HeadParameters) -> np.ndarray:
-    """One caption feature vector -> unit vector in the joint space."""
-    projected = features[None, :] @ params.tproj_w.value
-    return l2_normalize_rows(projected)[0]
 
 
 # ---------------------------------------------------------------------------

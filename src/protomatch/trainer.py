@@ -48,6 +48,7 @@ CHECKPOINT_MAGIC = b"PMCK"
 CHECKPOINT_VERSION = 1
 # Fixed blob order inside a checkpoint; the header repeats it for readers.
 PARAM_ORDER = ("mask_w", "mask_b", "vproj_w", "tproj_w")
+_HEADER_KEYS = ("epoch", "adam_step", "rng_state", "config", "shapes", "blob_order")
 
 
 @dataclass(frozen=True)
@@ -333,7 +334,15 @@ def load_checkpoint(path: str | Path) -> CheckpointState:
     (header_len,) = struct.unpack("<Q", data[8:16])
     if len(data) < 16 + header_len:
         raise CheckpointError(f"{path} is truncated inside the header")
-    header = json.loads(data[16 : 16 + header_len].decode("utf-8"))
+    try:
+        header = json.loads(data[16 : 16 + header_len].decode("utf-8"))
+    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+        raise CheckpointError(f"{path} has a corrupt header ({exc})") from exc
+    if not isinstance(header, dict):
+        raise CheckpointError(f"{path} has a corrupt header (not a JSON object)")
+    missing = [key for key in _HEADER_KEYS if key not in header]
+    if missing:
+        raise CheckpointError(f"{path} header lacks key(s) {', '.join(missing)}")
 
     offset = 16 + header_len
     arrays: list[np.ndarray] = []

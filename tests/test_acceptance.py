@@ -15,12 +15,7 @@ import pytest
 from protomatch.dataset import BLOB_DTYPE, SynthConfig, load_corpus, save_corpus, synth_corpus
 from protomatch.diagnostics import matching_purity, prototype_diversity
 from protomatch.losses import LossConfig, contrastive_loss, variance_loss
-from protomatch.matching import (
-    base_similarity,
-    prototype_scores,
-    similarity_matrix,
-    tmvm_similarity,
-)
+from protomatch.matching import prototype_scores, similarity_matrix
 from protomatch.metrics import (
     evaluate,
     median_rank,
@@ -157,8 +152,8 @@ def test_max_matching_structural_properties():
         text /= np.linalg.norm(text)
         protos = l2_normalize_rows(rng.normal((3, 4)))
         extra = l2_normalize_rows(rng.normal((1, 4)))
-        base, _ = tmvm_similarity(text, protos)
-        grown, _ = tmvm_similarity(text, np.vstack([protos, extra]))
+        base = similarity_matrix(text[None], protos[None]).scores[0, 0]
+        grown = similarity_matrix(text[None], np.vstack([protos, extra])[None]).scores[0, 0]
         grown_ok += grown >= base
 
     single_ok = 0
@@ -166,11 +161,11 @@ def test_max_matching_structural_properties():
         text = rng.normal(6)
         text /= np.linalg.norm(text)
         rows = l2_normalize_rows(rng.normal((1, 6)))
-        score, winner = tmvm_similarity(text, rows)
-        single_ok += score == base_similarity(text, rows[0]) and winner == 0
+        sim = similarity_matrix(text[None], rows[None])
+        single_ok += sim.scores[0, 0] == float(np.dot(text, rows[0])) and sim.winners[0, 0] == 0
 
-    # class-row domination under one shared forward pass; the per-pair dot
-    # kernel rounds differently in the last bit, so the class column is
+    # class-row domination under one shared forward pass; a per-row dot
+    # product rounds differently in the last bit, so the class column is
     # recomputed with the same batched product the matcher uses
     draw = RngStream(7)
     params = init_head(3, 8, 7, 6, draw)

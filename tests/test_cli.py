@@ -1,10 +1,12 @@
 """Command-line surface: config handling, run layout, exit codes, pipeline."""
 
 import json
+import struct
 
 import pytest
 
 from protomatch.cli import (
+    _FIELD_TYPES,
     RunConfig,
     build_run_config,
     config_lines,
@@ -111,6 +113,22 @@ def test_run_directory_depends_on_config_and_seed(tmp_path):
     assert dir_a.name.endswith("-seed0") and dir_c.name.endswith("-seed1")
 
 
+def test_config_keys_types_and_digests_are_pinned(tmp_path):
+    assert _FIELD_TYPES == {
+        "num_videos": "int", "captions_per_video": "int", "events_per_video": "int",
+        "latent_dim": "int", "tokens_per_video": "int", "token_dim": "int",
+        "text_dim": "int", "token_noise": "float", "caption_noise": "float",
+        "seed": "int", "n_prototypes": "int", "embed_dim": "int", "batch_size": "int",
+        "epochs": "int", "warmup_epochs": "float", "peak_lr": "float", "variant": "str",
+        "checkpoint_every": "int", "std_target": "float", "variance_floor": "float",
+        "variance_weight": "float", "temperature": "float",
+    }
+    # run directories are named by these digests; the README quotes the second
+    assert run_directory(RunConfig(), tmp_path).name == "6f0e8beb66-seed0"
+    assert run_directory(RunConfig(num_videos=16), tmp_path).name == "312219676f-seed0"
+    assert "warmup_epochs = 5.0\n" in config_lines(RunConfig())
+
+
 def test_config_echo_reproduces_effective_config(tmp_path):
     cfg_file, out, _ = synth_small(tmp_path)
     (run_dir,) = out.iterdir()
@@ -195,6 +213,19 @@ def test_diagnose_and_heatmap_artifacts(tmp_path):
     assert (heat_dir / "heatmap_v3_normalized.csv").exists()
 
 
+def test_checkpoint_header_keeps_float_warmup_default(tmp_path):
+    _, out, manifest = synth_small(tmp_path)
+    no_warmup = [line for line in SMALL_TRAIN if not line.startswith("warmup_epochs")]
+    train_cfg = write_config(tmp_path, SMALL_CORPUS + no_warmup + ["epochs = 5"], name="t.cfg")
+    assert main(["train", "--config", str(train_cfg), "--corpus", str(manifest),
+                 "--out-dir", str(out / "train")]) == 0
+    (train_dir,) = (out / "train").iterdir()
+    data = sorted((train_dir / "checkpoints").iterdir())[-1].read_bytes()
+    (header_len,) = struct.unpack("<Q", data[8:16])
+    warmup = json.loads(data[16 : 16 + header_len])["config"]["warmup_epochs"]
+    assert type(warmup) is float and warmup == 5.0  # serialized as 5.0, not 5
+
+
 def test_gradcheck_command_passes(tmp_path, capsys):
     assert main(["gradcheck", "--out-dir", str(tmp_path)]) == 0
     lines = [l for l in capsys.readouterr().out.splitlines() if "max rel err" in l]
@@ -244,6 +275,69 @@ def test_unknown_video_id_exits_1(tmp_path, capsys):
                  "--video-id", "v99", "--out-dir", str(out / "h")])
     assert code == 1
     assert "v99" in capsys.readouterr().err
+
+
+def assert_one_line_error(capsys, *needles):
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+    for needle in needles:
+        assert needle in err, err
+
+
+@pytest.mark.parametrize(
+    "mutation, needle",
+    [
+        (lambda rec: rec.pop("rows"), "lacks key 'rows'"),
+        (lambda rec: rec.update(rows="ten"), "'rows' must be a non-negative integer"),
+        (lambda rec: rec.update(cols=-4), "'cols' must be a non-negative integer"),
+    ],
+    ids=["missing_key", "string_count", "negative_count"],
+)
+def test_bad_manifest_record_exits_1_naming_record_and_key(tmp_path, capsys, mutation, needle):
+    _, out, manifest = synth_small(tmp_path)
+    lines = manifest.read_text().splitlines()
+    rec = json.loads(lines[0])
+    mutation(rec)
+    lines[0] = json.dumps(rec)
+    manifest.write_text("\n".join(lines) + "\n")
+    capsys.readouterr()
+    code = main(["eval", "--corpus", str(manifest), "--checkpoint", str(tmp_path / "unused.bin"),
+                 "--out-dir", str(out / "e")])
+    assert code == 1
+    assert_one_line_error(capsys, "manifest.jsonl:1", "'v0'", needle)
+    assert not (out / "e").exists()
+
+
+def test_corrupt_checkpoint_header_exits_1(tmp_path, capsys):
+    _, out, manifest = synth_small(tmp_path)
+    train_cfg = write_config(tmp_path, SMALL_CORPUS + SMALL_TRAIN, name="train.cfg")
+    assert main(["train", "--config", str(train_cfg), "--corpus", str(manifest),
+                 "--out-dir", str(out / "train")]) == 0
+    (train_dir,) = (out / "train").iterdir()
+    data = bytearray(sorted((train_dir / "checkpoints").iterdir())[-1].read_bytes())
+    data[20] = 0xFF
+    bad = tmp_path / "corrupt.bin"
+    bad.write_bytes(bytes(data))
+    capsys.readouterr()
+    code = main(["eval", "--corpus", str(manifest), "--checkpoint", str(bad),
+                 "--out-dir", str(out / "e")])
+    assert code == 1
+    assert_one_line_error(capsys, "corrupt.bin", "corrupt header")
+
+
+def test_heatmap_refuses_part_checkpoint(tmp_path, capsys):
+    _, out, manifest = synth_small(tmp_path)
+    train_cfg = write_config(tmp_path, SMALL_CORPUS + SMALL_TRAIN, name="train.cfg")
+    assert main(["train", "--config", str(train_cfg), "--set", "variant=part",
+                 "--corpus", str(manifest), "--out-dir", str(out / "train")]) == 0
+    (train_dir,) = (out / "train").iterdir()
+    ckpt = sorted((train_dir / "checkpoints").iterdir())[-1]
+    capsys.readouterr()
+    code = main(["heatmap", "--corpus", str(manifest), "--checkpoint", str(ckpt),
+                 "--video-id", "v3", "--out-dir", str(out / "heat")])
+    assert code == 1
+    assert_one_line_error(capsys, "part")
+    assert not (out / "heat").exists()
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")

@@ -119,6 +119,26 @@ def test_garbled_manifest_line_reports_path_and_lineno(tmp_path):
     assert "manifest.jsonl" in str(exc.value) and "2" in str(exc.value)
 
 
+@pytest.mark.parametrize(
+    "line, needle",
+    [
+        ('[1, 2]', "expected a JSON object"),
+        ('{"kind": "text", "id": "t9", "video_id": "v0", "features": "ten"}', "'features'"),
+        ('{"kind": "text", "id": "t9", "video_id": "v0", "blob": 7}', "'blob' must be a string"),
+        ('{"kind": "text", "id": 9, "video_id": "v0", "features": [1.0]}', "'id' must be a string"),
+    ],
+    ids=["not_an_object", "string_features", "numeric_blob_path", "numeric_id"],
+)
+def test_ill_typed_manifest_record_raises_corpus_error(tmp_path, line, needle):
+    corpus = random_corpus(num_videos=2)
+    manifest = tmp_path / "manifest.jsonl"
+    save_corpus(corpus, manifest)
+    manifest.write_text(manifest.read_text() + line + "\n")
+    with pytest.raises(CorpusError) as exc:
+        load_corpus(manifest)
+    assert needle in str(exc.value)
+
+
 def test_corpus_validate_catches_duplicates_and_nonfinite():
     good = random_corpus(num_videos=2, captions_per_video=1)
     dup = Corpus(good.videos + [good.videos[0]], good.texts, good.dims)

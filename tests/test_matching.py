@@ -1,4 +1,4 @@
-"""Base and max-over-prototypes similarity, matrices, and the max VJP."""
+"""Max-over-prototypes similarity, from one pair to full matrices, and its VJP."""
 
 import numpy as np
 import pytest
@@ -6,12 +6,9 @@ import pytest
 from protomatch.errors import ShapeError, ValidationError
 from protomatch.matching import (
     SimilarityMatrix,
-    base_similarity,
     prototype_scores,
-    save_similarity_csv,
     similarity_matrix,
     similarity_vjp,
-    tmvm_similarity,
 )
 from protomatch.numerics import RngStream, finite_diff_check, l2_normalize_rows
 from protomatch.prototypes import embed_texts, embed_videos
@@ -39,38 +36,44 @@ def _scatter_vjp_oracle(grad_scores, text_embedded, video_embedded, winners):
     return grad_text, grad_video
 
 
+def _pair_score(text, rows):
+    """Score and winner of one text against one video's prototype rows."""
+    sim = similarity_matrix(text[None, :], rows[None, :, :])
+    return sim.scores[0, 0], sim.winners[0, 0]
+
+
 # ---------------------------------------------------------------------------
-# base_similarity
+# a single prototype row: the plain inner product
 # ---------------------------------------------------------------------------
 
 
 def test_self_similarity_is_one():
     v = unit([1.0, 2.0, 2.0])
-    assert base_similarity(v, v) == pytest.approx(1.0, abs=1e-12)
+    assert _pair_score(v, v[None, :])[0] == pytest.approx(1.0, abs=1e-12)
 
 
 def test_orthogonal_similarity_is_zero():
-    assert base_similarity(np.array([1.0, 0.0]), np.array([0.0, 1.0])) == 0.0
+    assert _pair_score(np.array([1.0, 0.0]), np.array([[0.0, 1.0]]))[0] == 0.0
 
 
 def test_antipodal_similarity_is_minus_one():
     v = unit([0.6, 0.8])
-    assert base_similarity(v, -v) == pytest.approx(-1.0, abs=1e-12)
+    assert _pair_score(v, -v[None, :])[0] == pytest.approx(-1.0, abs=1e-12)
 
 
 def test_base_similarity_dim_mismatch():
     with pytest.raises(ShapeError):
-        base_similarity(np.zeros(3), np.zeros(4))
+        _pair_score(np.zeros(3), np.zeros((1, 4)))
 
 
 # ---------------------------------------------------------------------------
-# tmvm_similarity
+# max over one video's prototypes
 # ---------------------------------------------------------------------------
 
 
 def test_direct_max_picks_second_prototype():
     protos = np.array([[1.0, 0.0], [0.0, 1.0]])
-    score, winner = tmvm_similarity(np.array([0.6, 0.8]), protos)
+    score, winner = _pair_score(np.array([0.6, 0.8]), protos)
     assert score == pytest.approx(0.8, abs=1e-15)
     assert winner == 1
 
@@ -79,9 +82,9 @@ def test_single_prototype_equals_base_similarity():
     rng = RngStream(0)
     text = unit(rng.normal(4))
     proto = unit(rng.normal(4))
-    score, winner = tmvm_similarity(text, proto[None, :])
+    score, winner = _pair_score(text, proto[None, :])
     assert winner == 0
-    assert score == base_similarity(text, proto)
+    assert score == float(np.dot(text, proto))
 
 
 def test_matches_brute_force_loop_over_prototypes():
@@ -89,16 +92,17 @@ def test_matches_brute_force_loop_over_prototypes():
         rng = RngStream(seed)
         text = unit(rng.normal(6))
         protos = l2_normalize_rows(rng.normal((5, 6)))  # 4 learned + class
-        score, winner = tmvm_similarity(text, protos)
+        score, winner = _pair_score(text, protos)
         dots = [float(np.dot(text, protos[k])) for k in range(5)]
-        assert score == max(dots)
+        # one matmul and a per-row dot loop may round apart in the last bit
+        assert abs(score - max(dots)) <= 2 * np.finfo(np.float64).eps
         assert winner == dots.index(max(dots))
 
 
 def test_tie_breaks_toward_lowest_index():
     text = np.array([1.0, 0.0])
     protos = np.array([[0.0, 1.0], [1.0, 0.0], [1.0, 0.0]])
-    score, winner = tmvm_similarity(text, protos)
+    score, winner = _pair_score(text, protos)
     assert (score, winner) == (1.0, 1)
 
 
@@ -106,16 +110,16 @@ def test_row_permutation_preserves_score_and_maps_winner():
     rng = RngStream(3)
     text = unit(rng.normal(5))
     protos = l2_normalize_rows(rng.normal((4, 5)))
-    score, winner = tmvm_similarity(text, protos)
+    score, winner = _pair_score(text, protos)
     perm = np.array([2, 0, 3, 1])
-    p_score, p_winner = tmvm_similarity(text, protos[perm])
+    p_score, p_winner = _pair_score(text, protos[perm])
     assert p_score == score
     assert perm[p_winner] == winner
 
 
 def test_empty_prototype_set_rejected():
     with pytest.raises(ValidationError):
-        tmvm_similarity(np.zeros(3), np.zeros((0, 3)))
+        _pair_score(np.zeros(3), np.zeros((0, 3)))
 
 
 def test_superset_monotonicity_1000_cases():
@@ -124,8 +128,8 @@ def test_superset_monotonicity_1000_cases():
         text = unit(rng.normal(4))
         protos = l2_normalize_rows(rng.normal((3, 4)))
         extra = l2_normalize_rows(rng.normal((1, 4)))
-        base, _ = tmvm_similarity(text, protos)
-        grown, _ = tmvm_similarity(text, np.vstack([protos, extra]))
+        base, _ = _pair_score(text, protos)
+        grown, _ = _pair_score(text, np.vstack([protos, extra]))
         assert grown >= base
 
 
@@ -142,7 +146,7 @@ def test_one_by_one_matrix_is_inner_product():
     texts = embed_texts(feats, head)
     sim = similarity_matrix(texts, videos)
     assert sim.scores.shape == (1, 1)
-    assert sim.scores[0, 0] == base_similarity(texts[0], videos[0, 0])
+    assert sim.scores[0, 0] == float(np.dot(texts[0], videos[0, 0]))
     assert sim.winners[0, 0] == 0
 
 
@@ -165,11 +169,11 @@ def test_matrix_matches_double_loop_oracle():
     eps = np.finfo(np.float64).eps
     for t in range(3):
         for v in range(3):
-            score, winner = tmvm_similarity(texts[t], videos[v])
+            dots = [float(np.dot(texts[t], videos[v, k])) for k in range(4)]
             # the batched matmul and the per-row dot loop may round differently
             # in the last bit; anything beyond 2 ulps is a real bug
-            assert abs(sim.scores[t, v] - score) <= 2 * eps
-            assert sim.winners[t, v] == winner
+            assert abs(sim.scores[t, v] - max(dots)) <= 2 * eps
+            assert sim.winners[t, v] == dots.index(max(dots))
 
 
 def test_scores_stay_within_unit_interval():
@@ -312,25 +316,3 @@ def test_vjp_rejects_embedding_width_mismatch():
     texts, videos = np.zeros((2, 3)), np.zeros((4, 2, 5))
     with pytest.raises(ShapeError):
         similarity_vjp(np.ones((2, 4)), texts, videos, np.zeros((2, 4), dtype=np.int64))
-
-
-# ---------------------------------------------------------------------------
-# CSV export
-# ---------------------------------------------------------------------------
-
-
-def test_similarity_csv_round_trips_full_precision(tmp_path):
-    rng = RngStream(11)
-    texts = l2_normalize_rows(rng.normal((2, 4)))
-    videos = np.stack([l2_normalize_rows(rng.normal((2, 4))) for _ in range(3)])
-    sim = similarity_matrix(texts, videos)
-    path = tmp_path / "scores.csv"
-    save_similarity_csv(path, sim, ["t0", "t1"], ["va", "vb", "vc"])
-    lines = path.read_text().splitlines()
-    assert lines[0] == "text_id,va,vb,vc"
-    for t, line in enumerate(lines[1:]):
-        cells = line.split(",")
-        assert cells[0] == f"t{t}"
-        np.testing.assert_array_equal(
-            np.array([float(c) for c in cells[1:]]), sim.scores[t]
-        )

@@ -1,11 +1,11 @@
-"""Kernel-level checks: linear/relu/normalize VJPs, Adam, schedule, RNG."""
+"""Kernel-level checks: relu/normalize VJPs, Adam, schedule, RNG."""
 
 import math
 
 import numpy as np
 import pytest
 
-from protomatch.errors import NumericError, ShapeError, ValidationError
+from protomatch.errors import NumericError, ValidationError
 from protomatch.numerics import (
     AdamState,
     LrSchedule,
@@ -15,63 +15,10 @@ from protomatch.numerics import (
     finite_diff_check,
     l2_normalize_rows,
     l2_normalize_rows_vjp,
-    linear_forward,
-    linear_vjp,
     lr_at,
     relu,
     relu_vjp,
 )
-
-
-# ---------------------------------------------------------------------------
-# linear_forward
-# ---------------------------------------------------------------------------
-
-
-def test_linear_identity_input_returns_weights():
-    w = np.array([[1.0, 2.0], [3.0, 4.0]])
-    out = linear_forward(np.eye(2), w, np.zeros(2))
-    np.testing.assert_array_equal(out, w)
-
-
-def test_linear_direct_evaluation_with_bias():
-    out = linear_forward(np.array([[1.0, 1.0]]), np.eye(2), np.array([5.0, 5.0]))
-    np.testing.assert_array_equal(out, [[6.0, 6.0]])
-
-
-def test_linear_matches_triple_loop_oracle():
-    rng = RngStream(7)
-    x, w, b = rng.normal((3, 4)), rng.normal((4, 2)), rng.normal((2,))
-    out = linear_forward(x, w, b)
-    oracle = np.empty((3, 2))
-    for i in range(3):
-        for j in range(2):
-            acc = b[j]
-            for k in range(4):
-                acc += x[i, k] * w[k, j]
-            oracle[i, j] = acc
-    np.testing.assert_allclose(out, oracle, rtol=0, atol=1e-12)
-
-
-def test_linear_shape_mismatch_names_both_shapes():
-    with pytest.raises(ShapeError) as exc:
-        linear_forward(np.zeros((2, 3)), np.zeros((4, 2)))
-    assert "(2, 3)" in str(exc.value) and "(4, 2)" in str(exc.value)
-
-
-def test_linear_vjp_matches_finite_differences():
-    for seed in range(20):
-        rng = RngStream(seed)
-        x0, w0, b0 = rng.normal((3, 4)), rng.normal((4, 2)), rng.normal((2,))
-        probe = rng.normal((3, 2))
-
-        def fn(values):
-            y = linear_forward(values["x"], values["w"], values["b"])
-            gx, gw, gb = linear_vjp(values["x"], values["w"], probe)
-            return float((y * probe).sum()), {"x": gx, "w": gw, "b": gb}
-
-        err = finite_diff_check(fn, {"x": x0.copy(), "w": w0.copy(), "b": b0.copy()})
-        assert err < 1e-7
 
 
 # ---------------------------------------------------------------------------

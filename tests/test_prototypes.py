@@ -9,15 +9,11 @@ from protomatch.numerics import (
     RngStream,
     finite_diff_check,
     l2_normalize_rows,
-    linear_forward,
     relu,
 )
 from protomatch.prototypes import (
     HeadParameters,
-    aggregate_prototypes,
     compute_masks,
-    embed_prototypes,
-    embed_text,
     embed_videos,
     head_backward,
     head_forward,
@@ -59,7 +55,7 @@ def test_masks_equal_linear_then_relu_composition():
     head = make_head(3, 6, 5, 4, seed=2)
     tokens = RngStream(3).normal((7, 6))
     acts, masks = compute_masks(tokens, head)
-    expected_acts = linear_forward(tokens, head.mask_w.value, head.mask_b.value)
+    expected_acts = tokens @ head.mask_w.value + head.mask_b.value
     np.testing.assert_array_equal(acts, expected_acts)
     np.testing.assert_array_equal(masks, relu(expected_acts))
 
@@ -77,29 +73,37 @@ def test_compute_masks_shape_mismatch():
 
 
 # ---------------------------------------------------------------------------
-# aggregate_prototypes
+# mask aggregation, through head_forward on one video
 # ---------------------------------------------------------------------------
 
 
+def mask_head(mask_w, mask_b, text_dim=3, embed_dim=4) -> HeadParameters:
+    """A head whose masks are relu(tokens @ mask_w + mask_b) for given values."""
+    mask_w = np.asarray(mask_w, dtype=np.float64)
+    head = make_head(mask_w.shape[1], mask_w.shape[0], text_dim, embed_dim)
+    head.mask_w.value[:] = mask_w
+    head.mask_b.value[:] = mask_b
+    return head
+
+
 def test_one_hot_mask_selects_single_token():
-    tokens = RngStream(1).normal((4, 3))
-    masks = np.zeros((4, 1))
-    masks[2, 0] = 1.0
-    protos = aggregate_prototypes(tokens, masks)
-    np.testing.assert_array_equal(protos[0], tokens[2])
-    np.testing.assert_array_equal(protos[1], tokens[0])
+    tokens = np.array([[0.5, 0.2, -0.1], [0.3, -0.4, 0.7], [2.0, 1.0, 0.5], [-0.6, 0.8, 0.1]])
+    cache = head_forward(tokens[None], mask_head([[1.0], [0.0], [0.0]], [-1.0]))
+    np.testing.assert_array_equal(cache.masks[0], [[0.0], [0.0], [1.0], [0.0]])
+    np.testing.assert_array_equal(cache.protos[0, 0], tokens[2])
+    np.testing.assert_array_equal(cache.protos[0, 1], tokens[0])
 
 
 def test_weighted_sum_direct_evaluation():
     tokens = np.array([[1.0, 0.0], [0.0, 1.0], [2.0, 2.0]])
-    masks = np.array([[1.0], [0.0], [0.5]])
-    protos = aggregate_prototypes(tokens, masks)
-    np.testing.assert_array_equal(protos[0], [2.0, 1.0])
+    cache = head_forward(tokens[None], mask_head([[0.5], [-0.5]], [0.5]))
+    np.testing.assert_array_equal(cache.masks[0], [[1.0], [0.0], [0.5]])
+    np.testing.assert_array_equal(cache.protos[0, 0], [2.0, 1.0])
 
 
 def test_zero_mask_keeps_class_row():
     tokens = RngStream(4).normal((5, 3))
-    protos = aggregate_prototypes(tokens, np.zeros((5, 2)))
+    protos = head_forward(tokens[None], mask_head(np.zeros((3, 2)), 0.0)).protos[0]
     assert not protos[:2].any()
     np.testing.assert_array_equal(protos[2], tokens[0])
 
@@ -107,26 +111,29 @@ def test_zero_mask_keeps_class_row():
 def test_prototype_count_is_k_plus_one_for_all_k():
     tokens = RngStream(5).normal((6, 4))
     for k in range(4):
-        head = make_head(k, 4, 3, 4) if k else None
-        masks = np.abs(RngStream(6).normal((6, k)))
-        assert aggregate_prototypes(tokens, masks).shape == (k + 1, 4)
+        head = make_head(k, 4, 3, 4)
+        assert head_forward(tokens[None], head).protos.shape == (1, k + 1, 4)
         if k >= 1:
             assert part_prototypes(tokens, k).shape == (k + 1, 4)
 
 
 def test_aggregation_linear_in_masks_on_learned_rows():
     tokens = RngStream(7).normal((5, 4))
-    m1 = np.abs(RngStream(8).normal((5, 2)))
-    m2 = np.abs(RngStream(9).normal((5, 2)))
-    combined = aggregate_prototypes(tokens, m1 + m2)
-    separate = aggregate_prototypes(tokens, m1)[:2] + aggregate_prototypes(tokens, m2)[:2]
-    np.testing.assert_allclose(combined[:2], separate, rtol=0, atol=1e-12)
+    w1, w2 = RngStream(8).normal((4, 2)), RngStream(9).normal((4, 2))
+    # a bias far above every activation keeps relu the identity, so the
+    # masks of (w1 + w2, b1 + b2) are the sum of the two heads' masks
+    b1, b2 = np.array([20.0, 30.0]), np.array([25.0, 15.0])
+    combined = head_forward(tokens[None], mask_head(w1 + w2, b1 + b2))
+    first = head_forward(tokens[None], mask_head(w1, b1))
+    second = head_forward(tokens[None], mask_head(w2, b2))
+    np.testing.assert_allclose(combined.masks, first.masks + second.masks, rtol=0, atol=1e-12)
+    separate = first.protos[0, :2] + second.protos[0, :2]
+    np.testing.assert_allclose(combined.protos[0, :2], separate, rtol=0, atol=1e-12)
 
 
 def test_class_token_participates_in_weighted_sum():
     tokens = RngStream(10).normal((3, 2))
-    masks = np.ones((3, 1))
-    protos = aggregate_prototypes(tokens, masks)
+    protos = head_forward(tokens[None], mask_head(np.zeros((2, 1)), 1.0)).protos[0]
     np.testing.assert_allclose(protos[0], tokens.sum(axis=0), atol=1e-12)
 
 
@@ -167,36 +174,44 @@ def test_part_count_beyond_body_rejected():
 # ---------------------------------------------------------------------------
 
 
+def part_layout(protos: np.ndarray) -> np.ndarray:
+    """Tokens from which the part variant with K = len(protos) - 1 rebuilds
+    exactly protos: the class row first, then one token per part."""
+    return np.vstack([protos[-1:], protos[:-1]])[None]
+
+
 def test_embed_prototypes_three_four_five_with_identity_projection():
     head = zeroed_head(1, 2, 3, 2)
     head.vproj_w.value[:] = np.eye(2)
-    _, embedded = embed_prototypes(np.array([[3.0, 4.0], [0.0, 1.0]]), head)
-    np.testing.assert_allclose(embedded[0], [0.6, 0.8], atol=1e-11)
+    tokens = part_layout(np.array([[3.0, 4.0], [0.0, 1.0]]))
+    embedded = head_forward(tokens, head, variant="part").embedded
+    np.testing.assert_allclose(embedded[0, 0], [0.6, 0.8], atol=1e-11)
 
 
 def test_embed_zero_prototype_row_stays_zero():
     head = make_head(1, 2, 3, 2)
-    _, embedded = embed_prototypes(np.array([[0.0, 0.0]]), head)
-    np.testing.assert_array_equal(embedded[0], 0.0)
+    embedded = head_forward(np.zeros((1, 3, 2)), head).embedded
+    np.testing.assert_array_equal(embedded, 0.0)
 
 
 def test_embed_text_identity_projection():
     head = zeroed_head(1, 3, 2, 2)
     head.tproj_w.value[:] = np.eye(2)
-    np.testing.assert_allclose(embed_text(np.array([0.0, 5.0]), head), [0.0, 1.0], atol=1e-11)
+    embedded = text_forward(np.array([[0.0, 5.0]]), head).embedded
+    np.testing.assert_allclose(embedded[0], [0.0, 1.0], atol=1e-11)
 
 
 def test_embed_zero_text_is_zero():
     head = make_head()
-    np.testing.assert_array_equal(embed_text(np.zeros(7), head), np.zeros(6))
+    np.testing.assert_array_equal(text_forward(np.zeros((1, 7)), head).embedded, np.zeros((1, 6)))
 
 
 def test_embedding_matches_oracle_composition():
     head = make_head(2, 5, 4, 3, seed=6)
     protos = RngStream(14).normal((3, 5))
-    _, embedded = embed_prototypes(protos, head)
+    embedded = head_forward(part_layout(protos), head, variant="part").embedded
     np.testing.assert_array_equal(
-        embedded, l2_normalize_rows(protos @ head.vproj_w.value)
+        embedded[0], l2_normalize_rows(protos @ head.vproj_w.value)
     )
 
 
@@ -247,8 +262,8 @@ def test_batched_forward_matches_per_video_composition():
     cache = head_forward(tokens, head)
     for v in range(3):
         _, masks = compute_masks(tokens[v], head)
-        protos = aggregate_prototypes(tokens[v], masks)
-        _, embedded = embed_prototypes(protos, head)
+        protos = np.vstack([masks.T @ tokens[v], tokens[v, 0:1]])
+        embedded = l2_normalize_rows(protos @ head.vproj_w.value)
         np.testing.assert_allclose(cache.embedded[v], embedded, rtol=0, atol=1e-12)
 
 
@@ -270,7 +285,7 @@ def test_part_variant_forward_matches_part_prototypes():
     cache = head_forward(tokens, head, variant="part")
     for v in range(3):
         protos = part_prototypes(tokens[v], 2)
-        _, embedded = embed_prototypes(protos, head)
+        embedded = l2_normalize_rows(protos @ head.vproj_w.value)
         np.testing.assert_allclose(cache.embedded[v], embedded, rtol=0, atol=1e-12)
 
 

@@ -1,6 +1,8 @@
 """Training loop, determinism, checkpoint persistence, and the full objective."""
 
 import dataclasses
+import json
+import struct
 
 import numpy as np
 import pytest
@@ -300,6 +302,49 @@ def test_checkpoint_truncation_and_garbage_rejected(tmp_path):
     not_ckpt.write_bytes(b"nope")
     with pytest.raises(CheckpointError):
         load_checkpoint(not_ckpt)
+
+
+def with_header(data: bytes, header_bytes: bytes) -> bytes:
+    """The checkpoint bytes with the JSON header replaced (length fixed up)."""
+    (old_len,) = struct.unpack("<Q", data[8:16])
+    return data[:8] + struct.pack("<Q", len(header_bytes)) + header_bytes + data[16 + old_len :]
+
+
+def test_checkpoint_header_not_utf8_rejected(tmp_path):
+    _, _, out, _, _ = run_with_checkpoints(tmp_path, epochs=2)
+    data = bytearray((out / "checkpoints" / "epoch_0002.bin").read_bytes())
+    data[20] = 0xFF
+    bad = tmp_path / "not_utf8.bin"
+    bad.write_bytes(bytes(data))
+    with pytest.raises(CheckpointError) as exc:
+        load_checkpoint(bad)
+    assert "not_utf8.bin" in str(exc.value)
+
+
+def test_checkpoint_header_not_json_rejected(tmp_path):
+    _, _, out, _, _ = run_with_checkpoints(tmp_path, epochs=2)
+    data = (out / "checkpoints" / "epoch_0002.bin").read_bytes()
+    bad = tmp_path / "not_json.bin"
+    bad.write_bytes(with_header(data, b"{not json"))
+    with pytest.raises(CheckpointError) as exc:
+        load_checkpoint(bad)
+    assert "not_json.bin" in str(exc.value)
+
+
+@pytest.mark.parametrize(
+    "key", ["blob_order", "shapes", "adam_step", "config", "epoch", "rng_state"]
+)
+def test_checkpoint_header_missing_key_rejected(tmp_path, key):
+    _, _, out, _, _ = run_with_checkpoints(tmp_path, epochs=2)
+    data = (out / "checkpoints" / "epoch_0002.bin").read_bytes()
+    (header_len,) = struct.unpack("<Q", data[8:16])
+    header = json.loads(data[16 : 16 + header_len])
+    del header[key]
+    bad = tmp_path / "no_key.bin"
+    bad.write_bytes(with_header(data, json.dumps(header).encode("utf-8")))
+    with pytest.raises(CheckpointError) as exc:
+        load_checkpoint(bad)
+    assert "no_key.bin" in str(exc.value) and key in str(exc.value)
 
 
 def test_checkpoint_cadence_and_final_always_written(tmp_path):
