@@ -31,6 +31,8 @@ from .prototypes import (
 
 DEFAULT_BINS = 40
 DEFAULT_PAIR_CAP = 1_000_000
+# Caption pairs whose embeddings are gathered at once in intra_inter_stats.
+_PAIR_CHUNK = 8192
 
 
 @dataclass(eq=False)
@@ -85,7 +87,10 @@ def intra_inter_stats(
     if i_idx.shape[0] > pair_cap:
         pick = RngStream(seed).permutation(i_idx.shape[0])[:pair_cap]
         i_idx, j_idx = i_idx[pick], j_idx[pick]
-    inter = np.einsum("pd,pd->p", unit[i_idx], unit[j_idx])
+    inter = np.empty(i_idx.shape[0])
+    for start in range(0, i_idx.shape[0], _PAIR_CHUNK):  # bounded gathers
+        pairs = slice(start, start + _PAIR_CHUNK)
+        inter[pairs] = np.einsum("pd,pd->p", unit[i_idx[pairs]], unit[j_idx[pairs]])
 
     edges = np.linspace(-1.0, 1.0, bins + 1)
     hist, _ = np.histogram(np.clip(inter, -1.0, 1.0), bins=edges)

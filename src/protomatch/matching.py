@@ -6,11 +6,16 @@ single-vector baseline) this is the plain inner product.  The winning prototype 
 per (text, video) pair, and the backward pass routes the upstream gradient
 only through that winning row (the subgradient of max).
 
-Batched scoring is one matmul of the texts against the flattened
-(V*(K+1), D) prototype stack, followed by a max over each video's K+1
-columns.  The VJP scatters the upstream gradient into a one-hot
+Batched scoring multiplies the texts, in row blocks sized by a fixed byte
+budget, by the flattened (V*(K+1), D) prototype stack, and reduces each
+block's (rows, K+1, V) scores over its K+1 stripes of V columns: the max
+stripe by stripe, and the winner as the count of leading stripes below
+it.  A call spanning several blocks first copies the stack in K-major
+order, so that each stripe is contiguous; a single block (a training
+batch) reads the stored rows in place.  Memory is O(T*V + block) rather
+than O(T*V*(K+1)).  The VJP scatters the upstream gradient into a one-hot
 (T, V*(K+1)) weight matrix at the winning columns and is then two
-matmuls.  Memory is O(T*V*(K+1)); no (T, V, D) temporary is built.
+matmuls; no (T, V, D) temporary is built.
 """
 
 from __future__ import annotations
@@ -30,12 +35,12 @@ class SimilarityMatrix:
     winners: np.ndarray  # (n_texts, n_videos) int64, values in [0, K]
 
 
-def prototype_scores(text_embedded: np.ndarray, video_embedded: np.ndarray) -> np.ndarray:
-    """Inner product of every text row with every prototype row.
+# Bytes of one block of per-prototype scores in similarity_matrix.  A
+# training batch (64 texts x 64 videos x 4 rows) is 128 KiB, one block.
+_BLOCK_BYTES = 8 << 20
 
-    text_embedded: (n_texts, embed_dim); video_embedded: (n_videos, K+1,
-    embed_dim).  Returns (n_texts, n_videos, K+1), computed as one matmul.
-    """
+
+def _check_shapes(text_embedded: np.ndarray, video_embedded: np.ndarray) -> None:
     if (
         text_embedded.ndim != 2
         or video_embedded.ndim != 3
@@ -45,9 +50,36 @@ def prototype_scores(text_embedded: np.ndarray, video_embedded: np.ndarray) -> n
             f"text embeddings {text_embedded.shape} do not conform with video "
             f"prototype stack {video_embedded.shape}"
         )
+
+
+def _block_scores(
+    text_rows: np.ndarray,
+    video_embedded: np.ndarray,
+    stack: np.ndarray | None = None,
+    out: np.ndarray | None = None,
+) -> np.ndarray:
+    """(rows, K+1, V) inner products of text rows with every prototype row.
+
+    One matmul, against the stored video-major rows by default, where each
+    prototype index is a strided view, or against stack, a ((K+1)*V, D)
+    K-major copy of them, where it is a contiguous stripe of V columns.
+    """
     n_videos, n_rows, dim = video_embedded.shape
-    flat = text_embedded @ video_embedded.reshape(n_videos * n_rows, dim).T
-    return flat.reshape(text_embedded.shape[0], n_videos, n_rows)
+    if stack is None:
+        flat = np.matmul(text_rows, video_embedded.reshape(n_videos * n_rows, dim).T, out=out)
+        return flat.reshape(text_rows.shape[0], n_videos, n_rows).transpose(0, 2, 1)
+    flat = np.matmul(text_rows, stack.T, out=out)
+    return flat.reshape(text_rows.shape[0], n_rows, n_videos)
+
+
+def prototype_scores(text_embedded: np.ndarray, video_embedded: np.ndarray) -> np.ndarray:
+    """Inner product of every text row with every prototype row.
+
+    text_embedded: (n_texts, embed_dim); video_embedded: (n_videos, K+1,
+    embed_dim).  Returns (n_texts, n_videos, K+1), computed as one matmul.
+    """
+    _check_shapes(text_embedded, video_embedded)
+    return _block_scores(text_embedded, video_embedded).transpose(0, 2, 1)
 
 
 def similarity_matrix(text_embedded: np.ndarray, video_embedded: np.ndarray) -> SimilarityMatrix:
@@ -57,14 +89,46 @@ def similarity_matrix(text_embedded: np.ndarray, video_embedded: np.ndarray) -> 
     video_embedded: (n_videos, K+1, embed_dim) unit rows per video.
     Ties break toward the lowest prototype index.
     """
-    per_proto = prototype_scores(text_embedded, video_embedded)
-    if per_proto.shape[2] == 0:
+    _check_shapes(text_embedded, video_embedded)
+    n_videos, n_rows, _ = video_embedded.shape
+    if n_rows == 0:
         raise ValidationError(
             f"prototype stack must have at least one row per video, got {video_embedded.shape}"
         )
-    winners = per_proto.argmax(axis=2)
-    scores = np.take_along_axis(per_proto, winners[:, :, None], axis=2)[:, :, 0]
-    return SimilarityMatrix(scores, winners.astype(np.int64, copy=False))
+    n_texts = text_embedded.shape[0]
+    dtype = np.result_type(text_embedded, video_embedded)
+    height = _BLOCK_BYTES // (dtype.itemsize * n_rows * max(n_videos, 1))
+    height = max(1, min(height, n_texts))
+    # Several blocks repay a K-major copy of the stack; a single block (a
+    # training batch) reads it in place, as a fresh copy on every call
+    # costs more in page faults than its contiguous stripes save.
+    stack = None
+    if height < n_texts:
+        stack = np.ascontiguousarray(video_embedded.transpose(1, 0, 2)).reshape(
+            n_rows * n_videos, -1
+        )
+    # one product buffer for all blocks: a fresh one per block costs page faults
+    buffer = np.empty((height, n_rows * n_videos), dtype)
+    scores = np.empty((n_texts, n_videos), dtype)
+    winners = np.empty((n_texts, n_videos), np.int64)
+    for start in range(0, n_texts, height):
+        rows = slice(start, min(start + height, n_texts))
+        block = _block_scores(
+            text_embedded[rows], video_embedded, stack, buffer[: rows.stop - start]
+        )
+        best = scores[rows]
+        np.copyto(best, block[:, 0])
+        for k in range(1, n_rows):
+            np.maximum(best, block[:, k], out=best)
+        # the winner is the first stripe equal to the max: the count of the
+        # leading stripes that are not
+        undecided = block[:, 0] != best
+        leading = undecided.astype(np.min_scalar_type(n_rows - 1))
+        for k in range(1, n_rows - 1):
+            undecided &= block[:, k] != best
+            leading += undecided
+        winners[rows] = leading
+    return SimilarityMatrix(scores, winners)
 
 
 def similarity_vjp(

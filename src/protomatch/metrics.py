@@ -10,6 +10,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from decimal import Decimal
+from itertools import chain
 from pathlib import Path
 from typing import Iterable, Sequence
 
@@ -101,12 +102,25 @@ class RetrievalReport:
 def ranks_from_scores(
     scores: np.ndarray, gt_per_query: Sequence[Iterable[int]]
 ) -> list[int]:
-    """Rank of each query row given its ground-truth column set."""
+    """Rank of each query row given its ground-truth column set.
+
+    The same optimistic rank as rank_of, for all rows at once: each row's
+    best ground-truth score, then a count of the scores strictly above it.
+    """
     if scores.shape[0] != len(gt_per_query):
         raise ValidationError(
             f"got {scores.shape[0]} score rows but {len(gt_per_query)} ground-truth sets"
         )
-    return [rank_of(scores[i], gt) for i, gt in enumerate(gt_per_query)]
+    gts = [list(gt) for gt in gt_per_query]
+    counts = np.fromiter(map(len, gts), np.intp, len(gts))
+    cols = np.fromiter(chain.from_iterable(gts), np.intp, int(counts.sum()))
+    if not counts.all() or ((cols < 0) | (cols >= scores.shape[1])).any():
+        for query, gt in zip(scores, gts):
+            rank_of(query, gt)  # raises rank_of's error for the first bad set
+    rows = np.repeat(np.arange(len(gts)), counts)
+    best = np.full(len(gts), -np.inf)
+    np.maximum.at(best, rows, scores[rows, cols])
+    return (1 + (scores > best[:, None]).sum(axis=1)).tolist()
 
 
 def evaluate(

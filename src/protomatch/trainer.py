@@ -14,6 +14,8 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import math
+import os
 import struct
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -291,7 +293,7 @@ def save_checkpoint(state: CheckpointState, path: str | Path) -> None:
     """Versioned binary: magic, version, JSON header, float64 little-endian blobs.
 
     Parameters and Adam moments are stored at full float64 so a resumed run
-    continues bit-exactly.
+    continues bit-exactly.  The file appears whole or not at all.
     """
     tensors = state.params.tensors()
     header = {
@@ -311,13 +313,31 @@ def save_checkpoint(state: CheckpointState, path: str | Path) -> None:
             blobs.append(np.ascontiguousarray(moments[name], dtype="<f8").tobytes())
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
-    with open(path, "wb") as fh:
-        fh.write(CHECKPOINT_MAGIC)
-        fh.write(struct.pack("<I", CHECKPOINT_VERSION))
-        fh.write(struct.pack("<Q", len(header_bytes)))
-        fh.write(header_bytes)
-        for blob in blobs:
-            fh.write(blob)
+    # written beside the target and renamed over it, so a crash mid-write
+    # leaves the previous checkpoint, if any, whole
+    tmp = path.with_name(path.name + ".tmp")
+    try:
+        with open(tmp, "wb") as fh:
+            fh.write(CHECKPOINT_MAGIC)
+            fh.write(struct.pack("<I", CHECKPOINT_VERSION))
+            fh.write(struct.pack("<Q", len(header_bytes)))
+            fh.write(header_bytes)
+            for blob in blobs:
+                fh.write(blob)
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
+
+
+def _config_from_header(path: Path, config) -> TrainConfig:
+    """The header's config object as a TrainConfig, or a CheckpointError."""
+    if not isinstance(config, dict) or not isinstance(config.get("loss"), dict):
+        raise CheckpointError(f"{path} header config is not an object with a loss object")
+    try:
+        return TrainConfig(**{**config, "loss": LossConfig(**config["loss"])})
+    except (TypeError, ValidationError) as exc:  # unknown key, ill-typed or bad value
+        raise CheckpointError(f"{path} header config is invalid: {exc}") from exc
 
 
 def load_checkpoint(path: str | Path) -> CheckpointState:
@@ -344,13 +364,37 @@ def load_checkpoint(path: str | Path) -> CheckpointState:
     if missing:
         raise CheckpointError(f"{path} header lacks key(s) {', '.join(missing)}")
 
+    order, shapes = header["blob_order"], header["shapes"]
+    if (
+        not isinstance(order, list)
+        or len(order) != len(PARAM_ORDER)
+        or any(name not in order for name in PARAM_ORDER)
+    ):
+        raise CheckpointError(
+            f"{path} header blob_order {order!r} does not list the tensors "
+            f"{', '.join(PARAM_ORDER)} once each"
+        )
+    if not isinstance(shapes, dict):
+        raise CheckpointError(f"{path} header shapes is not an object")
+    for name in order:
+        if name not in shapes:
+            raise CheckpointError(f"{path} header shapes lack tensor '{name}'")
+        shape = shapes[name]
+        if not isinstance(shape, list) or not all(
+            type(dim) is int and dim >= 0 for dim in shape
+        ):
+            raise CheckpointError(
+                f"{path} header shape of '{name}' is {shape!r}, "
+                "not a list of non-negative integers"
+            )
+    config = _config_from_header(path, header["config"])
+
     offset = 16 + header_len
     arrays: list[np.ndarray] = []
-    order = header["blob_order"]
     for _section in range(3):  # values, first moments, second moments
         for name in order:
-            shape = tuple(header["shapes"][name])
-            nbytes = int(np.prod(shape)) * 8
+            shape = tuple(shapes[name])
+            nbytes = math.prod(shape) * 8
             if len(data) < offset + nbytes:
                 raise CheckpointError(f"{path} is truncated inside blob '{name}'")
             arrays.append(
@@ -369,9 +413,6 @@ def load_checkpoint(path: str | Path) -> CheckpointState:
         second={name: arrays[2 * n + i] for i, name in enumerate(order)},
         step=header["adam_step"],
     )
-    cfg_dict = dict(header["config"])
-    cfg_dict["loss"] = LossConfig(**cfg_dict["loss"])
-    config = TrainConfig(**cfg_dict)
     return CheckpointState(params, adam, header["epoch"], _rng_state_from_json(header["rng_state"]), config)
 
 

@@ -325,6 +325,27 @@ def test_corrupt_checkpoint_header_exits_1(tmp_path, capsys):
     assert_one_line_error(capsys, "corrupt.bin", "corrupt header")
 
 
+def test_checkpoint_with_unknown_config_key_exits_1(tmp_path, capsys):
+    _, out, manifest = synth_small(tmp_path)
+    train_cfg = write_config(tmp_path, SMALL_CORPUS + SMALL_TRAIN, name="train.cfg")
+    assert main(["train", "--config", str(train_cfg), "--corpus", str(manifest),
+                 "--out-dir", str(out / "train")]) == 0
+    (train_dir,) = (out / "train").iterdir()
+    data = sorted((train_dir / "checkpoints").iterdir())[-1].read_bytes()
+    (header_len,) = struct.unpack("<Q", data[8:16])
+    header = json.loads(data[16 : 16 + header_len])
+    header["config"]["bogus_knob"] = 1
+    header_bytes = json.dumps(header).encode("utf-8")
+    bad = tmp_path / "unknown_key.bin"
+    bad.write_bytes(data[:8] + struct.pack("<Q", len(header_bytes)) + header_bytes
+                    + data[16 + header_len :])
+    capsys.readouterr()
+    code = main(["eval", "--corpus", str(manifest), "--checkpoint", str(bad),
+                 "--out-dir", str(out / "e")])
+    assert code == 1
+    assert_one_line_error(capsys, "unknown_key.bin", "bogus_knob")
+
+
 def test_heatmap_refuses_part_checkpoint(tmp_path, capsys):
     _, out, manifest = synth_small(tmp_path)
     train_cfg = write_config(tmp_path, SMALL_CORPUS + SMALL_TRAIN, name="train.cfg")

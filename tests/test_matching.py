@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from protomatch import matching
 from protomatch.errors import ShapeError, ValidationError
 from protomatch.matching import (
     SimilarityMatrix,
@@ -249,21 +250,36 @@ def _texts_near_rows(rng, rows, n_texts, noise):
     return l2_normalize_rows(picks + noise * rng.normal(picks.shape))
 
 
+def _dyadic(rng, shape):
+    """Multiples of 1/8: every score below is exact in any summation order."""
+    return np.round(8 * rng.normal(shape)) / 8
+
+
 def _oracle_case(case, seed):
+    """(texts, videos, text rows per similarity_matrix block or None for one block)."""
     rng = RngStream(seed)
     if case == "more_texts_than_videos":  # the CLI check's 4x3 shape
-        return l2_normalize_rows(rng.normal((4, 6))), _unit_stack(rng, 3, 4, 6)
+        return l2_normalize_rows(rng.normal((4, 6))), _unit_stack(rng, 3, 4, 6), None
     if case == "fewer_texts_than_videos":
-        return l2_normalize_rows(rng.normal((5, 8))), _unit_stack(rng, 9, 3, 8)
+        return l2_normalize_rows(rng.normal((5, 8))), _unit_stack(rng, 9, 3, 8), None
     if case == "single_row_baseline":  # K+1 = 1
-        return l2_normalize_rows(rng.normal((7, 5))), _unit_stack(rng, 6, 1, 5)
+        return l2_normalize_rows(rng.normal((7, 5))), _unit_stack(rng, 6, 1, 5), None
     if case == "duplicated_rows":
         videos = _unit_stack(rng, 6, 4, 5)
         videos[:, 3] = videos[:, 1]
-        return _texts_near_rows(rng, videos[:, 1], 12, 0.3), videos
+        return _texts_near_rows(rng, videos[:, 1], 12, 0.3), videos, None
     if case == "many_texts_one_row":  # the pile-up np.add.at existed for
         videos = _unit_stack(rng, 2, 3, 6)
-        return _texts_near_rows(rng, videos[:1, 2], 40, 0.05), videos
+        return _texts_near_rows(rng, videos[:1, 2], 40, 0.05), videos, None
+    if case == "blocks_with_remainder":  # 3 + 3 + 3 + 2 texts
+        return _dyadic(rng, (11, 6)), _dyadic(rng, (5, 4, 6)), 3
+    if case == "duplicated_rows_across_blocks":  # exact ties in every block
+        videos = _dyadic(rng, (6, 4, 5))
+        videos[:, 3] = videos[:, 1]
+        texts = videos[np.arange(12) % 6, 1] + _dyadic(rng, (12, 5)) / 4
+        return texts, videos, 5
+    if case == "single_row_blocks":  # K+1 = 1, 4 + 4 + 2 texts
+        return _dyadic(rng, (10, 5)), _dyadic(rng, (7, 1, 5)), 4
     raise AssertionError(case)
 
 
@@ -275,22 +291,31 @@ def _oracle_case(case, seed):
         "single_row_baseline",
         "duplicated_rows",
         "many_texts_one_row",
+        "blocks_with_remainder",
+        "duplicated_rows_across_blocks",
+        "single_row_blocks",
     ],
 )
 @pytest.mark.parametrize("seed", [0, 1, 2])
-def test_kernels_match_einsum_and_scatter_oracles(case, seed):
-    texts, videos = _oracle_case(case, seed)
+def test_kernels_match_einsum_and_scatter_oracles(case, seed, monkeypatch):
+    texts, videos, block_rows = _oracle_case(case, seed)
+    if block_rows is not None:
+        n_videos, n_rows = videos.shape[:2]
+        monkeypatch.setattr(matching, "_BLOCK_BYTES", block_rows * n_rows * n_videos * 8)
+        assert texts.shape[0] > block_rows and texts.shape[0] % block_rows  # a short last block
     grad_scores = RngStream(seed + 50).normal((texts.shape[0], videos.shape[0]))
     sim = similarity_matrix(texts, videos)
     ref = _einsum_similarity_oracle(texts, videos)
     np.testing.assert_array_equal(sim.winners, ref.winners)
     assert sim.winners.dtype == np.int64
     np.testing.assert_allclose(sim.scores, ref.scores, rtol=0, atol=1e-12)
+    if block_rows is not None:
+        np.testing.assert_array_equal(sim.scores, ref.scores)
     grad_text, grad_video = similarity_vjp(grad_scores, texts, videos, sim.winners)
     ref_text, ref_video = _scatter_vjp_oracle(grad_scores, texts, videos, ref.winners)
     np.testing.assert_allclose(grad_text, ref_text, rtol=0, atol=1e-12)
     np.testing.assert_allclose(grad_video, ref_video, rtol=0, atol=1e-12)
-    if case == "duplicated_rows":
+    if case.startswith("duplicated_rows"):
         assert (sim.winners == 1).any() and not (sim.winners == 3).any()
     if case == "many_texts_one_row":
         assert (sim.winners[:, 0] == 2).all()

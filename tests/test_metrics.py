@@ -127,6 +127,37 @@ def test_metrics_match_brute_force_oracle_on_200_matrices():
         assert median_rank(ranks) == float(np.median(oracle))
 
 
+def test_ranks_match_brute_force_oracle_on_tied_matrices():
+    rng = RngStream(321)
+    for _ in range(200):
+        n_q = 1 + rng.integers(40)
+        n_g = 1 + rng.integers(40)
+        scores = np.round(0.3 * rng.normal((n_q, n_g)), 1)  # a few distinct values
+        gt_rows = [set(int(rng.integers(n_g)) for _ in range(1 + rng.integers(min(4, n_g))))
+                   for _ in range(n_q)]
+        gt_cols = [set(int(rng.integers(n_q)) for _ in range(1 + rng.integers(min(4, n_q))))
+                   for _ in range(n_g)]
+        assert ranks_from_scores(scores, gt_rows) == [
+            brute_force_rank(scores[q], gt_rows[q]) for q in range(n_q)
+        ]
+        # the video-to-text direction ranks over a transposed view
+        assert ranks_from_scores(scores.T, gt_cols) == [
+            brute_force_rank(scores[:, g], gt_cols[g]) for g in range(n_g)
+        ]
+
+
+def test_ranks_from_scores_reports_first_bad_set_as_rank_of_does():
+    scores = np.zeros((3, 2))
+    with pytest.raises(ValidationError, match="^rank_of needs at least one ground-truth index$"):
+        ranks_from_scores(scores, [{0}, set(), {5}])
+    with pytest.raises(ValidationError, match=r"^ground-truth indices \[5\] outside gallery of 2$"):
+        ranks_from_scores(scores, [{0}, {5}, set()])
+    with pytest.raises(ValidationError, match=r"\[-1\] outside gallery"):
+        ranks_from_scores(scores, [{0}, {1}, {-1}])
+    with pytest.raises(ValidationError, match="got 3 score rows but 2 ground-truth sets"):
+        ranks_from_scores(scores, [{0}, {1}])
+
+
 def test_recall_monotone_in_k():
     rng = RngStream(9)
     for _ in range(20):

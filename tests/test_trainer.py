@@ -7,6 +7,7 @@ import struct
 import numpy as np
 import pytest
 
+from protomatch import trainer as trainer_module
 from protomatch.dataset import SynthConfig, make_batches, synth_corpus
 from protomatch.errors import CheckpointError, NumericError, ValidationError
 from protomatch.losses import LossConfig
@@ -345,6 +346,79 @@ def test_checkpoint_header_missing_key_rejected(tmp_path, key):
     with pytest.raises(CheckpointError) as exc:
         load_checkpoint(bad)
     assert "no_key.bin" in str(exc.value) and key in str(exc.value)
+
+
+@pytest.mark.parametrize(
+    "edit, needle",
+    [
+        (lambda header: header["config"].update(bogus_knob=1), "bogus_knob"),
+        (lambda header: header["shapes"].pop("vproj_w"), "lack tensor 'vproj_w'"),
+        (lambda header: header["shapes"].update(mask_w=[-1, 3]), "'mask_w' is [-1, 3]"),
+        (lambda header: header["shapes"].update(mask_w=[2.5, 3]), "'mask_w' is [2.5, 3]"),
+        (lambda header: header.update(shapes=[]), "shapes is not an object"),
+        (lambda header: header["blob_order"].__setitem__(1, "mask_w"), "blob_order"),
+        (lambda header: header.update(config=[]), "config is not an object"),
+        (lambda header: header["config"].update(variant="nope"), "unknown variant 'nope'"),
+    ],
+    ids=[
+        "unknown_config_key",
+        "shape_missing",
+        "negative_shape",
+        "non_integer_shape",
+        "shapes_not_object",
+        "blob_order_repeats",
+        "config_not_object",
+        "config_value_invalid",
+    ],
+)
+def test_checkpoint_header_wrong_value_rejected(tmp_path, edit, needle):
+    _, _, out, _, _ = run_with_checkpoints(tmp_path, epochs=2)
+    data = (out / "checkpoints" / "epoch_0002.bin").read_bytes()
+    (header_len,) = struct.unpack("<Q", data[8:16])
+    header = json.loads(data[16 : 16 + header_len])
+    edit(header)
+    bad = tmp_path / "bad_value.bin"
+    bad.write_bytes(with_header(data, json.dumps(header).encode("utf-8")))
+    with pytest.raises(CheckpointError) as exc:
+        load_checkpoint(bad)
+    assert "bad_value.bin" in str(exc.value) and needle in str(exc.value)
+
+
+def test_interrupted_checkpoint_write_keeps_previous_file(tmp_path, monkeypatch):
+    _, _, out, _, _ = run_with_checkpoints(tmp_path, epochs=2)
+    path = out / "checkpoints" / "epoch_0002.bin"
+    before = path.read_bytes()
+    state = load_checkpoint(path)
+    state.epoch = 3
+
+    class FailsOnThirdBlob:
+        """A file whose write raises partway through the blobs."""
+
+        def __init__(self, fh):
+            self.fh, self.writes = fh, 0
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc_info):
+            self.fh.close()
+
+        def write(self, data):
+            self.writes += 1
+            if self.writes == 7:  # magic, version, length, header, two blobs
+                raise OSError("disk full")
+            return self.fh.write(data)
+
+    monkeypatch.setattr(
+        trainer_module, "open", lambda file, mode: FailsOnThirdBlob(open(file, mode)),
+        raising=False,
+    )
+    with pytest.raises(OSError, match="disk full"):
+        save_checkpoint(state, path)
+    monkeypatch.undo()
+    assert path.read_bytes() == before
+    assert load_checkpoint(path).epoch == 2
+    assert sorted(p.name for p in path.parent.iterdir()) == ["epoch_0002.bin"]
 
 
 def test_checkpoint_cadence_and_final_always_written(tmp_path):
