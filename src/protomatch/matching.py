@@ -6,16 +6,15 @@ single-vector baseline) this is the plain inner product.  The winning prototype 
 per (text, video) pair, and the backward pass routes the upstream gradient
 only through that winning row (the subgradient of max).
 
-Batched scoring multiplies the texts, in row blocks sized by a fixed byte
-budget, by the flattened (V*(K+1), D) prototype stack, and reduces each
-block's (rows, K+1, V) scores over its K+1 stripes of V columns: the max
+Batched scoring multiplies the texts, in row blocks of near-equal height
+sized by a fixed byte budget, by the stored prototype rows flattened to
+(V*(K+1), D), and reduces each block's scores over its K+1 stripes (the
+strided views of one prototype index across all V videos): the max
 stripe by stripe, and the winner as the count of leading stripes below
-it.  A call spanning several blocks first copies the stack in K-major
-order, so that each stripe is contiguous; a single block (a training
-batch) reads the stored rows in place.  Memory is O(T*V + block) rather
-than O(T*V*(K+1)).  The VJP scatters the upstream gradient into a one-hot
-(T, V*(K+1)) weight matrix at the winning columns and is then two
-matmuls; no (T, V, D) temporary is built.
+it.  Memory is O(T*V + block) rather than O(T*V*(K+1)).  The VJP
+scatters the upstream gradient into a one-hot (T, V*(K+1)) weight matrix
+at the winning columns and is then two matmuls; no (T, V, D) temporary
+is built.
 """
 
 from __future__ import annotations
@@ -53,23 +52,16 @@ def _check_shapes(text_embedded: np.ndarray, video_embedded: np.ndarray) -> None
 
 
 def _block_scores(
-    text_rows: np.ndarray,
-    video_embedded: np.ndarray,
-    stack: np.ndarray | None = None,
-    out: np.ndarray | None = None,
+    text_rows: np.ndarray, video_embedded: np.ndarray, out: np.ndarray | None = None
 ) -> np.ndarray:
     """(rows, K+1, V) inner products of text rows with every prototype row.
 
-    One matmul, against the stored video-major rows by default, where each
-    prototype index is a strided view, or against stack, a ((K+1)*V, D)
-    K-major copy of them, where it is a contiguous stripe of V columns.
+    One matmul against the stored rows; each prototype index is a strided
+    view of the (rows, V*(K+1)) product.
     """
     n_videos, n_rows, dim = video_embedded.shape
-    if stack is None:
-        flat = np.matmul(text_rows, video_embedded.reshape(n_videos * n_rows, dim).T, out=out)
-        return flat.reshape(text_rows.shape[0], n_videos, n_rows).transpose(0, 2, 1)
-    flat = np.matmul(text_rows, stack.T, out=out)
-    return flat.reshape(text_rows.shape[0], n_rows, n_videos)
+    flat = np.matmul(text_rows, video_embedded.reshape(n_videos * n_rows, dim).T, out=out)
+    return flat.reshape(text_rows.shape[0], n_videos, n_rows).transpose(0, 2, 1)
 
 
 def prototype_scores(text_embedded: np.ndarray, video_embedded: np.ndarray) -> np.ndarray:
@@ -98,24 +90,18 @@ def similarity_matrix(text_embedded: np.ndarray, video_embedded: np.ndarray) -> 
     n_texts = text_embedded.shape[0]
     dtype = np.result_type(text_embedded, video_embedded)
     height = _BLOCK_BYTES // (dtype.itemsize * n_rows * max(n_videos, 1))
-    height = max(1, min(height, n_texts))
-    # Several blocks repay a K-major copy of the stack; a single block (a
-    # training batch) reads it in place, as a fresh copy on every call
-    # costs more in page faults than its contiguous stripes save.
-    stack = None
-    if height < n_texts:
-        stack = np.ascontiguousarray(video_embedded.transpose(1, 0, 2)).reshape(
-            n_rows * n_videos, -1
-        )
+    n_blocks = max(1, -(-n_texts // max(height, 1)))
+    # heights differ by at most one, so a call spanning several blocks has a
+    # one-row block only if the budget fits fewer than four rows: such a
+    # block goes through gemv, whose last bits can differ from gemm's
+    bounds = [n_texts * b // n_blocks for b in range(n_blocks + 1)]
     # one product buffer for all blocks: a fresh one per block costs page faults
-    buffer = np.empty((height, n_rows * n_videos), dtype)
+    buffer = np.empty((-(-n_texts // n_blocks), n_rows * n_videos), dtype)
     scores = np.empty((n_texts, n_videos), dtype)
     winners = np.empty((n_texts, n_videos), np.int64)
-    for start in range(0, n_texts, height):
-        rows = slice(start, min(start + height, n_texts))
-        block = _block_scores(
-            text_embedded[rows], video_embedded, stack, buffer[: rows.stop - start]
-        )
+    for start, stop in zip(bounds, bounds[1:]):
+        rows = slice(start, stop)
+        block = _block_scores(text_embedded[rows], video_embedded, buffer[: stop - start])
         best = scores[rows]
         np.copyto(best, block[:, 0])
         for k in range(1, n_rows):

@@ -25,14 +25,20 @@ DIRECTIONS = ("text_to_video", "video_to_text")
 REPORTED_KS = (1, 5, 10)
 
 
-def rank_of(scores: np.ndarray, gt_indices: Iterable[int]) -> int:
-    """Optimistic rank of the best ground-truth item in a score vector."""
+def _checked_gt(gt_indices: Iterable[int], n_items: int) -> list[int]:
+    """The ground-truth indices as a list: not empty, each inside the gallery."""
     gt = list(gt_indices)
     if not gt:
         raise ValidationError("rank_of needs at least one ground-truth index")
+    if any(not 0 <= g < n_items for g in gt):
+        raise ValidationError(f"ground-truth indices {gt} outside gallery of {n_items}")
+    return gt
+
+
+def rank_of(scores: np.ndarray, gt_indices: Iterable[int]) -> int:
+    """Optimistic rank of the best ground-truth item in a score vector."""
     scores = np.asarray(scores)
-    if any(not 0 <= g < scores.shape[0] for g in gt):
-        raise ValidationError(f"ground-truth indices {gt} outside gallery of {scores.shape[0]}")
+    gt = _checked_gt(gt_indices, scores.shape[0])
     best = max(float(scores[g]) for g in gt)
     return 1 + int((scores > best).sum())
 
@@ -111,13 +117,10 @@ def ranks_from_scores(
         raise ValidationError(
             f"got {scores.shape[0]} score rows but {len(gt_per_query)} ground-truth sets"
         )
-    gts = [list(gt) for gt in gt_per_query]
+    gts = [_checked_gt(gt, scores.shape[1]) for gt in gt_per_query]
     counts = np.fromiter(map(len, gts), np.intp, len(gts))
-    cols = np.fromiter(chain.from_iterable(gts), np.intp, int(counts.sum()))
-    if not counts.all() or ((cols < 0) | (cols >= scores.shape[1])).any():
-        for query, gt in zip(scores, gts):
-            rank_of(query, gt)  # raises rank_of's error for the first bad set
     rows = np.repeat(np.arange(len(gts)), counts)
+    cols = np.fromiter(chain.from_iterable(gts), np.intp, rows.size)
     best = np.full(len(gts), -np.inf)
     np.maximum.at(best, rows, scores[rows, cols])
     return (1 + (scores > best[:, None]).sum(axis=1)).tolist()

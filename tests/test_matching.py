@@ -271,14 +271,16 @@ def _oracle_case(case, seed):
     if case == "many_texts_one_row":  # the pile-up np.add.at existed for
         videos = _unit_stack(rng, 2, 3, 6)
         return _texts_near_rows(rng, videos[:1, 2], 40, 0.05), videos, None
-    if case == "blocks_with_remainder":  # 3 + 3 + 3 + 2 texts
+    if case == "blocks_with_remainder":  # 11 texts, at most 3 a block
         return _dyadic(rng, (11, 6)), _dyadic(rng, (5, 4, 6)), 3
+    if case == "remainder_of_one":  # 10 texts, at most 3 a block: not 3 + 3 + 3 + 1
+        return _dyadic(rng, (10, 6)), _dyadic(rng, (5, 4, 6)), 3
     if case == "duplicated_rows_across_blocks":  # exact ties in every block
         videos = _dyadic(rng, (6, 4, 5))
         videos[:, 3] = videos[:, 1]
         texts = videos[np.arange(12) % 6, 1] + _dyadic(rng, (12, 5)) / 4
         return texts, videos, 5
-    if case == "single_row_blocks":  # K+1 = 1, 4 + 4 + 2 texts
+    if case == "single_row_blocks":  # K+1 = 1, 10 texts, at most 4 a block
         return _dyadic(rng, (10, 5)), _dyadic(rng, (7, 1, 5)), 4
     raise AssertionError(case)
 
@@ -292,6 +294,7 @@ def _oracle_case(case, seed):
         "duplicated_rows",
         "many_texts_one_row",
         "blocks_with_remainder",
+        "remainder_of_one",
         "duplicated_rows_across_blocks",
         "single_row_blocks",
     ],
@@ -299,12 +302,24 @@ def _oracle_case(case, seed):
 @pytest.mark.parametrize("seed", [0, 1, 2])
 def test_kernels_match_einsum_and_scatter_oracles(case, seed, monkeypatch):
     texts, videos, block_rows = _oracle_case(case, seed)
+    heights = []
     if block_rows is not None:
         n_videos, n_rows = videos.shape[:2]
         monkeypatch.setattr(matching, "_BLOCK_BYTES", block_rows * n_rows * n_videos * 8)
-        assert texts.shape[0] > block_rows and texts.shape[0] % block_rows  # a short last block
+        assert texts.shape[0] > block_rows and texts.shape[0] % block_rows  # unequal heights
+        block_scores = matching._block_scores
+
+        def recording_block_scores(text_rows, *args, **kwargs):
+            heights.append(text_rows.shape[0])
+            return block_scores(text_rows, *args, **kwargs)
+
+        monkeypatch.setattr(matching, "_block_scores", recording_block_scores)
     grad_scores = RngStream(seed + 50).normal((texts.shape[0], videos.shape[0]))
     sim = similarity_matrix(texts, videos)
+    if block_rows is not None:
+        # as few blocks as the budget allows, heights within one of each other
+        assert len(heights) == -(-texts.shape[0] // block_rows)
+        assert sum(heights) == texts.shape[0] and max(heights) - min(heights) <= 1
     ref = _einsum_similarity_oracle(texts, videos)
     np.testing.assert_array_equal(sim.winners, ref.winners)
     assert sim.winners.dtype == np.int64
