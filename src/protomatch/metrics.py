@@ -17,7 +17,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .dataset import Corpus
-from .errors import ValidationError
+from .errors import NumericError, ValidationError
 from .matching import similarity_matrix
 from .prototypes import HeadParameters, embed_texts, embed_videos
 
@@ -138,6 +138,8 @@ def evaluate(
     Text-to-video ranks each caption's true video among all videos;
     video-to-text ranks each video's best caption among all captions.
     sum_r adds every reported R@K across the requested directions.
+    Raises NumericError when the head's text or video embeddings are not
+    all finite.
     """
     for d in directions:
         if d not in DIRECTIONS:
@@ -146,10 +148,17 @@ def evaluate(
         raise ValidationError("evaluate needs at least one direction")
     corpus.validate()
 
-    video_embedded = embed_videos(
-        np.stack([v.tokens for v in corpus.videos]), params, variant
-    )
-    text_embedded = embed_texts(np.stack([t.features for t in corpus.texts]), params)
+    # Overflow is reported below as one error rather than as warnings.
+    with np.errstate(over="ignore", invalid="ignore"):
+        video_embedded = embed_videos(
+            np.stack([v.tokens for v in corpus.videos]), params, variant
+        )
+        text_embedded = embed_texts(np.stack([t.features for t in corpus.texts]), params)
+    # A NaN score is never strictly above another, so non-finite embeddings
+    # would rank every ground truth first and report a perfect retrieval.
+    for name, embedded in (("text", text_embedded), ("video", video_embedded)):
+        if not np.isfinite(embedded).all():
+            raise NumericError(f"the head gives non-finite {name} embeddings; nothing to rank")
     sim = similarity_matrix(text_embedded, video_embedded)
 
     video_index = {v.video_id: i for i, v in enumerate(corpus.videos)}

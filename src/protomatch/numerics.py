@@ -182,16 +182,23 @@ def finite_diff_check(
     fn: Callable[[dict[str, np.ndarray]], tuple[float, dict[str, np.ndarray]]],
     params: dict[str, np.ndarray],
     step: float = 1e-5,
+    loss_fn: Callable[[dict[str, np.ndarray]], float] | None = None,
 ) -> float:
     """Compare fn's analytic gradient against central differences.
 
     ``fn`` maps a dict of arrays to (scalar loss, gradient dict of the same
-    shapes).  Returns the maximum over all coordinates of
+    shapes); it is called once, at the unperturbed point.  ``loss_fn``, if
+    given, maps the same dict to the loss alone and evaluates the 2 * n
+    perturbed points, so they skip the backward pass; it must return what
+    ``fn(values)[0]`` would, which is what the probes use without it.  The
+    arrays in ``params`` are perturbed in place and restored.  Returns the
+    maximum over all coordinates of
     |analytic - numeric| / max(1, |analytic|, |numeric|).
     """
     loss0, grads = fn(params)
     if not math.isfinite(loss0):
         raise NumericError(f"loss is non-finite at the unperturbed point: {loss0}")
+    probe = loss_fn if loss_fn is not None else (lambda values: fn(values)[0])
     worst = 0.0
     for name, base in params.items():
         analytic = grads[name]
@@ -202,9 +209,9 @@ def finite_diff_check(
         for idx in np.ndindex(base.shape):
             orig = base[idx]
             base[idx] = orig + step
-            up, _ = fn(params)
+            up = probe(params)
             base[idx] = orig - step
-            down, _ = fn(params)
+            down = probe(params)
             base[idx] = orig
             if not (math.isfinite(up) and math.isfinite(down)):
                 raise NumericError(f"non-finite loss while perturbing '{name}' coordinate {idx}")

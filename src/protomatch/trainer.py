@@ -36,7 +36,9 @@ from .numerics import (
     lr_at,
 )
 from .prototypes import (
+    HeadCache,
     HeadParameters,
+    TextCache,
     head_backward,
     head_forward,
     init_head,
@@ -119,19 +121,31 @@ class StepLog:
     total: float
 
 
-def batch_objective(
+@dataclass(eq=False)
+class _ObjectiveForward:
+    """The forward half of the objective: losses plus what the VJPs need."""
+
+    breakdown: LossBreakdown
+    sim: SimilarityMatrix
+    head_cache: HeadCache
+    text_cache: TextCache
+    grad_scores: np.ndarray  # d contrastive / d scores
+    grad_masks: np.ndarray | None  # d variance / d masks; None for the part variant
+
+
+def _objective_forward(
     tokens: np.ndarray,
     text_features: np.ndarray,
     params: HeadParameters,
     loss_cfg: LossConfig,
     head_variant: str = "mask",
-    want_input_grads: bool = False,
-) -> tuple[LossBreakdown, SimilarityMatrix, tuple[np.ndarray, np.ndarray] | None]:
-    """Forward + full backward for one batch; grads accumulate into params.
+) -> _ObjectiveForward:
+    """Forward half of batch_objective for one batch; touches no gradient.
 
-    Returns (losses, in-batch similarity matrix, input grads or None).  The
-    variance regularizer applies to the mask variant only; the part variant
-    has no masks, so its variance term is 0 by definition.
+    The variance regularizer applies to the mask variant only; the part
+    variant has no masks, so its variance term is 0 by definition.  Private
+    so that a tracer wrapping the public functions still sees the layer
+    calls of a training step directly under batch_objective.
     """
     head_cache = head_forward(tokens, params, head_variant)
     text_cache = text_forward(text_features, params)
@@ -143,21 +157,36 @@ def batch_objective(
     else:
         variance, grad_masks = 0.0, None
     breakdown = total_loss(contrastive, variance, loss_cfg)
+    return _ObjectiveForward(breakdown, sim, head_cache, text_cache, grad_scores, grad_masks)
 
+
+def batch_objective(
+    tokens: np.ndarray,
+    text_features: np.ndarray,
+    params: HeadParameters,
+    loss_cfg: LossConfig,
+    head_variant: str = "mask",
+    want_input_grads: bool = False,
+) -> tuple[LossBreakdown, SimilarityMatrix, tuple[np.ndarray, np.ndarray] | None]:
+    """Forward + full backward for one batch; grads accumulate into params.
+
+    Returns (losses, in-batch similarity matrix, input grads or None).
+    """
+    fwd = _objective_forward(tokens, text_features, params, loss_cfg, head_variant)
     grad_text_emb, grad_video_emb = similarity_vjp(
-        grad_scores, text_cache.embedded, head_cache.embedded, sim.winners
+        fwd.grad_scores, fwd.text_cache.embedded, fwd.head_cache.embedded, fwd.sim.winners
     )
     grad_text_in = text_backward(
-        text_features, params, text_cache, grad_text_emb, want_input_grads
+        text_features, params, fwd.text_cache, grad_text_emb, want_input_grads
     )
     extra = None
-    if grad_masks is not None and params.n_prototypes > 0:
-        extra = loss_cfg.variance_weight * grad_masks
+    if fwd.grad_masks is not None and params.n_prototypes > 0:
+        extra = loss_cfg.variance_weight * fwd.grad_masks
     grad_tokens = head_backward(
-        tokens, params, head_cache, grad_video_emb, extra, want_input_grads
+        tokens, params, fwd.head_cache, grad_video_emb, extra, want_input_grads
     )
     inputs = (grad_tokens, grad_text_in) if want_input_grads else None
-    return breakdown, sim, inputs
+    return fwd.breakdown, fwd.sim, inputs
 
 
 def train_step(
@@ -341,7 +370,12 @@ def _config_from_header(path: Path, config) -> TrainConfig:
 
 
 def load_checkpoint(path: str | Path) -> CheckpointState:
-    """Inverse of save_checkpoint; explicit errors on version or truncation."""
+    """Inverse of save_checkpoint.
+
+    Raises CheckpointError naming the path for a bad magic or version, a
+    truncated or padded file, a header missing a key or holding a value a
+    resumed run could not use, and a non-finite parameter or Adam moment.
+    """
     path = Path(path)
     data = path.read_bytes()
     if len(data) < 16 or data[:4] != CHECKPOINT_MAGIC:
@@ -388,20 +422,35 @@ def load_checkpoint(path: str | Path) -> CheckpointState:
                 "not a list of non-negative integers"
             )
     config = _config_from_header(path, header["config"])
+    for key in ("epoch", "adam_step"):
+        if type(header[key]) is not int or header[key] < 0:
+            raise CheckpointError(
+                f"{path} header {key} is {header[key]!r}, not a non-negative integer"
+            )
+    try:
+        rng_state = _rng_state_from_json(header["rng_state"])
+        RngStream(0).set_state(rng_state)
+    except (TypeError, ValueError, KeyError, IndexError, OverflowError) as exc:
+        raise CheckpointError(
+            f"{path} header rng_state is not a sampler state ({type(exc).__name__}: {exc})"
+        ) from exc
 
     offset = 16 + header_len
     arrays: list[np.ndarray] = []
-    for _section in range(3):  # values, first moments, second moments
+    for section in ("values", "first moments", "second moments"):
         for name in order:
             shape = tuple(shapes[name])
             nbytes = math.prod(shape) * 8
             if len(data) < offset + nbytes:
                 raise CheckpointError(f"{path} is truncated inside blob '{name}'")
-            arrays.append(
+            array = (
                 np.frombuffer(data[offset : offset + nbytes], dtype="<f8")
                 .astype(np.float64)
                 .reshape(shape)
             )
+            if not np.isfinite(array).all():
+                raise CheckpointError(f"{path} has non-finite {section} of '{name}'")
+            arrays.append(array)
             offset += nbytes
     if offset != len(data):
         raise CheckpointError(f"{path} has {len(data) - offset} trailing bytes")
@@ -413,7 +462,7 @@ def load_checkpoint(path: str | Path) -> CheckpointState:
         second={name: arrays[2 * n + i] for i, name in enumerate(order)},
         step=header["adam_step"],
     )
-    return CheckpointState(params, adam, header["epoch"], _rng_state_from_json(header["rng_state"]), config)
+    return CheckpointState(params, adam, header["epoch"], rng_state, config)
 
 
 # ---------------------------------------------------------------------------
@@ -441,7 +490,9 @@ def objective_finite_diff(
     inputs.  The objective is piecewise smooth, so draws falling within
     kink_margin of a relu kink, a prototype-max tie, or a variance hinge
     boundary are resampled (finite differences are meaningless there).
-    Returns the max relative error over all coordinates.
+    The analytic gradient comes from one batch_objective call at the drawn
+    point; each perturbed point runs only the forward half.  Returns the
+    max relative error over all coordinates.
     """
     cfg = loss_cfg if loss_cfg is not None else LossConfig()
     for attempt in range(max_tries):
@@ -452,23 +503,25 @@ def objective_finite_diff(
         if _near_nonsmooth_point(tokens, text, params, cfg, kink_margin):
             continue
 
+        # finite_diff_check perturbs these arrays in place, so params sees
+        # every probe without being rebuilt.
+        values = {name: t.value for name, t in params.tensors().items()}
+        values["tokens"], values["text"] = tokens, text
+
         def fn(values: dict[str, np.ndarray]) -> tuple[float, dict[str, np.ndarray]]:
-            p = HeadParameters(
-                mask_w=ParamTensor(values["mask_w"]),
-                mask_b=ParamTensor(values["mask_b"]),
-                vproj_w=ParamTensor(values["vproj_w"]),
-                tproj_w=ParamTensor(values["tproj_w"]),
-            )
+            params.zero_grads()
             breakdown, _, inputs = batch_objective(
-                values["tokens"], values["text"], p, cfg, want_input_grads=True
+                values["tokens"], values["text"], params, cfg, want_input_grads=True
             )
-            grads = {name: t.grad for name, t in p.tensors().items()}
+            grads = {name: t.grad for name, t in params.tensors().items()}
             grads["tokens"], grads["text"] = inputs
             return breakdown.total, grads
 
-        values = {name: t.value for name, t in params.tensors().items()}
-        values["tokens"], values["text"] = tokens, text
-        return finite_diff_check(fn, values, step)
+        def loss_fn(values: dict[str, np.ndarray]) -> float:
+            fwd = _objective_forward(values["tokens"], values["text"], params, cfg)
+            return fwd.breakdown.total
+
+        return finite_diff_check(fn, values, step, loss_fn)
     raise NumericError(
         f"could not draw a point {kink_margin} away from all kinks in {max_tries} tries"
     )

@@ -15,6 +15,7 @@ from protomatch.cli import (
     run_directory,
 )
 from protomatch.errors import ConfigError
+from protomatch.trainer import load_checkpoint, save_checkpoint
 
 
 SMALL_CORPUS = [
@@ -344,6 +345,31 @@ def test_checkpoint_with_unknown_config_key_exits_1(tmp_path, capsys):
                  "--out-dir", str(out / "e")])
     assert code == 1
     assert_one_line_error(capsys, "unknown_key.bin", "bogus_knob")
+
+
+@pytest.mark.parametrize(
+    "value, code, prefix, needle",
+    [(float("nan"), 1, "error: ", "bad_head.bin has non-finite values of 'vproj_w'"),
+     (1e308, 2, "numeric error: ", "non-finite video embeddings")],
+    ids=["nan_parameter", "overflowing_parameter"],
+)
+def test_eval_of_non_finite_head_exits_with_one_line(tmp_path, capsys, value, code, prefix,
+                                                     needle):
+    _, out, manifest = synth_small(tmp_path)
+    train_cfg = write_config(tmp_path, SMALL_CORPUS + SMALL_TRAIN, name="train.cfg")
+    assert main(["train", "--config", str(train_cfg), "--corpus", str(manifest),
+                 "--out-dir", str(out / "train")]) == 0
+    (train_dir,) = (out / "train").iterdir()
+    state = load_checkpoint(sorted((train_dir / "checkpoints").iterdir())[-1])
+    state.params.vproj_w.value[:] = value
+    bad = tmp_path / "bad_head.bin"
+    save_checkpoint(state, bad)
+    capsys.readouterr()
+    code_seen = main(["eval", "--corpus", str(manifest), "--checkpoint", str(bad),
+                      "--out-dir", str(out / "e")])
+    err = capsys.readouterr().err
+    assert code_seen == code
+    assert err.startswith(prefix) and err.count("\n") == 1 and needle in err, err
 
 
 def test_heatmap_refuses_part_checkpoint(tmp_path, capsys):

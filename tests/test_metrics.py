@@ -5,7 +5,7 @@ import json
 import numpy as np
 import pytest
 
-from protomatch.errors import ValidationError
+from protomatch.errors import NumericError, ValidationError
 from protomatch.metrics import (
     evaluate,
     median_rank,
@@ -245,6 +245,22 @@ def test_unknown_direction_rejected():
     corpus, params = make_eval_setup()
     with pytest.raises(ValidationError):
         evaluate(corpus, params, directions=("sideways",))
+
+
+@pytest.mark.filterwarnings("error")  # overflow is reported as the error, not as warnings
+@pytest.mark.parametrize(
+    "tensor, value, side",
+    [("tproj_w", np.nan, "text"), ("mask_w", np.nan, "video"), ("vproj_w", 1e308, "video")],
+    ids=["nan_text_projection", "nan_masks", "overflowing_video_projection"],
+)
+def test_non_finite_embeddings_raise_instead_of_a_perfect_score(tensor, value, side):
+    # with NaN scores no gallery item scores strictly above the ground truth,
+    # which would read as R@1 = 100 in both directions
+    corpus, params = make_eval_setup()
+    getattr(params, tensor).value[:] = value
+    with pytest.raises(NumericError) as exc:
+        evaluate(corpus, params)
+    assert str(exc.value) == f"the head gives non-finite {side} embeddings; nothing to rank"
 
 
 def test_video_to_text_scores_best_caption():

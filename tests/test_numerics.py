@@ -237,3 +237,29 @@ def test_finite_diff_rejects_non_finite_loss():
 
     with pytest.raises(NumericError):
         finite_diff_check(fn, {"w": np.array([1.0])})
+
+
+def test_finite_diff_probes_use_the_loss_callable():
+    calls = {"fn": 0, "loss_fn": 0}
+
+    def loss(values):
+        return float((values["w"] ** 3).sum() + (values["w"].sum() * values["b"]).sum())
+
+    def fn(values):
+        calls["fn"] += 1
+        w, b = values["w"], values["b"]
+        return loss(values), {"w": 3.0 * w**2 + b.sum(), "b": np.full_like(b, w.sum())}
+
+    def loss_fn(values):
+        calls["loss_fn"] += 1
+        return loss(values)
+
+    w0, b0 = np.array([[0.5, -1.0, 2.0], [1.5, 0.25, -0.75]]), np.array([0.3, -0.2, 0.1, 0.4])
+    values = {"w": w0.copy(), "b": b0.copy()}
+    err = finite_diff_check(fn, values, loss_fn=loss_fn)
+    assert calls == {"fn": 1, "loss_fn": 2 * (w0.size + b0.size)}
+    np.testing.assert_array_equal(values["w"], w0)  # every probe restored
+    np.testing.assert_array_equal(values["b"], b0)
+    # the same probes through fn give the same error, bit for bit
+    assert err == finite_diff_check(fn, {"w": w0.copy(), "b": b0.copy()})
+    assert calls["fn"] == 2 + 2 * (w0.size + b0.size)

@@ -11,10 +11,18 @@ from protomatch import trainer as trainer_module
 from protomatch.dataset import SynthConfig, make_batches, synth_corpus
 from protomatch.errors import CheckpointError, NumericError, ValidationError
 from protomatch.losses import LossConfig
-from protomatch.numerics import AdamState, LrSchedule, RngStream, lr_at
-from protomatch.prototypes import init_head
+from protomatch.numerics import (
+    AdamState,
+    LrSchedule,
+    ParamTensor,
+    RngStream,
+    finite_diff_check,
+    lr_at,
+)
+from protomatch.prototypes import HeadParameters, init_head
 from protomatch.trainer import (
     CHECKPOINT_VERSION,
+    PARAM_ORDER,
     CheckpointState,
     TrainConfig,
     batch_objective,
@@ -359,6 +367,17 @@ def test_checkpoint_header_missing_key_rejected(tmp_path, key):
         (lambda header: header["blob_order"].__setitem__(1, "mask_w"), "blob_order"),
         (lambda header: header.update(config=[]), "config is not an object"),
         (lambda header: header["config"].update(variant="nope"), "unknown variant 'nope'"),
+        (lambda header: header.update(epoch=-1), "epoch is -1, not a non-negative integer"),
+        (lambda header: header.update(epoch=True), "epoch is True, not a non-negative integer"),
+        (lambda header: header.update(epoch=2.0), "epoch is 2.0, not a non-negative integer"),
+        (lambda header: header.update(adam_step="4"), "adam_step is '4', not a non-negative"),
+        (lambda header: header.update(adam_step=-3), "adam_step is -3, not a non-negative"),
+        (lambda header: header.update(adam_step=None), "adam_step is None, not a non-negative"),
+        (lambda header: header.update(rng_state="x"), "rng_state is not a sampler state"),
+        (lambda header: header["rng_state"].update(bit_generator="PCG64"), "rng_state is not a"),
+        (lambda header: header["rng_state"].pop("state"), "rng_state is not a sampler state"),
+        (lambda header: header["rng_state"]["state"]["counter"].update(dtype="bogus"),
+         "rng_state is not a sampler state"),
     ],
     ids=[
         "unknown_config_key",
@@ -369,6 +388,16 @@ def test_checkpoint_header_missing_key_rejected(tmp_path, key):
         "blob_order_repeats",
         "config_not_object",
         "config_value_invalid",
+        "epoch_negative",
+        "epoch_bool",
+        "epoch_float",
+        "adam_step_string",
+        "adam_step_negative",
+        "adam_step_null",
+        "rng_state_not_object",
+        "rng_state_other_generator",
+        "rng_state_missing_state",
+        "rng_state_bad_dtype",
     ],
 )
 def test_checkpoint_header_wrong_value_rejected(tmp_path, edit, needle):
@@ -382,6 +411,23 @@ def test_checkpoint_header_wrong_value_rejected(tmp_path, edit, needle):
     with pytest.raises(CheckpointError) as exc:
         load_checkpoint(bad)
     assert "bad_value.bin" in str(exc.value) and needle in str(exc.value)
+
+
+@pytest.mark.parametrize("section", ["values", "first moments", "second moments"])
+def test_checkpoint_non_finite_tensor_rejected(tmp_path, section):
+    _, _, out, _, _ = run_with_checkpoints(tmp_path, epochs=2)
+    state = load_checkpoint(out / "checkpoints" / "epoch_0002.bin")
+    tensor = {
+        "values": state.params.vproj_w.value,
+        "first moments": state.adam.first["vproj_w"],
+        "second moments": state.adam.second["vproj_w"],
+    }[section]
+    tensor[1, 2] = np.nan if section == "values" else np.inf
+    bad = tmp_path / "non_finite.bin"
+    save_checkpoint(state, bad)
+    with pytest.raises(CheckpointError) as exc:
+        load_checkpoint(bad)
+    assert str(exc.value) == f"{bad} has non-finite {section} of 'vproj_w'"
 
 
 def test_interrupted_checkpoint_write_keeps_previous_file(tmp_path, monkeypatch):
@@ -434,6 +480,59 @@ def test_checkpoint_cadence_and_final_always_written(tmp_path):
 
 def test_full_objective_gradient_single_seed():
     assert objective_finite_diff(seed=0) < 1e-5
+
+
+def full_objective_finite_diff(seed: int) -> float:
+    """objective_finite_diff's check with the full objective at every probe.
+
+    Draws the same points with the same default sizes and runs forward and
+    backward, with fresh parameter tensors, at the unperturbed point and at
+    each of the 2 * n perturbed ones.
+    """
+    cfg = LossConfig()
+    for attempt in range(64):
+        rng = RngStream(seed, stream=attempt + 2)
+        tokens = rng.normal((4, 9, 8))
+        text = rng.normal((4, 7))
+        params = init_head(2, 8, 7, 6, rng)
+        if trainer_module._near_nonsmooth_point(tokens, text, params, cfg, 1e-3):
+            continue
+
+        def fn(values):
+            p = HeadParameters(**{name: ParamTensor(values[name]) for name in PARAM_ORDER})
+            breakdown, _, inputs = batch_objective(
+                values["tokens"], values["text"], p, cfg, want_input_grads=True
+            )
+            grads = {name: t.grad for name, t in p.tensors().items()}
+            grads["tokens"], grads["text"] = inputs
+            return breakdown.total, grads
+
+        values = {name: t.value for name, t in params.tensors().items()}
+        values["tokens"], values["text"] = tokens, text
+        return finite_diff_check(fn, values)
+    raise AssertionError(f"seed {seed}: no smooth point in 64 tries")
+
+
+def test_forward_only_probes_match_full_objective_oracle():
+    probed = [objective_finite_diff(seed) for seed in range(20)]
+    assert probed == [full_objective_finite_diff(seed) for seed in range(20)]
+
+
+@pytest.mark.filterwarnings("ignore:variance_weight=5.0 has no effect")  # baseline
+@pytest.mark.parametrize("variant", ["mask", "part", "baseline"])
+def test_objective_forward_total_equals_batch_objective(variant):
+    batch, corpus = make_one_batch(seed=5)
+    cfg = small_cfg(batch_size=8, variant=variant)
+    params, _ = fresh_state(cfg, corpus)
+    fwd = trainer_module._objective_forward(
+        batch.tokens, batch.text_features, params, cfg.loss, cfg.head_variant
+    )
+    for t in params.tensors().values():
+        assert not t.grad.any()  # the forward half touches no gradient
+    breakdown, _, _ = batch_objective(
+        batch.tokens, batch.text_features, params, cfg.loss, cfg.head_variant
+    )
+    assert fwd.breakdown == breakdown  # total, contrastive and variance, bitwise
 
 
 def test_part_variant_objective_has_no_variance_term():
