@@ -49,7 +49,6 @@ from .metrics import (
     RetrievalReport,
     evaluate,
     median_rank,
-    rank_of,
     recall_at_k,
     sum_recalls,
 )
@@ -65,13 +64,11 @@ from .numerics import (
 )
 from .prototypes import (
     HeadParameters,
-    compute_masks,
     embed_texts,
     embed_videos,
     head_backward,
     head_forward,
     init_head,
-    part_prototypes,
     text_backward,
     text_forward,
 )

@@ -182,8 +182,8 @@ def cmd_eval(args: argparse.Namespace) -> int:
     cfg = build_run_config(args)
     corpus = load_corpus(args.corpus)
     state = load_checkpoint(args.checkpoint)
-    run_dir = _prepare_run_dir(cfg, args)
     report = evaluate(corpus, state.params, variant=state.config.head_variant)
+    run_dir = _prepare_run_dir(cfg, args)
     write_report(report, run_dir / "report.json", run_dir / "report.txt")
     print(report.to_text_table())
     return 0
@@ -229,9 +229,11 @@ def cmd_heatmap(args: argparse.Namespace) -> int:
     matches = [v for v in corpus.videos if v.video_id == args.video_id]
     if not matches:
         raise ValidationError(f"video id {args.video_id!r} not present in {args.corpus}")
-    run_dir = _prepare_run_dir(cfg, args)
-    path = run_dir / f"heatmap_{args.video_id}.csv"
+    # the export computes the masks before it writes, so a head that does
+    # not fit the corpus leaves no run directory
+    path = run_directory(cfg, args.out_dir) / f"heatmap_{args.video_id}.csv"
     export_mask_heatmaps(matches[0], state.params, path)
+    _prepare_run_dir(cfg, args)
     print(f"wrote {path}")
     return 0
 

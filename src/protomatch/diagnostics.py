@@ -21,13 +21,7 @@ from .dataset import Corpus, VideoRecord
 from .errors import ValidationError
 from .matching import similarity_matrix
 from .numerics import NORM_GUARD, RngStream, l2_normalize_rows
-from .prototypes import (
-    HeadParameters,
-    compute_masks,
-    embed_texts,
-    embed_videos,
-    head_forward,
-)
+from .prototypes import HeadParameters, embed_texts, embed_videos, head_forward
 
 DEFAULT_BINS = 40
 DEFAULT_PAIR_CAP = 1_000_000
@@ -118,12 +112,11 @@ def write_ambiguity_csvs(stats: AmbiguityStats, out_dir: str | Path) -> None:
 def export_mask_heatmaps(video: VideoRecord, params: HeadParameters, path: str | Path) -> None:
     """Mask values as a (K rows x B columns) CSV plus a row-normalized twin.
 
-    The raw file holds compute_masks output exactly.  The twin (suffix
-    `_normalized`) divides each prototype's row by its sum so rows compare
-    as attention profiles; all-zero rows stay zero.
+    The raw file holds the mask head's relu masks for this video exactly.
+    The twin (suffix `_normalized`) divides each prototype's row by its sum
+    so rows compare as attention profiles; all-zero rows stay zero.
     """
-    _, masks = compute_masks(video.tokens, params)  # (B, K)
-    heat = masks.T  # (K, B)
+    heat = head_forward(video.tokens[None], params).masks[0].T  # (K, B)
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
 
@@ -151,7 +144,8 @@ def prototype_diversity(corpus: Corpus, params: HeadParameters) -> tuple[float, 
     a video needs two live prototypes to contribute.  The mask std pools
     each token position's mask values across videos and prototypes,
     mirroring what the variance regularizer pushes on, then averages over
-    token positions.
+    token positions.  Both read the mask head; on a part checkpoint its
+    mask_w and mask_b are untrained.
     """
     k = params.n_prototypes
     if k < 2:
@@ -184,7 +178,8 @@ def matching_purity(corpus: Corpus, params: HeadParameters) -> float:
     captions.  1.0 means every prototype serves captions of a single event;
     a head that routes everything through one prototype scores the
     frequency of the most common event.  Requires event labels on every
-    caption (synthetic corpora have them).
+    caption (synthetic corpora have them).  Reads the mask head; on a part
+    checkpoint its mask_w and mask_b are untrained.
     """
     if any(t.event_label is None for t in corpus.texts):
         raise ValidationError("matching purity needs an event label on every caption")

@@ -5,12 +5,12 @@ numeric failures exit 2, I/O failures (plain OSError) exit 3.
 """
 
 
-class ShapeError(ValueError):
-    """Operand shapes do not conform; the message names both shapes."""
-
-
 class ValidationError(ValueError):
     """Invalid configuration or data that fails its contract."""
+
+
+class ShapeError(ValidationError):
+    """Operand shapes do not conform; the message names both shapes."""
 
 
 class CorpusError(ValidationError):

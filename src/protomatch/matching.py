@@ -79,7 +79,9 @@ def similarity_matrix(text_embedded: np.ndarray, video_embedded: np.ndarray) -> 
 
     text_embedded: (n_texts, embed_dim) unit rows.
     video_embedded: (n_videos, K+1, embed_dim) unit rows per video.
-    Ties break toward the lowest prototype index.
+    Ties break toward the lowest prototype index, for bit-equal scores only:
+    BLAS remainder tiles can round two identical prototype rows' products
+    differently in the last bit, and then the copy that rounds higher wins.
     """
     _check_shapes(text_embedded, video_embedded)
     n_videos, n_rows, _ = video_embedded.shape

@@ -17,7 +17,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .dataset import Corpus
-from .errors import NumericError, ValidationError
+from .errors import ValidationError
 from .matching import similarity_matrix
 from .prototypes import HeadParameters, embed_texts, embed_videos
 
@@ -29,18 +29,10 @@ def _checked_gt(gt_indices: Iterable[int], n_items: int) -> list[int]:
     """The ground-truth indices as a list: not empty, each inside the gallery."""
     gt = list(gt_indices)
     if not gt:
-        raise ValidationError("rank_of needs at least one ground-truth index")
+        raise ValidationError("ranks_from_scores needs at least one ground-truth index")
     if any(not 0 <= g < n_items for g in gt):
         raise ValidationError(f"ground-truth indices {gt} outside gallery of {n_items}")
     return gt
-
-
-def rank_of(scores: np.ndarray, gt_indices: Iterable[int]) -> int:
-    """Optimistic rank of the best ground-truth item in a score vector."""
-    scores = np.asarray(scores)
-    gt = _checked_gt(gt_indices, scores.shape[0])
-    best = max(float(scores[g]) for g in gt)
-    return 1 + int((scores > best).sum())
 
 
 def recall_at_k(ranks: Sequence[int], k: int) -> float:
@@ -110,8 +102,9 @@ def ranks_from_scores(
 ) -> list[int]:
     """Rank of each query row given its ground-truth column set.
 
-    The same optimistic rank as rank_of, for all rows at once: each row's
-    best ground-truth score, then a count of the scores strictly above it.
+    The optimistic rank of the module docstring, for all rows at once: each
+    row's best ground-truth score, then a count of the scores strictly above
+    it.
     """
     if scores.shape[0] != len(gt_per_query):
         raise ValidationError(
@@ -148,17 +141,8 @@ def evaluate(
         raise ValidationError("evaluate needs at least one direction")
     corpus.validate()
 
-    # Overflow is reported below as one error rather than as warnings.
-    with np.errstate(over="ignore", invalid="ignore"):
-        video_embedded = embed_videos(
-            np.stack([v.tokens for v in corpus.videos]), params, variant
-        )
-        text_embedded = embed_texts(np.stack([t.features for t in corpus.texts]), params)
-    # A NaN score is never strictly above another, so non-finite embeddings
-    # would rank every ground truth first and report a perfect retrieval.
-    for name, embedded in (("text", text_embedded), ("video", video_embedded)):
-        if not np.isfinite(embedded).all():
-            raise NumericError(f"the head gives non-finite {name} embeddings; nothing to rank")
+    video_embedded = embed_videos(np.stack([v.tokens for v in corpus.videos]), params, variant)
+    text_embedded = embed_texts(np.stack([t.features for t in corpus.texts]), params)
     sim = similarity_matrix(text_embedded, video_embedded)
 
     video_index = {v.video_id: i for i, v in enumerate(corpus.videos)}

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ShapeError, ValidationError
+from .errors import NumericError, ShapeError, ValidationError
 from .numerics import (
     ParamTensor,
     RngStream,
@@ -96,36 +96,6 @@ def init_head(
 
 
 # ---------------------------------------------------------------------------
-# Single-video ops: the masks the heatmap exporter reads, and the part
-# variant's pooling, which head_forward applies to each video in turn.
-# ---------------------------------------------------------------------------
-
-
-def compute_masks(tokens: np.ndarray, params: HeadParameters) -> tuple[np.ndarray, np.ndarray]:
-    """Mask pre-activations and relu masks for one video.  Both (B, K)."""
-    if tokens.ndim != 2 or tokens.shape[1] != params.token_dim:
-        raise ShapeError(f"tokens {tokens.shape} do not conform with mask_w {params.mask_w.value.shape}")
-    acts = tokens @ params.mask_w.value + params.mask_b.value
-    return acts, relu(acts)
-
-
-def part_prototypes(tokens: np.ndarray, n_parts: int) -> np.ndarray:
-    """Mean-pool contiguous chunks of the non-class tokens: (n_parts+1, dim).
-
-    The B-1 non-class tokens are split in order into n_parts chunks whose
-    sizes differ by at most one (earlier chunks take the extra token).  The
-    class token is appended as the final row, matching the masked layout.
-    """
-    n_body = tokens.shape[0] - 1
-    if not 1 <= n_parts <= n_body:
-        raise ValidationError(
-            f"n_parts must be in [1, {n_body}] for {tokens.shape[0]} tokens, got {n_parts}"
-        )
-    chunks = np.array_split(tokens[1:], n_parts)
-    return np.vstack([np.stack([c.mean(axis=0) for c in chunks]), tokens[0:1]])
-
-
-# ---------------------------------------------------------------------------
 # Batched forward/backward over a stack of L videos.
 # ---------------------------------------------------------------------------
 
@@ -143,22 +113,33 @@ class HeadCache:
 
 
 def head_forward(tokens: np.ndarray, params: HeadParameters, variant: str = "mask") -> HeadCache:
-    """Embed a (L, B, token_dim) stack of videos into (L, K+1, embed_dim)."""
+    """Embed a (L, B, token_dim) stack of videos into (L, K+1, embed_dim).
+
+    The part variant mean-pools the B-1 non-class tokens of each video in
+    K contiguous chunks laid out by _part_bounds.  Either variant appends
+    the class token as the final prototype.
+    """
     if variant not in VARIANTS:
         raise ValidationError(f"unknown head variant {variant!r}, expected one of {VARIANTS}")
     if tokens.ndim != 3 or tokens.shape[2] != params.token_dim:
         raise ShapeError(
             f"token stack {tokens.shape} does not conform with head token_dim {params.token_dim}"
         )
-    length = tokens.shape[0]
     if variant == "mask":
         acts = tokens @ params.mask_w.value + params.mask_b.value
         masks = relu(acts)
         learned = np.einsum("lbk,lbd->lkd", masks, tokens)
         protos = np.concatenate([learned, tokens[:, 0:1, :]], axis=1)
     else:
+        n_body, n_parts = tokens.shape[1] - 1, params.n_prototypes
+        if not 1 <= n_parts <= n_body:
+            raise ValidationError(
+                f"n_parts must be in [1, {n_body}] for {tokens.shape[1]} tokens, got {n_parts}"
+            )
         acts = masks = None
-        protos = np.stack([part_prototypes(tokens[i], params.n_prototypes) for i in range(length)])
+        bounds = _part_bounds(n_body, n_parts)
+        parts = [tokens[:, 1 + lo : 1 + hi].mean(axis=1) for lo, hi in bounds]
+        protos = np.stack(parts + [tokens[:, 0]], axis=1)
     projected = protos @ params.vproj_w.value
     flat = projected.reshape(-1, params.embed_dim)
     embedded = l2_normalize_rows(flat).reshape(projected.shape)
@@ -221,7 +202,11 @@ def head_backward(
 
 
 def _part_bounds(n_body: int, n_parts: int) -> list[tuple[int, int]]:
-    """Half-open index ranges np.array_split uses for n_body items."""
+    """Half-open ranges cutting n_body items into n_parts contiguous chunks.
+
+    Chunk sizes differ by at most one and earlier chunks take the extra
+    item, the layout of np.array_split.
+    """
     sizes = [n_body // n_parts + (1 if i < n_body % n_parts else 0) for i in range(n_parts)]
     bounds, lo = [], 0
     for s in sizes:
@@ -262,10 +247,27 @@ def text_backward(
 def embed_videos(
     token_stacks: np.ndarray, params: HeadParameters, variant: str = "mask"
 ) -> np.ndarray:
-    """Forward-only convenience: (V, B, token_dim) -> (V, K+1, embed_dim)."""
-    return head_forward(token_stacks, params, variant).embedded
+    """Forward-only: (V, B, token_dim) -> (V, K+1, embed_dim).
+
+    Raises NumericError, in place of overflow warnings, when the embeddings
+    are not all finite: a NaN score is never strictly above another, so
+    ranking them would put every ground truth first.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):
+        embedded = head_forward(token_stacks, params, variant).embedded
+    if not np.isfinite(embedded).all():
+        raise NumericError("the head gives non-finite video embeddings; nothing to rank")
+    return embedded
 
 
 def embed_texts(features: np.ndarray, params: HeadParameters) -> np.ndarray:
-    """Forward-only convenience: (T, text_dim) -> (T, embed_dim) unit rows."""
-    return text_forward(features, params).embedded
+    """Forward-only: (T, text_dim) -> (T, embed_dim) unit rows.
+
+    Raises NumericError when the embeddings are not all finite, as
+    embed_videos does.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):
+        embedded = text_forward(features, params).embedded
+    if not np.isfinite(embedded).all():
+        raise NumericError("the head gives non-finite text embeddings; nothing to rank")
+    return embedded

@@ -177,20 +177,21 @@ def test_synth_train_eval_pipeline(tmp_path, capsys):
 def test_rerun_with_same_config_is_byte_identical(tmp_path):
     _, out, manifest = synth_small(tmp_path)
     train_cfg = write_config(tmp_path, SMALL_CORPUS + SMALL_TRAIN, name="train.cfg")
-    payloads = []
-    for attempt in ("a", "b"):
-        dest = out / f"train_{attempt}"
-        assert main(["train", "--config", str(train_cfg), "--corpus", str(manifest),
-                     "--out-dir", str(dest)]) == 0
-        (run_dir,) = dest.iterdir()
-        payloads.append(
-            (
-                (run_dir / "train_log.csv").read_bytes(),
-                (run_dir / "report.json").read_bytes(),
-                (run_dir / "report.txt").read_bytes(),
+    for variant in ("mask", "part"):
+        payloads = []
+        for attempt in ("a", "b"):
+            dest = out / f"train_{variant}_{attempt}"
+            assert main(["train", "--config", str(train_cfg), "--set", f"variant={variant}",
+                         "--corpus", str(manifest), "--out-dir", str(dest)]) == 0
+            (run_dir,) = dest.iterdir()
+            payloads.append(
+                (
+                    (run_dir / "train_log.csv").read_bytes(),
+                    (run_dir / "report.json").read_bytes(),
+                    (run_dir / "report.txt").read_bytes(),
+                )
             )
-        )
-    assert payloads[0] == payloads[1]
+        assert payloads[0] == payloads[1], variant
 
 
 def test_diagnose_and_heatmap_artifacts(tmp_path):
@@ -370,6 +371,54 @@ def test_eval_of_non_finite_head_exits_with_one_line(tmp_path, capsys, value, co
     err = capsys.readouterr().err
     assert code_seen == code
     assert err.startswith(prefix) and err.count("\n") == 1 and needle in err, err
+
+
+@pytest.mark.parametrize(
+    "command, corpus_change, needle",
+    [("eval", "token_dim = 12", "(8, 6, 12) does not conform with head token_dim 10"),
+     ("eval", "text_dim = 9", "(16, 9) does not conform with head text_dim 8"),
+     ("diagnose", "text_dim = 9", "(16, 9) does not conform with head text_dim 8"),
+     ("heatmap", "token_dim = 12", "(1, 6, 12) does not conform with head token_dim 10")],
+    ids=["eval_token_dim", "eval_text_dim", "diagnose_text_dim", "heatmap_token_dim"],
+)
+def test_checkpoint_dims_unlike_the_corpus_exit_1(tmp_path, capsys, command, corpus_change,
+                                                  needle):
+    _, out, manifest = synth_small(tmp_path)
+    train_cfg = write_config(tmp_path, SMALL_CORPUS + SMALL_TRAIN, name="train.cfg")
+    assert main(["train", "--config", str(train_cfg), "--corpus", str(manifest),
+                 "--out-dir", str(out / "train")]) == 0
+    (train_dir,) = (out / "train").iterdir()
+    ckpt = sorted((train_dir / "checkpoints").iterdir())[-1]
+    other_cfg = write_config(tmp_path, SMALL_CORPUS + [corpus_change], name="other.cfg")
+    assert main(["synth", "--config", str(other_cfg), "--out-dir", str(out / "other")]) == 0
+    (other,) = (out / "other").glob("*/corpus/manifest.jsonl")
+    args = [command, "--corpus", str(other), "--checkpoint", str(ckpt),
+            "--out-dir", str(out / "cmd")]
+    if command == "heatmap":
+        args += ["--video-id", "v3"]
+    capsys.readouterr()
+    assert main(args) == 1
+    assert_one_line_error(capsys, needle)
+    assert not (out / "cmd").exists()
+
+
+def test_diagnose_of_overflowing_head_exits_2(tmp_path, capsys):
+    _, out, manifest = synth_small(tmp_path)
+    train_cfg = write_config(tmp_path, SMALL_CORPUS + SMALL_TRAIN, name="train.cfg")
+    assert main(["train", "--config", str(train_cfg), "--corpus", str(manifest),
+                 "--out-dir", str(out / "train")]) == 0
+    (train_dir,) = (out / "train").iterdir()
+    state = load_checkpoint(sorted((train_dir / "checkpoints").iterdir())[-1])
+    state.params.tproj_w.value[:] = 1e308
+    bad = tmp_path / "overflowing.bin"
+    save_checkpoint(state, bad)
+    capsys.readouterr()
+    code = main(["diagnose", "--corpus", str(manifest), "--checkpoint", str(bad),
+                 "--out-dir", str(out / "d")])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err == "numeric error: the head gives non-finite text embeddings; nothing to rank\n"
+    assert not (out / "d").exists()
 
 
 def test_heatmap_refuses_part_checkpoint(tmp_path, capsys):

@@ -13,9 +13,9 @@ from protomatch.diagnostics import (
     prototype_diversity,
     write_ambiguity_csvs,
 )
-from protomatch.errors import ValidationError
+from protomatch.errors import NumericError, ValidationError
 from protomatch.numerics import RngStream
-from protomatch.prototypes import compute_masks, head_forward, init_head
+from protomatch.prototypes import head_forward, init_head
 
 from conftest import make_head, random_corpus, unit
 
@@ -119,6 +119,15 @@ def test_projected_space_differs_from_raw():
     assert raw.mean_inter != projected.mean_inter
 
 
+@pytest.mark.filterwarnings("error")  # overflow is reported as the error, not as warnings
+def test_overflowing_text_projection_raises_instead_of_nan_stats():
+    corpus = synth_corpus(SynthConfig(num_videos=8, seed=4))
+    params = init_head(2, corpus.dims[1], corpus.dims[2], 5, RngStream(0, stream=0))
+    params.tproj_w.value[:] = 1e308
+    with pytest.raises(NumericError, match="non-finite text embeddings"):
+        intra_inter_stats(corpus, params=params)
+
+
 def test_subsampling_caps_inter_pair_count():
     corpus = synth_corpus(SynthConfig(num_videos=12, seed=5))
     stats = intra_inter_stats(corpus, pair_cap=50)
@@ -178,7 +187,7 @@ def test_one_hot_selecting_mask_hits_single_cell_per_row(tmp_path):
     np.testing.assert_array_equal(values[1], [0.0, 0.0, 1.0])
 
 
-def test_heatmap_values_equal_compute_masks_exactly(tmp_path):
+def test_heatmap_values_equal_head_forward_masks_exactly(tmp_path):
     head = make_head(3, 6, 4, 5, seed=7)
     video = VideoRecord("v0", RngStream(8).normal((7, 6)))
     path = tmp_path / "heat.csv"
@@ -186,7 +195,7 @@ def test_heatmap_values_equal_compute_masks_exactly(tmp_path):
     lines = path.read_text().splitlines()
     assert lines[0].startswith("prototype,")
     values = np.array([[float(c) for c in line.split(",")[1:]] for line in lines[1:]])
-    _, masks = compute_masks(video.tokens, head)
+    masks = head_forward(video.tokens[None], head).masks[0]
     np.testing.assert_array_equal(values, masks.T)  # repr round-trips floats
 
 

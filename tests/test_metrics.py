@@ -9,7 +9,6 @@ from protomatch.errors import NumericError, ValidationError
 from protomatch.metrics import (
     evaluate,
     median_rank,
-    rank_of,
     ranks_from_scores,
     recall_at_k,
     sum_recalls,
@@ -22,32 +21,32 @@ from conftest import random_corpus
 
 
 # ---------------------------------------------------------------------------
-# rank_of
+# ranks_from_scores, one query
 # ---------------------------------------------------------------------------
 
 
 def test_top_scoring_ground_truth_ranks_first():
-    assert rank_of(np.array([0.9, 0.1, 0.5]), {0}) == 1
+    assert ranks_from_scores(np.array([[0.9, 0.1, 0.5]]), [{0}]) == [1]
 
 
 def test_low_scoring_ground_truth_ranks_last():
-    assert rank_of(np.array([0.9, 0.1, 0.5]), {1}) == 3
+    assert ranks_from_scores(np.array([[0.9, 0.1, 0.5]]), [{1}]) == [3]
 
 
 def test_multi_positive_takes_best_ranked():
-    assert rank_of(np.array([0.9, 0.1, 0.5]), {1, 2}) == 2
+    assert ranks_from_scores(np.array([[0.9, 0.1, 0.5]]), [{1, 2}]) == [2]
 
 
 def test_rank_validation():
     with pytest.raises(ValidationError):
-        rank_of(np.array([0.5, 0.2]), set())
+        ranks_from_scores(np.array([[0.5, 0.2]]), [set()])
     with pytest.raises(ValidationError):
-        rank_of(np.array([0.5, 0.2]), {5})
+        ranks_from_scores(np.array([[0.5, 0.2]]), [{5}])
 
 
 def test_optimistic_tie_handling():
     # equal scores do not outrank the ground truth
-    assert rank_of(np.array([0.5, 0.5, 0.5]), {2}) == 1
+    assert ranks_from_scores(np.array([[0.5, 0.5, 0.5]]), [{2}]) == [1]
 
 
 # ---------------------------------------------------------------------------
@@ -146,9 +145,10 @@ def test_ranks_match_brute_force_oracle_on_tied_matrices():
         ]
 
 
-def test_ranks_from_scores_reports_first_bad_set_as_rank_of_does():
+def test_ranks_from_scores_reports_first_bad_set():
     scores = np.zeros((3, 2))
-    with pytest.raises(ValidationError, match="^rank_of needs at least one ground-truth index$"):
+    with pytest.raises(ValidationError,
+                       match="^ranks_from_scores needs at least one ground-truth index$"):
         ranks_from_scores(scores, [{0}, set(), {5}])
     with pytest.raises(ValidationError, match=r"^ground-truth indices \[5\] outside gallery of 2$"):
         ranks_from_scores(scores, [{0}, {5}, set()])

@@ -13,12 +13,10 @@ from protomatch.numerics import (
 )
 from protomatch.prototypes import (
     HeadParameters,
-    compute_masks,
     embed_videos,
     head_backward,
     head_forward,
     init_head,
-    part_prototypes,
     text_backward,
     text_forward,
 )
@@ -33,43 +31,54 @@ def zeroed_head(n_prototypes=2, token_dim=4, text_dim=3, embed_dim=4) -> HeadPar
     return head
 
 
+def part_pooling_oracle(tokens: np.ndarray, n_parts: int) -> np.ndarray:
+    """One video's part prototypes, (n_parts+1, dim), pooled by np.array_split.
+
+    The B-1 non-class tokens split in order into n_parts chunks whose sizes
+    differ by at most one (earlier chunks take the extra token); each chunk
+    is mean-pooled and the class token is appended as the final row.
+    """
+    chunks = np.array_split(tokens[1:], n_parts)
+    return np.vstack([np.stack([c.mean(axis=0) for c in chunks]), tokens[0:1]])
+
+
 # ---------------------------------------------------------------------------
-# compute_masks
+# masks, read from head_forward on one video
 # ---------------------------------------------------------------------------
 
 
 def test_zero_mask_parameters_give_zero_masks():
     head = zeroed_head()
-    _, masks = compute_masks(RngStream(0).normal((5, 4)), head)
+    masks = head_forward(RngStream(0).normal((5, 4))[None], head).masks[0]
     assert not masks.any()
 
 
 def test_bias_only_masks_are_constant_per_column():
     head = zeroed_head()
     head.mask_b.value[:] = [2.0, 3.0]
-    _, masks = compute_masks(RngStream(0).normal((5, 4)), head)
+    masks = head_forward(RngStream(0).normal((5, 4))[None], head).masks[0]
     np.testing.assert_array_equal(masks, np.tile([2.0, 3.0], (5, 1)))
 
 
 def test_masks_equal_linear_then_relu_composition():
     head = make_head(3, 6, 5, 4, seed=2)
     tokens = RngStream(3).normal((7, 6))
-    acts, masks = compute_masks(tokens, head)
+    cache = head_forward(tokens[None], head)
     expected_acts = tokens @ head.mask_w.value + head.mask_b.value
-    np.testing.assert_array_equal(acts, expected_acts)
-    np.testing.assert_array_equal(masks, relu(expected_acts))
+    np.testing.assert_array_equal(cache.acts[0], expected_acts)
+    np.testing.assert_array_equal(cache.masks[0], relu(expected_acts))
 
 
 def test_masks_always_non_negative():
     for seed in range(10):
         head = make_head(seed=seed)
-        masks = compute_masks(RngStream(seed).normal((9, 8)), head)[1]
+        masks = head_forward(RngStream(seed).normal((9, 8))[None], head).masks[0]
         assert (masks >= 0.0).all()
 
 
-def test_compute_masks_shape_mismatch():
+def test_mask_forward_shape_mismatch():
     with pytest.raises(ShapeError):
-        compute_masks(np.zeros((5, 3)), make_head(token_dim=8))
+        head_forward(np.zeros((1, 5, 3)), make_head(token_dim=8))
 
 
 # ---------------------------------------------------------------------------
@@ -114,7 +123,7 @@ def test_prototype_count_is_k_plus_one_for_all_k():
         head = make_head(k, 4, 3, 4)
         assert head_forward(tokens[None], head).protos.shape == (1, k + 1, 4)
         if k >= 1:
-            assert part_prototypes(tokens, k).shape == (k + 1, 4)
+            assert head_forward(tokens[None], head, "part").protos.shape == (1, k + 1, 4)
 
 
 def test_aggregation_linear_in_masks_on_learned_rows():
@@ -142,9 +151,15 @@ def test_class_token_participates_in_weighted_sum():
 # ---------------------------------------------------------------------------
 
 
+def part_protos(tokens: np.ndarray, n_parts: int) -> np.ndarray:
+    """One video's part prototypes from head_forward."""
+    head = make_head(n_parts, tokens.shape[1], 3, 4)
+    return head_forward(tokens[None], head, variant="part").protos[0]
+
+
 def test_part_even_split_pair_means():
     tokens = RngStream(11).normal((5, 3))
-    protos = part_prototypes(tokens, 2)
+    protos = part_protos(tokens, 2)
     np.testing.assert_allclose(protos[0], tokens[1:3].mean(axis=0), atol=1e-15)
     np.testing.assert_allclose(protos[1], tokens[3:5].mean(axis=0), atol=1e-15)
     np.testing.assert_array_equal(protos[2], tokens[0])
@@ -152,21 +167,24 @@ def test_part_even_split_pair_means():
 
 def test_part_single_chunk_is_body_mean():
     tokens = RngStream(12).normal((6, 3))
-    protos = part_prototypes(tokens, 1)
+    protos = part_protos(tokens, 1)
     np.testing.assert_allclose(protos[0], tokens[1:].mean(axis=0), atol=1e-15)
 
 
 def test_part_uneven_split_sizes_three_two_two():
     tokens = RngStream(13).normal((8, 3))
-    protos = part_prototypes(tokens, 3)
+    protos = part_protos(tokens, 3)
     bounds = [(1, 4), (4, 6), (6, 8)]  # earlier chunks take the extra token
     for row, (lo, hi) in enumerate(bounds):
         np.testing.assert_allclose(protos[row], tokens[lo:hi].mean(axis=0), atol=1e-15)
 
 
 def test_part_count_beyond_body_rejected():
-    with pytest.raises(ValidationError):
-        part_prototypes(RngStream(0).normal((4, 3)), 4)
+    # K must lie in [1, B-1]: K = 0 is refused as well
+    for k in (4, 0):
+        message = rf"^n_parts must be in \[1, 3\] for 4 tokens, got {k}$"
+        with pytest.raises(ValidationError, match=message):
+            part_protos(RngStream(0).normal((4, 3)), k)
 
 
 # ---------------------------------------------------------------------------
@@ -261,7 +279,7 @@ def test_batched_forward_matches_per_video_composition():
     tokens = RngStream(15).normal((3, 9, 8))
     cache = head_forward(tokens, head)
     for v in range(3):
-        _, masks = compute_masks(tokens[v], head)
+        masks = relu(tokens[v] @ head.mask_w.value + head.mask_b.value)
         protos = np.vstack([masks.T @ tokens[v], tokens[v, 0:1]])
         embedded = l2_normalize_rows(protos @ head.vproj_w.value)
         np.testing.assert_allclose(cache.embedded[v], embedded, rtol=0, atol=1e-12)
@@ -279,14 +297,21 @@ def test_k0_head_is_normalized_projected_class_token():
     np.testing.assert_array_equal(embedded[:, 0, :], direct)
 
 
-def test_part_variant_forward_matches_part_prototypes():
-    head = make_head(2, 8, 7, 6, seed=5)
-    tokens = RngStream(17).normal((3, 9, 8))
-    cache = head_forward(tokens, head, variant="part")
-    for v in range(3):
-        protos = part_prototypes(tokens[v], 2)
-        embedded = l2_normalize_rows(protos @ head.vproj_w.value)
-        np.testing.assert_allclose(cache.embedded[v], embedded, rtol=0, atol=1e-12)
+def test_part_variant_forward_matches_array_split_pooling():
+    # every K in [1, B-1] on random shapes and scales, so uneven splits,
+    # K=1 and K=B-1 all occur; the pooled prototypes must match bitwise
+    rng = np.random.default_rng(17)
+    for _ in range(60):
+        length, n_tokens, dim = (int(n) for n in rng.integers((1, 2, 1), (6, 20, 40)))
+        tokens = rng.standard_normal((length, n_tokens, dim)) * 10.0 ** rng.uniform(-3, 3)
+        for k in range(1, n_tokens):
+            head = make_head(k, dim, 3, 5, seed=k)
+            cache = head_forward(tokens, head, variant="part")
+            for v in range(length):
+                protos = part_pooling_oracle(tokens[v], k)
+                np.testing.assert_array_equal(cache.protos[v], protos)
+                embedded = l2_normalize_rows(protos @ head.vproj_w.value)
+                np.testing.assert_allclose(cache.embedded[v], embedded, rtol=0, atol=1e-12)
 
 
 # ---------------------------------------------------------------------------
