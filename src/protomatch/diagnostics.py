@@ -7,6 +7,12 @@ can sit closer to other videos' captions than to its own siblings, which is
 the failure mode multiple prototypes address.  The other exports make the
 learned behavior inspectable: per-token mask heatmaps, prototype diversity
 summaries, and caption-to-prototype assignment purity on labeled corpora.
+
+The inter-video pairs are never listed.  Each sampled pair ordinal is
+decoded to its caption indices from per-caption prefix counts, so beyond
+O(captions) the memory is the seeded permutation of all pair ordinals (8
+bytes a pair, freed once the kept prefix is copied) and O(pair_cap) for
+the kept pairs; their cosines are gathered in cache-sized chunks.
 """
 
 from __future__ import annotations
@@ -18,7 +24,7 @@ from pathlib import Path
 import numpy as np
 
 from .dataset import Corpus, VideoRecord
-from .errors import ValidationError
+from .errors import NumericError, ValidationError
 from .matching import similarity_matrix
 from .numerics import NORM_GUARD, RngStream, l2_normalize_rows
 from .prototypes import HeadParameters, embed_texts, embed_videos, head_forward
@@ -26,7 +32,9 @@ from .prototypes import HeadParameters, embed_texts, embed_videos, head_forward
 DEFAULT_BINS = 40
 DEFAULT_PAIR_CAP = 1_000_000
 # Caption pairs whose embeddings are gathered at once in intra_inter_stats.
-_PAIR_CHUNK = 8192
+# At D=256 an operand is 256 KiB and stays in a core's L2 cache; 8192-pair
+# (16 MiB) operands made the gather 2.7x slower on a 2-CPU Xeon.
+_PAIR_CHUNK = 128
 
 
 @dataclass(eq=False)
@@ -36,6 +44,57 @@ class AmbiguityStats:
     min_intra: list[tuple[str, float]]  # (video_id, min intra-pair cosine)
     mean_inter: float
     fraction_below: float  # share of multi-caption videos with min intra < mean inter
+
+
+def _inter_video_pairs(
+    video_of: np.ndarray, n_videos: int, pair_cap: int, seed: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """Caption index pairs (i, j), i < j, of different videos.
+
+    The pairs are numbered in row-major upper-triangle order, skipping the
+    same-video ones.  At most pair_cap of them are kept: the first pair_cap
+    ordinals of a seeded permutation of all of them, else all in order.
+    Each ordinal is decoded to (i, j) without listing the pairs: i from
+    the prefix counts of each row's cross-video pairs, j by stepping past
+    the captions of i's video that come after i.
+    """
+    n = video_of.shape[0]
+    captions = np.arange(n)
+    # captions grouped by video, corpus order within each group
+    order = np.argsort(video_of, kind="stable")
+    per_video = np.bincount(video_of, minlength=n_videos)
+    slot = np.empty(n, np.intp)  # each caption's position in order
+    slot[order] = captions
+    siblings_after = (np.cumsum(per_video)[video_of] - 1) - slot
+    row_pairs = (n - 1 - captions) - siblings_after
+    starts = np.cumsum(row_pairs) - row_pairs
+    total = int(starts[-1] + row_pairs[-1])
+    if total > pair_cap:
+        permuted = RngStream(seed).permutation(total)
+        ordinals = permuted[:pair_cap].copy()
+        del permuted
+    else:
+        ordinals = np.arange(total)
+
+    i = np.searchsorted(starts, ordinals, side="right") - 1
+    r = ordinals  # reused in place: the pair's rank among row i's pairs
+    r -= starts[i]
+    # j is i + 1 + r plus the number c of i's later siblings before j.  The
+    # k-th sibling after i, order[slot[i] + k], lies before j iff the
+    # captions of other videos between i and it, order[slot[i] + k] - i - k,
+    # are at most r: iff order[q] - q <= r + i - slot[i] at q = slot[i] + k.
+    # order[q] - q lies in (-n, n) and does not decrease within a group, so
+    # offset by a band of 2n per video the keys are sorted, and one
+    # searchsorted counts c plus the members of i's group up to i
+    # (slot[i] - group start + 1).  The bound stays inside i's band, as
+    # r < row_pairs[i] makes r + i - slot[i] < n.
+    band = 2 * n
+    key = video_of[order] * band + (order - captions) + n
+    past_slot = captions - slot  # i - slot[i]
+    bound = r + (past_slot + video_of * band + n)[i]
+    # j = i + 1 + r + c, with c the searchsorted count - slot[i] - 1
+    r += np.searchsorted(key, bound, side="right") + past_slot[i]
+    return i, r
 
 
 def intra_inter_stats(
@@ -59,28 +118,27 @@ def intra_inter_stats(
         unit = embed_texts(features, params)
     else:
         unit = l2_normalize_rows(features)
-    video_index = {v.video_id: i for i, v in enumerate(corpus.videos)}
-    video_of = np.array([video_index[t.video_id] for t in corpus.texts])
 
     min_intra: list[tuple[str, float]] = []
-    for vi, video in enumerate(corpus.videos):
-        rows = np.flatnonzero(video_of == vi)
-        if rows.shape[0] < 2:
+    for video in corpus.videos:
+        rows = corpus.texts_of(video.video_id)
+        if len(rows) < 2:
             continue
         sims = unit[rows] @ unit[rows].T
-        pair_min = sims[np.triu_indices(rows.shape[0], k=1)].min()
+        pair_min = sims[np.triu_indices(len(rows), k=1)].min()
         min_intra.append((video.video_id, float(pair_min)))
     if not min_intra:
         raise ValidationError(
             "intra-video similarity is undefined: every video has a single caption"
         )
 
-    i_idx, j_idx = np.triu_indices(unit.shape[0], k=1)
-    keep = video_of[i_idx] != video_of[j_idx]
-    i_idx, j_idx = i_idx[keep], j_idx[keep]
-    if i_idx.shape[0] > pair_cap:
-        pick = RngStream(seed).permutation(i_idx.shape[0])[:pair_cap]
-        i_idx, j_idx = i_idx[pick], j_idx[pick]
+    video_index = {v.video_id: i for i, v in enumerate(corpus.videos)}
+    video_of = np.array([video_index[t.video_id] for t in corpus.texts])
+    i_idx, j_idx = _inter_video_pairs(video_of, corpus.num_videos, pair_cap, seed)
+    if i_idx.shape[0] == 0:
+        raise ValidationError(
+            "inter-video similarity is undefined: every caption describes the same video"
+        )
     inter = np.empty(i_idx.shape[0])
     for start in range(0, i_idx.shape[0], _PAIR_CHUNK):  # bounded gathers
         pairs = slice(start, start + _PAIR_CHUNK)
@@ -114,9 +172,15 @@ def export_mask_heatmaps(video: VideoRecord, params: HeadParameters, path: str |
 
     The raw file holds the mask head's relu masks for this video exactly.
     The twin (suffix `_normalized`) divides each prototype's row by its sum
-    so rows compare as attention profiles; all-zero rows stay zero.
+    so rows compare as attention profiles; all-zero rows stay zero.  The
+    masks do not read the projection, so a projection that overflows is
+    ignored; masks that are not all finite raise NumericError before any
+    file is written.
     """
-    heat = head_forward(video.tokens[None], params).masks[0].T  # (K, B)
+    with np.errstate(over="ignore", invalid="ignore"):
+        heat = head_forward(video.tokens[None], params).masks[0].T  # (K, B)
+    if not np.isfinite(heat).all():
+        raise NumericError(f"the head gives non-finite masks for video {video.video_id!r}")
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
 

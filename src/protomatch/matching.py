@@ -11,7 +11,9 @@ sized by a fixed byte budget, by the stored prototype rows flattened to
 (V*(K+1), D), and reduces each block's scores over its K+1 stripes (the
 strided views of one prototype index across all V videos): the max
 stripe by stripe, and the winner as the count of leading stripes below
-it.  Memory is O(T*V + block) rather than O(T*V*(K+1)).  The VJP
+it.  Memory is O(T*V + block) rather than O(T*V*(K+1)).  Evaluation asks
+for the scores only: the winner pass is skipped and no (T, V) winners
+array is allocated, which halves the output memory.  The VJP
 scatters the upstream gradient into a one-hot (T, V*(K+1)) weight matrix
 at the winning columns and is then two matmuls; no (T, V, D) temporary
 is built.
@@ -31,7 +33,7 @@ class SimilarityMatrix:
     """Scores for every (text, video) pair plus the winning prototype index."""
 
     scores: np.ndarray  # (n_texts, n_videos) float64
-    winners: np.ndarray  # (n_texts, n_videos) int64, values in [0, K]
+    winners: np.ndarray | None  # (n_texts, n_videos) int64 in [0, K]; None if not asked for
 
 
 # Bytes of one block of per-prototype scores in similarity_matrix.  A
@@ -74,11 +76,15 @@ def prototype_scores(text_embedded: np.ndarray, video_embedded: np.ndarray) -> n
     return _block_scores(text_embedded, video_embedded).transpose(0, 2, 1)
 
 
-def similarity_matrix(text_embedded: np.ndarray, video_embedded: np.ndarray) -> SimilarityMatrix:
+def similarity_matrix(
+    text_embedded: np.ndarray, video_embedded: np.ndarray, winners: bool = True
+) -> SimilarityMatrix:
     """All-pairs max-over-prototypes scores.
 
     text_embedded: (n_texts, embed_dim) unit rows.
     video_embedded: (n_videos, K+1, embed_dim) unit rows per video.
+    With winners=False the winner pass is skipped and the result's winners
+    is None; the scores are the same bits either way.
     Ties break toward the lowest prototype index, for bit-equal scores only:
     BLAS remainder tiles can round two identical prototype rows' products
     differently in the last bit, and then the copy that rounds higher wins.
@@ -100,7 +106,7 @@ def similarity_matrix(text_embedded: np.ndarray, video_embedded: np.ndarray) -> 
     # one product buffer for all blocks: a fresh one per block costs page faults
     buffer = np.empty((-(-n_texts // n_blocks), n_rows * n_videos), dtype)
     scores = np.empty((n_texts, n_videos), dtype)
-    winners = np.empty((n_texts, n_videos), np.int64)
+    won = np.empty((n_texts, n_videos), np.int64) if winners else None
     for start, stop in zip(bounds, bounds[1:]):
         rows = slice(start, stop)
         block = _block_scores(text_embedded[rows], video_embedded, buffer[: stop - start])
@@ -108,6 +114,8 @@ def similarity_matrix(text_embedded: np.ndarray, video_embedded: np.ndarray) -> 
         np.copyto(best, block[:, 0])
         for k in range(1, n_rows):
             np.maximum(best, block[:, k], out=best)
+        if won is None:
+            continue
         # the winner is the first stripe equal to the max: the count of the
         # leading stripes that are not
         undecided = block[:, 0] != best
@@ -115,8 +123,8 @@ def similarity_matrix(text_embedded: np.ndarray, video_embedded: np.ndarray) -> 
         for k in range(1, n_rows - 1):
             undecided &= block[:, k] != best
             leading += undecided
-        winners[rows] = leading
-    return SimilarityMatrix(scores, winners)
+        won[rows] = leading
+    return SimilarityMatrix(scores, won)
 
 
 def similarity_vjp(

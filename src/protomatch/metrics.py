@@ -143,7 +143,7 @@ def evaluate(
 
     video_embedded = embed_videos(np.stack([v.tokens for v in corpus.videos]), params, variant)
     text_embedded = embed_texts(np.stack([t.features for t in corpus.texts]), params)
-    sim = similarity_matrix(text_embedded, video_embedded)
+    scores = similarity_matrix(text_embedded, video_embedded, winners=False).scores
 
     video_index = {v.video_id: i for i, v in enumerate(corpus.videos)}
     reports: dict[str, DirectionReport] = {}
@@ -152,10 +152,10 @@ def evaluate(
             continue
         if name == "text_to_video":
             gt = [[video_index[t.video_id]] for t in corpus.texts]
-            ranks = ranks_from_scores(sim.scores, gt)
+            ranks = ranks_from_scores(scores, gt)
         else:
             gt = [corpus.texts_of(v.video_id) for v in corpus.videos]
-            ranks = ranks_from_scores(sim.scores.T, gt)
+            ranks = ranks_from_scores(scores.T, gt)
         reports[name] = DirectionReport(
             {k: recall_at_k(ranks, k) for k in ks}, median_rank(ranks)
         )

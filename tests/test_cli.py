@@ -3,6 +3,7 @@
 import json
 import struct
 
+import numpy as np
 import pytest
 
 from protomatch.cli import (
@@ -14,6 +15,7 @@ from protomatch.cli import (
     parse_config_file,
     run_directory,
 )
+from protomatch.dataset import load_corpus
 from protomatch.errors import ConfigError
 from protomatch.trainer import load_checkpoint, save_checkpoint
 
@@ -433,6 +435,48 @@ def test_heatmap_refuses_part_checkpoint(tmp_path, capsys):
                  "--video-id", "v3", "--out-dir", str(out / "heat")])
     assert code == 1
     assert_one_line_error(capsys, "part")
+    assert not (out / "heat").exists()
+
+
+def _trained_checkpoint_state(tmp_path, out, manifest):
+    train_cfg = write_config(tmp_path, SMALL_CORPUS + SMALL_TRAIN, name="train.cfg")
+    assert main(["train", "--config", str(train_cfg), "--corpus", str(manifest),
+                 "--out-dir", str(out / "train")]) == 0
+    (train_dir,) = (out / "train").iterdir()
+    return load_checkpoint(sorted((train_dir / "checkpoints").iterdir())[-1])
+
+
+@pytest.mark.filterwarnings("error")  # the unused projection's overflow stays silent
+def test_heatmap_ignores_overflowing_projection(tmp_path):
+    _, out, manifest = synth_small(tmp_path)
+    state = _trained_checkpoint_state(tmp_path, out, manifest)
+    exported = []
+    for name, vproj in (("finite", state.params.vproj_w.value.copy()), ("overflowing", 1e308)):
+        state.params.vproj_w.value[:] = vproj
+        ckpt = tmp_path / f"{name}.bin"
+        save_checkpoint(state, ckpt)
+        assert main(["heatmap", "--corpus", str(manifest), "--checkpoint", str(ckpt),
+                     "--video-id", "v3", "--out-dir", str(out / name)]) == 0
+        (heat_dir,) = (out / name).iterdir()
+        exported.append([(heat_dir / f).read_bytes()
+                         for f in ("heatmap_v3.csv", "heatmap_v3_normalized.csv")])
+    assert exported[0] == exported[1]
+
+
+def test_heatmap_of_overflowing_masks_exits_2(tmp_path, capsys):
+    _, out, manifest = synth_small(tmp_path)
+    state = _trained_checkpoint_state(tmp_path, out, manifest)
+    (video,) = [v for v in load_corpus(manifest).videos if v.video_id == "v3"]
+    # the last token's activation is 1e308 times its L1 norm in every column: +inf
+    state.params.mask_w.value[:] = 1e308 * np.sign(video.tokens[-1])[:, None]
+    bad = tmp_path / "overflowing.bin"
+    save_checkpoint(state, bad)
+    capsys.readouterr()
+    code = main(["heatmap", "--corpus", str(manifest), "--checkpoint", str(bad),
+                 "--video-id", "v3", "--out-dir", str(out / "heat")])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err == "numeric error: the head gives non-finite masks for video 'v3'\n"
     assert not (out / "heat").exists()
 
 

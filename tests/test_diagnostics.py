@@ -7,6 +7,10 @@ import pytest
 
 from protomatch.dataset import Corpus, SynthConfig, TextRecord, VideoRecord, synth_corpus
 from protomatch.diagnostics import (
+    _PAIR_CHUNK,
+    DEFAULT_BINS,
+    AmbiguityStats,
+    _inter_video_pairs,
     export_mask_heatmaps,
     intra_inter_stats,
     matching_purity,
@@ -14,8 +18,8 @@ from protomatch.diagnostics import (
     write_ambiguity_csvs,
 )
 from protomatch.errors import NumericError, ValidationError
-from protomatch.numerics import RngStream
-from protomatch.prototypes import head_forward, init_head
+from protomatch.numerics import RngStream, l2_normalize_rows
+from protomatch.prototypes import embed_texts, head_forward, init_head
 
 from conftest import make_head, random_corpus, unit
 
@@ -132,6 +136,90 @@ def test_subsampling_caps_inter_pair_count():
     corpus = synth_corpus(SynthConfig(num_videos=12, seed=5))
     stats = intra_inter_stats(corpus, pair_cap=50)
     assert stats.inter_hist.sum() == 50
+
+
+def test_every_caption_of_one_video_rejected():
+    corpus = corpus_from_features(
+        {"a": [np.array([1.0, 0.0]), np.array([0.0, 1.0])], "b": []}, text_dim=2
+    )
+    with pytest.raises(ValidationError, match="same video"):
+        intra_inter_stats(corpus)
+
+
+def _triu_pairs_oracle(video_of, pair_cap, seed):
+    """Every upper-triangle caption pair listed, same-video pairs masked out,
+    then pair_cap of them picked by a seeded permutation of all of them."""
+    i_idx, j_idx = np.triu_indices(video_of.shape[0], k=1)
+    keep = video_of[i_idx] != video_of[j_idx]
+    i_idx, j_idx = i_idx[keep], j_idx[keep]
+    if i_idx.shape[0] > pair_cap:
+        pick = RngStream(seed).permutation(i_idx.shape[0])[:pair_cap]
+        i_idx, j_idx = i_idx[pick], j_idx[pick]
+    return i_idx, j_idx
+
+
+def _triu_stats_oracle(corpus, params, pair_cap, seed):
+    """intra_inter_stats from listed pairs, per-video masks and 8192-pair gathers."""
+    features = np.stack([t.features for t in corpus.texts])
+    unit = embed_texts(features, params) if params is not None else l2_normalize_rows(features)
+    video_index = {v.video_id: i for i, v in enumerate(corpus.videos)}
+    video_of = np.array([video_index[t.video_id] for t in corpus.texts])
+    min_intra = []
+    for vi, video in enumerate(corpus.videos):
+        rows = np.flatnonzero(video_of == vi)
+        if rows.shape[0] >= 2:
+            sims = (unit[rows] @ unit[rows].T)[np.triu_indices(rows.shape[0], k=1)]
+            min_intra.append((video.video_id, float(sims.min())))
+    i_idx, j_idx = _triu_pairs_oracle(video_of, pair_cap, seed)
+    inter = np.empty(i_idx.shape[0])
+    for start in range(0, i_idx.shape[0], 8192):
+        pairs = slice(start, start + 8192)
+        inter[pairs] = np.einsum("pd,pd->p", unit[i_idx[pairs]], unit[j_idx[pairs]])
+    edges = np.linspace(-1.0, 1.0, DEFAULT_BINS + 1)
+    hist, _ = np.histogram(np.clip(inter, -1.0, 1.0), bins=edges)
+    mean_inter = float(inter.mean())
+    below = sum(1 for _, v in min_intra if v < mean_inter)
+    return AmbiguityStats(edges, hist, min_intra, mean_inter, below / len(min_intra))
+
+
+def _ragged_corpus(seed):
+    """2-15 videos of 0-5 captions each (the first two of at least 2 and 1),
+    captions stored video by video for even seeds and shuffled for odd ones."""
+    rng = RngStream(seed, stream=3)
+    n_videos = 2 + int(rng.integers(14))
+    counts = rng.integers(6, n_videos)
+    counts[0], counts[1] = max(counts[0], 2), max(counts[1], 1)
+    videos, texts = [], []
+    for v, count in enumerate(counts):
+        videos.append(VideoRecord(f"v{v}", rng.normal((3, 4))))
+        for c in range(count):
+            texts.append(TextRecord(f"v{v}_t{c}", f"v{v}", rng.normal((6,))))
+    if seed % 2:
+        texts = [texts[k] for k in rng.permutation(len(texts))]
+    return Corpus(videos, texts, (3, 4, 6)), counts
+
+
+@pytest.mark.parametrize("seed", range(52))
+def test_decoded_pairs_match_listed_pairs_bitwise(seed):
+    corpus, counts = _ragged_corpus(seed)
+    video_of = np.array([int(t.video_id[1:]) for t in corpus.texts])
+    total = (len(video_of) ** 2 - int((counts**2).sum())) // 2
+    caps = {max(total - 1, 1), total, total + 1, 1 + int(RngStream(seed).integers(total))}
+    if total > _PAIR_CHUNK:  # the last gather chunk holds a single pair
+        caps.add(_PAIR_CHUNK * ((total - 1) // _PAIR_CHUNK) + 1)
+    head = init_head(2, 4, 6, 5, RngStream(seed, stream=0))
+    for cap in sorted(caps):
+        i_idx, j_idx = _inter_video_pairs(video_of, len(counts), cap, seed)
+        want_i, want_j = _triu_pairs_oracle(video_of, cap, seed)
+        assert np.array_equal(i_idx, want_i) and np.array_equal(j_idx, want_j), cap
+        for params in (None, head):
+            got = intra_inter_stats(corpus, params=params, pair_cap=cap, seed=seed)
+            want = _triu_stats_oracle(corpus, params, cap, seed)
+            assert np.array_equal(got.bin_edges, want.bin_edges)
+            assert np.array_equal(got.inter_hist, want.inter_hist), cap
+            assert got.min_intra == want.min_intra
+            assert got.mean_inter == want.mean_inter, cap
+            assert got.fraction_below == want.fraction_below
 
 
 def test_written_csvs_are_self_consistent(tmp_path):

@@ -315,11 +315,28 @@ def test_kernels_match_einsum_and_scatter_oracles(case, seed, monkeypatch):
 
         monkeypatch.setattr(matching, "_block_scores", recording_block_scores)
     grad_scores = RngStream(seed + 50).normal((texts.shape[0], videos.shape[0]))
-    sim = similarity_matrix(texts, videos)
+    dtypes = []  # of the arrays np.empty gives the kernel
+    empty = np.empty
+
+    def recording_empty(shape, dtype=float, *args, **kwargs):
+        dtypes.append(np.dtype(dtype))
+        return empty(shape, dtype, *args, **kwargs)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(matching.np, "empty", recording_empty)
+        sim = similarity_matrix(texts, videos)
+        full_dtypes, dtypes[:] = dtypes[:], []
+        scores_only = similarity_matrix(texts, videos, winners=False)
+    # the scores-only call gives the same bits and allocates no winners
+    assert scores_only.winners is None
+    np.testing.assert_array_equal(scores_only.scores, sim.scores)
+    assert np.dtype(np.int64) in full_dtypes and np.dtype(np.int64) not in dtypes
     if block_rows is not None:
-        # as few blocks as the budget allows, heights within one of each other
-        assert len(heights) == -(-texts.shape[0] // block_rows)
-        assert sum(heights) == texts.shape[0] and max(heights) - min(heights) <= 1
+        # as few blocks as the budget allows, heights within one of each
+        # other, the same in both calls
+        n_blocks = -(-texts.shape[0] // block_rows)
+        assert len(heights) == 2 * n_blocks and heights[:n_blocks] == heights[n_blocks:]
+        assert sum(heights[:n_blocks]) == texts.shape[0] and max(heights) - min(heights) <= 1
     ref = _einsum_similarity_oracle(texts, videos)
     np.testing.assert_array_equal(sim.winners, ref.winners)
     assert sim.winners.dtype == np.int64
