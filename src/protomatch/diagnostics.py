@@ -25,7 +25,6 @@ import numpy as np
 
 from .dataset import Corpus, VideoRecord
 from .errors import NumericError, ValidationError
-from .matching import similarity_matrix
 from .numerics import NORM_GUARD, RngStream, l2_normalize_rows
 from .prototypes import HeadParameters, embed_texts, embed_videos, head_forward
 
@@ -237,25 +236,28 @@ def matching_purity(corpus: Corpus, params: HeadParameters) -> float:
     """How cleanly captions split over prototypes along event lines.
 
     For each video, captions are grouped by the prototype that wins the
-    max-similarity match against their own video; a group's hits are the
-    count of its most common event label.  Purity is total hits over total
-    captions.  1.0 means every prototype serves captions of a single event;
-    a head that routes everything through one prototype scores the
-    frequency of the most common event.  Requires event labels on every
-    caption (synthetic corpora have them).  Reads the mask head; on a part
-    checkpoint its mask_w and mask_b are untrained.
+    max-similarity match against their own video (each caption is scored
+    against its own video's K+1 prototypes only, the lowest index winning
+    a tie); a group's hits are the count of its most common event label.
+    Purity is total hits over total captions.  1.0 means every prototype
+    serves captions of a single event; a head that routes everything
+    through one prototype scores the frequency of the most common event.
+    Requires event labels on every caption (synthetic corpora have them).
+    Reads the mask head; on a part checkpoint its mask_w and mask_b are
+    untrained.
     """
     if any(t.event_label is None for t in corpus.texts):
         raise ValidationError("matching purity needs an event label on every caption")
     video_embedded = embed_videos(np.stack([v.tokens for v in corpus.videos]), params)
     text_embedded = embed_texts(np.stack([t.features for t in corpus.texts]), params)
-    sim = similarity_matrix(text_embedded, video_embedded)
 
     hits = 0
     for vi, video in enumerate(corpus.videos):
+        captions = corpus.texts_of(video.video_id)
+        # own-video scores only; argmax takes the lowest index among equal maxima
+        winners = (text_embedded[captions] @ video_embedded[vi].T).argmax(axis=1)
         groups: dict[int, list[int]] = {}
-        for ti in corpus.texts_of(video.video_id):
-            winner = int(sim.winners[ti, vi])
+        for ti, winner in zip(captions, winners.tolist()):
             groups.setdefault(winner, []).append(corpus.texts[ti].event_label)
         for labels in groups.values():
             hits += max(labels.count(e) for e in set(labels))

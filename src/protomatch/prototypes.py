@@ -32,28 +32,33 @@ VARIANTS = ("mask", "part")
 
 @dataclass(eq=False)
 class HeadParameters:
-    """All trainable tensors of the retrieval head."""
+    """All trainable tensors of the retrieval head.
 
-    mask_w: ParamTensor  # (token_dim, n_prototypes)
-    mask_b: ParamTensor  # (n_prototypes,)
-    vproj_w: ParamTensor  # (token_dim, embed_dim)
-    tproj_w: ParamTensor  # (text_dim, embed_dim)
+    The forward kernels also take a stack of heads: every tensor may carry
+    leading axes that broadcast against each other and the inputs', and the
+    dims are read from the trailing axes.
+    """
+
+    mask_w: ParamTensor  # (..., token_dim, n_prototypes)
+    mask_b: ParamTensor  # (..., n_prototypes)
+    vproj_w: ParamTensor  # (..., token_dim, embed_dim)
+    tproj_w: ParamTensor  # (..., text_dim, embed_dim)
 
     @property
     def n_prototypes(self) -> int:
-        return self.mask_w.value.shape[1]
+        return self.mask_w.value.shape[-1]
 
     @property
     def token_dim(self) -> int:
-        return self.vproj_w.value.shape[0]
+        return self.vproj_w.value.shape[-2]
 
     @property
     def text_dim(self) -> int:
-        return self.tproj_w.value.shape[0]
+        return self.tproj_w.value.shape[-2]
 
     @property
     def embed_dim(self) -> int:
-        return self.vproj_w.value.shape[1]
+        return self.vproj_w.value.shape[-1]
 
     def tensors(self) -> dict[str, ParamTensor]:
         return {
@@ -105,44 +110,48 @@ class HeadCache:
     """Forward intermediates kept for the backward pass."""
 
     variant: str
-    acts: np.ndarray | None  # (L, B, K); None for the part variant
-    masks: np.ndarray | None  # (L, B, K); None for the part variant
-    protos: np.ndarray  # (L, K+1, token_dim)
-    projected: np.ndarray  # (L, K+1, embed_dim)
-    embedded: np.ndarray  # (L, K+1, embed_dim), unit rows
+    acts: np.ndarray | None  # (..., L, B, K); None for the part variant
+    masks: np.ndarray | None  # (..., L, B, K); None for the part variant
+    protos: np.ndarray  # (..., L, K+1, token_dim)
+    projected: np.ndarray  # (..., L, K+1, embed_dim)
+    embedded: np.ndarray  # (..., L, K+1, embed_dim), unit rows
 
 
 def head_forward(tokens: np.ndarray, params: HeadParameters, variant: str = "mask") -> HeadCache:
-    """Embed a (L, B, token_dim) stack of videos into (L, K+1, embed_dim).
+    """Embed a (..., L, B, token_dim) stack of videos into (..., L, K+1, embed_dim).
 
     The part variant mean-pools the B-1 non-class tokens of each video in
     K contiguous chunks laid out by _part_bounds.  Either variant appends
-    the class token as the final prototype.
+    the class token as the final prototype.  Leading axes of the tokens
+    and of a stack of heads broadcast; each (L, B, token_dim) slice gives
+    the same bits as an unstacked call.
     """
     if variant not in VARIANTS:
         raise ValidationError(f"unknown head variant {variant!r}, expected one of {VARIANTS}")
-    if tokens.ndim != 3 or tokens.shape[2] != params.token_dim:
+    if tokens.ndim < 3 or tokens.shape[-1] != params.token_dim:
         raise ShapeError(
             f"token stack {tokens.shape} does not conform with head token_dim {params.token_dim}"
         )
     if variant == "mask":
-        acts = tokens @ params.mask_w.value + params.mask_b.value
+        # the weights gain a video axis, so every product is one (B, token_dim) gemm
+        acts = tokens @ params.mask_w.value[..., None, :, :]
+        acts = acts + params.mask_b.value[..., None, None, :]
         masks = relu(acts)
-        learned = np.einsum("lbk,lbd->lkd", masks, tokens)
-        protos = np.concatenate([learned, tokens[:, 0:1, :]], axis=1)
+        learned = np.einsum("...lbk,...lbd->...lkd", masks, tokens)
+        cls = np.broadcast_to(tokens[..., 0:1, :], learned.shape[:-2] + (1, tokens.shape[-1]))
+        protos = np.concatenate([learned, cls], axis=-2)
     else:
-        n_body, n_parts = tokens.shape[1] - 1, params.n_prototypes
+        n_body, n_parts = tokens.shape[-2] - 1, params.n_prototypes
         if not 1 <= n_parts <= n_body:
             raise ValidationError(
-                f"n_parts must be in [1, {n_body}] for {tokens.shape[1]} tokens, got {n_parts}"
+                f"n_parts must be in [1, {n_body}] for {tokens.shape[-2]} tokens, got {n_parts}"
             )
         acts = masks = None
         bounds = _part_bounds(n_body, n_parts)
-        parts = [tokens[:, 1 + lo : 1 + hi].mean(axis=1) for lo, hi in bounds]
-        protos = np.stack(parts + [tokens[:, 0]], axis=1)
-    projected = protos @ params.vproj_w.value
-    flat = projected.reshape(-1, params.embed_dim)
-    embedded = l2_normalize_rows(flat).reshape(projected.shape)
+        parts = [tokens[..., 1 + lo : 1 + hi, :].mean(axis=-2) for lo, hi in bounds]
+        protos = np.stack(parts + [tokens[..., 0, :]], axis=-2)
+    projected = protos @ params.vproj_w.value[..., None, :, :]
+    embedded = l2_normalize_rows(projected)
     return HeadCache(variant, acts, masks, protos, projected, embedded)
 
 
@@ -217,13 +226,16 @@ def _part_bounds(n_body: int, n_parts: int) -> list[tuple[int, int]]:
 
 @dataclass(eq=False)
 class TextCache:
-    projected: np.ndarray  # (L, embed_dim)
-    embedded: np.ndarray  # (L, embed_dim), unit rows
+    projected: np.ndarray  # (..., L, embed_dim)
+    embedded: np.ndarray  # (..., L, embed_dim), unit rows
 
 
 def text_forward(features: np.ndarray, params: HeadParameters) -> TextCache:
-    """Embed a (L, text_dim) stack of caption features into unit vectors."""
-    if features.ndim != 2 or features.shape[1] != params.text_dim:
+    """Embed a (..., L, text_dim) stack of caption features into unit vectors.
+
+    Leading axes broadcast against a stack of heads, as in head_forward.
+    """
+    if features.ndim < 2 or features.shape[-1] != params.text_dim:
         raise ShapeError(
             f"text stack {features.shape} does not conform with head text_dim {params.text_dim}"
         )

@@ -24,7 +24,14 @@ import numpy as np
 
 from .dataset import Batch, Corpus, make_batches
 from .errors import CheckpointError, NumericError, ValidationError
-from .losses import LossBreakdown, LossConfig, contrastive_loss, total_loss, variance_loss
+from .losses import (
+    LossBreakdown,
+    LossConfig,
+    contrastive_loss,
+    mask_std,
+    total_loss,
+    variance_loss,
+)
 from .matching import SimilarityMatrix, prototype_scores, similarity_matrix, similarity_vjp
 from .numerics import (
     AdamState,
@@ -146,10 +153,19 @@ def _objective_forward(
     variant has no masks, so its variance term is 0 by definition.  Private
     so that a tracer wrapping the public functions still sees the layer
     calls of a training step directly under batch_objective.
+
+    Also takes a stack of points: tokens (P, L, B, token_dim), text
+    (P, L, text_dim) and a head whose tensors carry a leading axis too,
+    each of length P or 1.  The breakdown then holds P losses, each with the
+    bits of the unstacked call, and the similarity has no winners.
     """
     head_cache = head_forward(tokens, params, head_variant)
     text_cache = text_forward(text_features, params)
-    sim = similarity_matrix(text_cache.embedded, head_cache.embedded)
+    if tokens.ndim == 3:
+        sim = similarity_matrix(text_cache.embedded, head_cache.embedded)
+    else:  # the max over each stacked product, which is the unstacked kernel's gemm
+        scores = prototype_scores(text_cache.embedded, head_cache.embedded).max(axis=-1)
+        sim = SimilarityMatrix(scores, None)
 
     contrastive, grad_scores = contrastive_loss(sim.scores, loss_cfg.temperature)
     if head_variant == "mask":
@@ -491,8 +507,9 @@ def objective_finite_diff(
     kink_margin of a relu kink, a prototype-max tie, or a variance hinge
     boundary are resampled (finite differences are meaningless there).
     The analytic gradient comes from one batch_objective call at the drawn
-    point; each perturbed point runs only the forward half.  Returns the
-    max relative error over all coordinates.
+    point; the perturbed points run only the forward half, a chunk of them
+    per call on a stack of heads.  Returns the max relative error over all
+    coordinates.
     """
     cfg = loss_cfg if loss_cfg is not None else LossConfig()
     for attempt in range(max_tries):
@@ -503,8 +520,6 @@ def objective_finite_diff(
         if _near_nonsmooth_point(tokens, text, params, cfg, kink_margin):
             continue
 
-        # finite_diff_check perturbs these arrays in place, so params sees
-        # every probe without being rebuilt.
         values = {name: t.value for name, t in params.tensors().items()}
         values["tokens"], values["text"] = tokens, text
 
@@ -517,8 +532,9 @@ def objective_finite_diff(
             grads["tokens"], grads["text"] = inputs
             return breakdown.total, grads
 
-        def loss_fn(values: dict[str, np.ndarray]) -> float:
-            fwd = _objective_forward(values["tokens"], values["text"], params, cfg)
+        def loss_fn(values: dict[str, np.ndarray]) -> np.ndarray:
+            stacked = HeadParameters(**{name: ParamTensor(values[name]) for name in PARAM_ORDER})
+            fwd = _objective_forward(values["tokens"], values["text"], stacked, cfg)
             return fwd.breakdown.total
 
         return finite_diff_check(fn, values, step, loss_fn)
@@ -545,9 +561,7 @@ def _near_nonsmooth_point(
         if (top2[:, :, 1] - top2[:, :, 0]).min() < margin:
             return True
     if params.n_prototypes > 0:  # variance hinge boundary
-        pooled = tokens.shape[0] * params.n_prototypes
-        mean = cache.masks.mean(axis=(0, 2), keepdims=True)
-        var = ((cache.masks - mean) ** 2).sum(axis=(0, 2)) / pooled
-        if np.abs(cfg.std_target - np.sqrt(var + cfg.variance_floor)).min() < margin:
+        _, std = mask_std(cache.masks, cfg)
+        if np.abs(cfg.std_target - std).min() < margin:
             return True
     return False

@@ -237,6 +237,15 @@ def test_gradcheck_command_passes(tmp_path, capsys):
     assert all("PASS" in l for l in lines)
 
 
+@pytest.mark.filterwarnings("error")
+def test_gradcheck_with_overflowing_temperature_exits_1(tmp_path, capsys):
+    code = main(["gradcheck", "--set", "temperature=1e-310", "--out-dir", str(tmp_path)])
+    assert code == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.count("\n") == 1 and "temperature" in captured.err
+
+
 # ---------------------------------------------------------------------------
 # exit codes
 # ---------------------------------------------------------------------------

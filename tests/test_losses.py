@@ -6,7 +6,14 @@ import numpy as np
 import pytest
 
 from protomatch.errors import NumericError, ShapeError, ValidationError
-from protomatch.losses import LossBreakdown, LossConfig, contrastive_loss, total_loss, variance_loss
+from protomatch.losses import (
+    MIN_TEMPERATURE,
+    LossBreakdown,
+    LossConfig,
+    contrastive_loss,
+    total_loss,
+    variance_loss,
+)
 from protomatch.numerics import RngStream, finite_diff_check
 
 
@@ -34,6 +41,14 @@ def test_config_validation():
         LossConfig(variance_weight=-1.0)
     with pytest.raises(ValidationError):
         LossConfig(temperature=0.0)
+
+
+def test_temperature_whose_unit_logit_overflows_rejected():
+    with pytest.raises(ValidationError, match="logit of a unit score overflows"):
+        LossConfig(temperature=MIN_TEMPERATURE)
+    smallest = float(np.nextafter(MIN_TEMPERATURE, 1.0))
+    LossConfig(temperature=smallest)
+    assert math.isinf(1.0 / MIN_TEMPERATURE) and math.isfinite(1.0 / smallest)
 
 
 # ---------------------------------------------------------------------------
@@ -223,3 +238,30 @@ def test_non_finite_component_rejected_by_name():
     with pytest.raises(NumericError) as exc:
         total_loss(0.0, float("inf"), LossConfig())
     assert "variance" in str(exc.value)
+
+
+# ---------------------------------------------------------------------------
+# stacks of points
+# ---------------------------------------------------------------------------
+
+
+def test_stacked_losses_match_unstacked_calls_bitwise():
+    cfg = LossConfig()
+    rng = RngStream(3)
+    masks = np.abs(rng.normal((5, 4, 9, 2)))
+    scores = rng.normal((5, 4, 4))
+    values, grads = variance_loss(masks, cfg)
+    c_values, c_grads = contrastive_loss(scores, cfg.temperature)
+    assert values.shape == c_values.shape == (5,)
+    for p in range(5):
+        value, grad = variance_loss(masks[p], cfg)
+        c_value, c_grad = contrastive_loss(scores[p], cfg.temperature)
+        assert type(value) is float and type(c_value) is float  # unstacked: Python floats
+        assert value == values[p] and c_value == c_values[p]
+        assert grad.tobytes() == grads[p].tobytes() and c_grad.tobytes() == c_grads[p].tobytes()
+
+
+def test_total_loss_names_a_non_finite_stacked_value_in_one_line():
+    with pytest.raises(NumericError) as info:
+        total_loss(np.array([0.5, np.inf, np.nan]), np.zeros(3), LossConfig())
+    assert str(info.value) == "contrastive loss is non-finite: inf"

@@ -177,6 +177,20 @@ def test_matrix_matches_double_loop_oracle():
             assert sim.winners[t, v] == dots.index(max(dots))
 
 
+def test_stacked_prototype_scores_match_the_kernel_bitwise():
+    rng = RngStream(8)
+    texts = l2_normalize_rows(rng.normal((1, 4, 6)))  # broadcast against every stack
+    videos = l2_normalize_rows(rng.normal((5, 4, 3, 6)))
+    stacked = prototype_scores(texts, videos)
+    assert stacked.shape == (5, 4, 4, 3)
+    for p in range(5):
+        assert stacked[p].tobytes() == prototype_scores(texts[0], videos[p]).tobytes()
+        want = similarity_matrix(texts[0], videos[p], winners=False).scores
+        assert stacked[p].max(axis=-1).tobytes() == want.tobytes()
+    with pytest.raises(ShapeError):
+        similarity_matrix(texts, videos)  # the blocked kernel takes no stacks
+
+
 def test_scores_stay_within_unit_interval():
     for seed in range(5):
         rng = RngStream(seed)

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from protomatch import numerics
 from protomatch.errors import NumericError, ValidationError
 from protomatch.numerics import (
     AdamState,
@@ -239,27 +240,88 @@ def test_finite_diff_rejects_non_finite_loss():
         finite_diff_check(fn, {"w": np.array([1.0])})
 
 
-def test_finite_diff_probes_use_the_loss_callable():
-    calls = {"fn": 0, "loss_fn": 0}
+def _cubic_loss(values):
+    """sum(w^3) + sum(w) * sum(b) over the trailing axes, so it takes probe stacks."""
+    w, b = values["w"], values["b"]
+    return (w**3).sum(axis=(-2, -1)) + w.sum(axis=(-2, -1)) * b.sum(axis=-1)
 
-    def loss(values):
-        return float((values["w"] ** 3).sum() + (values["w"].sum() * values["b"]).sum())
+
+def test_finite_diff_probes_use_the_loss_callable(monkeypatch):
+    calls = {"fn": 0, "loss_fn": 0}
+    w0, b0 = np.array([[0.5, -1.0, 2.0], [1.5, 0.25, -0.75]]), np.array([0.3, -0.2, 0.1, 0.4])
 
     def fn(values):
         calls["fn"] += 1
         w, b = values["w"], values["b"]
-        return loss(values), {"w": 3.0 * w**2 + b.sum(), "b": np.full_like(b, w.sum())}
+        return _cubic_loss(values), {"w": 3.0 * w**2 + b.sum(), "b": np.full_like(b, w.sum())}
 
     def loss_fn(values):
         calls["loss_fn"] += 1
-        return loss(values)
+        # one leading probe axis everywhere: the perturbed tensor's holds the
+        # chunk, every other array's has length 1
+        lengths = [v.shape[0] for v in values.values()]
+        assert values["w"].shape[1:] == w0.shape and values["b"].shape[1:] == b0.shape
+        assert sum(n > 1 for n in lengths) <= 1 and min(lengths) == 1
+        losses = _cubic_loss(values)
+        assert losses.shape == (max(lengths),)
+        return losses
 
-    w0, b0 = np.array([[0.5, -1.0, 2.0], [1.5, 0.25, -0.75]]), np.array([0.3, -0.2, 0.1, 0.4])
     values = {"w": w0.copy(), "b": b0.copy()}
     err = finite_diff_check(fn, values, loss_fn=loss_fn)
-    assert calls == {"fn": 1, "loss_fn": 2 * (w0.size + b0.size)}
-    np.testing.assert_array_equal(values["w"], w0)  # every probe restored
+    # 12 probes of w and 8 of b: one chunk each
+    assert calls == {"fn": 1, "loss_fn": 2}
+    np.testing.assert_array_equal(values["w"], w0)  # never written
     np.testing.assert_array_equal(values["b"], b0)
+    # chunks of 5 probes: 3 for w, 2 for b, and the same error, bit for bit
+    monkeypatch.setattr(numerics, "PROBE_CHUNK", 5)
+    assert finite_diff_check(fn, values, loss_fn=loss_fn) == err
+    assert calls == {"fn": 2, "loss_fn": 7}
     # the same probes through fn give the same error, bit for bit
     assert err == finite_diff_check(fn, {"w": w0.copy(), "b": b0.copy()})
-    assert calls["fn"] == 2 + 2 * (w0.size + b0.size)
+    assert calls["fn"] == 3 + 2 * (w0.size + b0.size)
+
+
+@pytest.mark.parametrize("through", ["loss_fn", "fn"])
+def test_finite_diff_leaves_inputs_unchanged_when_a_probe_raises(through):
+    w0 = np.array([[1.5, -0.5], [0.25, 2.0]])
+    first = {}
+
+    def fn(values):
+        w = values["w"]
+        if first and through == "fn":
+            raise NumericError("probe failed")
+        first["done"] = True
+        return float((w * w).sum()), {"w": 2.0 * w}
+
+    def loss_fn(values):
+        raise NumericError("probe failed")
+
+    values = {"w": w0.copy()}
+    with pytest.raises(NumericError, match="probe failed"):
+        finite_diff_check(fn, values, loss_fn=loss_fn if through == "loss_fn" else None)
+    assert values["w"].tobytes() == w0.tobytes()
+
+
+@pytest.mark.parametrize("batched", [True, False])
+def test_finite_diff_names_the_first_non_finite_probe(batched):
+    # only moving w[1, 0] up crosses the wall at 2; the message is one line
+    # and the coordinate prints as plain ints
+    def loss(values):
+        w = values["w"]
+        return np.where(w > 2.0, np.inf, w * w).sum(axis=(-2, -1))
+
+    def fn(values):
+        return float(loss(values)), {"w": 2.0 * values["w"]}
+
+    w0 = np.array([[0.5, 1.0], [2.0 - 0.5e-5, 0.3]])
+    with pytest.raises(NumericError) as info:
+        finite_diff_check(fn, {"w": w0}, loss_fn=loss if batched else None)
+    assert str(info.value) == "non-finite loss while perturbing 'w' coordinate (1, 0)"
+
+
+def test_finite_diff_does_not_hide_a_nan_gradient():
+    def fn(values):
+        w = values["w"]
+        return float((w * w).sum()), {"w": np.array([2.0 * w[0], np.nan, 2.0 * w[2]])}
+
+    assert math.isnan(finite_diff_check(fn, {"w": np.array([1.0, 2.0, 3.0])}))

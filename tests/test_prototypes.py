@@ -285,6 +285,40 @@ def test_batched_forward_matches_per_video_composition():
         np.testing.assert_allclose(cache.embedded[v], embedded, rtol=0, atol=1e-12)
 
 
+def stacked_head(heads: list[HeadParameters]) -> HeadParameters:
+    names = heads[0].tensors()
+    return HeadParameters(
+        **{name: ParamTensor(np.stack([h.tensors()[name].value for h in heads])) for name in names}
+    )
+
+
+@pytest.mark.parametrize("variant", ["mask", "part"])
+@pytest.mark.parametrize("stack_tokens", [True, False])
+def test_stacked_forward_matches_unstacked_calls_bitwise(variant, stack_tokens):
+    heads = [make_head(3, 8, 7, 6, seed=s) for s in range(4)]
+    stacked = stacked_head(heads)
+    assert (stacked.n_prototypes, stacked.token_dim, stacked.text_dim, stacked.embed_dim) == (
+        3, 8, 7, 6,
+    )
+    rng = RngStream(21)
+    tokens = rng.normal((4 if stack_tokens else 1, 5, 9, 8))
+    text = rng.normal((4 if stack_tokens else 1, 5, 7))
+    cache = head_forward(tokens, stacked, variant)
+    text_cache = text_forward(text, stacked)
+    assert cache.embedded.shape == (4, 5, 4, 6) and text_cache.embedded.shape == (4, 5, 6)
+    for p, head in enumerate(heads):
+        row = p if stack_tokens else 0
+        one = head_forward(tokens[row], head, variant)
+        for field in ("acts", "masks", "protos", "projected", "embedded"):
+            want, got = getattr(one, field), getattr(cache, field)
+            if want is None:
+                assert got is None
+            else:  # the part variant's protos read no head: one for all heads
+                assert got[p if len(got) > 1 else 0].tobytes() == want.tobytes()
+        one_text = text_forward(text[row], head)
+        assert text_cache.embedded[p].tobytes() == one_text.embedded.tobytes()
+
+
 def test_k0_head_is_normalized_projected_class_token():
     head = make_head(0, 8, 7, 6, seed=4)
     tokens = RngStream(16).normal((2, 9, 8))

@@ -518,6 +518,53 @@ def test_forward_only_probes_match_full_objective_oracle():
     assert probed == [full_objective_finite_diff(seed) for seed in range(20)]
 
 
+def serial_probes(values: dict, cfg: LossConfig, step: float = 1e-5) -> list:
+    """(point, total loss) of every finite-difference probe, one at a time.
+
+    Tensor by tensor, coordinate by coordinate, up then down: each point is
+    a fresh copy with one coordinate moved, run through the full objective
+    on fresh parameter tensors.
+    """
+    probes = []
+    for name, base in values.items():
+        for idx in np.ndindex(base.shape):
+            for moved in (base[idx] + step, base[idx] - step):
+                point = {k: v.copy() for k, v in values.items()}
+                point[name][idx] = moved
+                p = HeadParameters(**{n: ParamTensor(point[n]) for n in PARAM_ORDER})
+                breakdown, _, _ = batch_objective(point["tokens"], point["text"], p, cfg)
+                probes.append((point, breakdown.total))
+    return probes
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_batched_probes_match_serial_probes_bitwise(monkeypatch, seed):
+    checked, chunks = {}, []
+
+    def recording(fn, values, step, loss_fn):
+        def recorded(stack):
+            losses = loss_fn(stack)
+            chunks.append((stack, losses))
+            return losses
+
+        checked["values"] = {k: v.copy() for k, v in values.items()}
+        return finite_diff_check(fn, values, step, recorded)
+
+    monkeypatch.setattr(trainer_module, "finite_diff_check", recording)
+    objective_finite_diff(seed)
+    batched = []
+    for stack, losses in chunks:
+        assert losses.shape == (max(len(v) for v in stack.values()),)
+        for r, loss in enumerate(losses):
+            batched.append(({k: v[r if len(v) > 1 else 0] for k, v in stack.items()}, loss))
+    serial = serial_probes(checked["values"], LossConfig())
+    assert len(batched) == len(serial) == 2 * sum(v.size for v in checked["values"].values())
+    for (point, loss), (want_point, want_loss) in zip(batched, serial):
+        for name, value in want_point.items():
+            assert point[name].tobytes() == value.tobytes()
+        assert loss.tobytes() == np.float64(want_loss).tobytes()
+
+
 @pytest.mark.filterwarnings("ignore:variance_weight=5.0 has no effect")  # baseline
 @pytest.mark.parametrize("variant", ["mask", "part", "baseline"])
 def test_objective_forward_total_equals_batch_objective(variant):
