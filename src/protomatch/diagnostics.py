@@ -8,11 +8,15 @@ the failure mode multiple prototypes address.  The other exports make the
 learned behavior inspectable: per-token mask heatmaps, prototype diversity
 summaries, and caption-to-prototype assignment purity on labeled corpora.
 
-The inter-video pairs are never listed.  Each sampled pair ordinal is
-decoded to its caption indices from per-caption prefix counts, so beyond
-O(captions) the memory is the seeded permutation of all pair ordinals (8
-bytes a pair, freed once the kept prefix is copied) and O(pair_cap) for
-the kept pairs; their cosines are gathered in cache-sized chunks.
+The inter-video pairs are never listed.  The kept pair ordinals are sorted
+once and decoded to their caption indices from per-caption prefix counts,
+so the sampled pairs come grouped by their first caption.  Each such row's
+cosines are one gather of its partners and one dot against the row's
+caption, scattered back to their sampled positions.  Beyond O(captions x
+dim) for the embeddings, the memory is the seeded permutation of all pair
+ordinals (8 bytes a pair, freed once the kept prefix is copied) and
+O(pair_cap) for the kept pairs; a row's gather is at most one copy of the
+embeddings.
 """
 
 from __future__ import annotations
@@ -30,10 +34,6 @@ from .prototypes import HeadParameters, embed_texts, embed_videos, head_forward
 
 DEFAULT_BINS = 40
 DEFAULT_PAIR_CAP = 1_000_000
-# Caption pairs whose embeddings are gathered at once in intra_inter_stats.
-# At D=256 an operand is 256 KiB and stays in a core's L2 cache; 8192-pair
-# (16 MiB) operands made the gather 2.7x slower on a 2-CPU Xeon.
-_PAIR_CHUNK = 128
 
 
 @dataclass(eq=False)
@@ -47,12 +47,15 @@ class AmbiguityStats:
 
 def _inter_video_pairs(
     video_of: np.ndarray, n_videos: int, pair_cap: int, seed: int
-) -> tuple[np.ndarray, np.ndarray]:
-    """Caption index pairs (i, j), i < j, of different videos.
+) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
+    """Caption index pairs (i, j), i < j, of different videos, ascending.
 
     The pairs are numbered in row-major upper-triangle order, skipping the
     same-video ones.  At most pair_cap of them are kept: the first pair_cap
-    ordinals of a seeded permutation of all of them, else all in order.
+    ordinals of a seeded permutation of all of them, else all.  Returns
+    (i, j, position) with the kept pairs in ascending ordinal order, so
+    ascending in i, and position[p] the index of pair p in the permutation
+    prefix; position is None when every pair is kept, already in order.
     Each ordinal is decoded to (i, j) without listing the pairs: i from
     the prefix counts of each row's cross-video pairs, j by stepping past
     the captions of i's video that come after i.
@@ -70,12 +73,19 @@ def _inter_video_pairs(
     total = int(starts[-1] + row_pairs[-1])
     if total > pair_cap:
         permuted = RngStream(seed).permutation(total)
-        ordinals = permuted[:pair_cap].copy()
+        kept = permuted[:pair_cap].copy()
         del permuted
+        position = np.argsort(kept)
+        ordinals = kept[position]
+        del kept
     else:
+        position = None
         ordinals = np.arange(total)
 
-    i = np.searchsorted(starts, ordinals, side="right") - 1
+    # the ordinals ascend, so each row's pairs are one run: the ordinals
+    # from its start up to the next row's start
+    row_counts = np.diff(np.searchsorted(ordinals, starts), append=ordinals.shape[0])
+    i = np.repeat(captions, row_counts)
     r = ordinals  # reused in place: the pair's rank among row i's pairs
     r -= starts[i]
     # j is i + 1 + r plus the number c of i's later siblings before j.  The
@@ -93,7 +103,7 @@ def _inter_video_pairs(
     bound = r + (past_slot + video_of * band + n)[i]
     # j = i + 1 + r + c, with c the searchsorted count - slot[i] - 1
     r += np.searchsorted(key, bound, side="right") + past_slot[i]
-    return i, r
+    return i, r, position
 
 
 def intra_inter_stats(
@@ -133,15 +143,20 @@ def intra_inter_stats(
 
     video_index = {v.video_id: i for i, v in enumerate(corpus.videos)}
     video_of = np.array([video_index[t.video_id] for t in corpus.texts])
-    i_idx, j_idx = _inter_video_pairs(video_of, corpus.num_videos, pair_cap, seed)
+    i_idx, j_idx, position = _inter_video_pairs(video_of, corpus.num_videos, pair_cap, seed)
     if i_idx.shape[0] == 0:
         raise ValidationError(
             "inter-video similarity is undefined: every caption describes the same video"
         )
+    # One row of pairs at a time: "pd,d->p" runs the same per-pair dot kernel
+    # as "pd,pd->p", so each cosine keeps its bits.  Scattered back to the
+    # sampled order, the mean sums in the same order too.
     inter = np.empty(i_idx.shape[0])
-    for start in range(0, i_idx.shape[0], _PAIR_CHUNK):  # bounded gathers
-        pairs = slice(start, start + _PAIR_CHUNK)
-        inter[pairs] = np.einsum("pd,pd->p", unit[i_idx[pairs]], unit[j_idx[pairs]])
+    row_bounds = np.searchsorted(i_idx, np.arange(unit.shape[0] + 1))
+    for row in np.flatnonzero(np.diff(row_bounds)).tolist():
+        start, stop = row_bounds[row], row_bounds[row + 1]
+        pairs = slice(start, stop) if position is None else position[start:stop]
+        inter[pairs] = np.einsum("pd,d->p", unit[j_idx[start:stop]], unit[row])
 
     edges = np.linspace(-1.0, 1.0, bins + 1)
     hist, _ = np.histogram(np.clip(inter, -1.0, 1.0), bins=edges)

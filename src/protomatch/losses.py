@@ -131,26 +131,29 @@ def contrastive_loss(
     video-to-text cross-entropies.  Returns (value, d value / d scores).
     Log-sum-exp stabilized: exact for any score scale.  A stack of score
     matrices (..., n, n) gives one value per matrix, each with the bits of
-    the unstacked call.
+    the unstacked call.  A temperature so small that the logits' spans
+    overflow gives a non-finite value without warnings; total_loss reports
+    it.
     """
     if scores.ndim < 2 or scores.shape[-2] != scores.shape[-1]:
         raise ShapeError(f"in-batch contrastive loss needs a square matrix, got {scores.shape}")
     if temperature <= 0:
         raise ValidationError(f"temperature must be > 0, got {temperature}")
     n = scores.shape[-1]
-    logits = scores / temperature
-    diag = np.diagonal(logits, axis1=-2, axis2=-1)
+    with np.errstate(over="ignore", invalid="ignore"):
+        logits = scores / temperature
+        diag = np.diagonal(logits, axis1=-2, axis2=-1)
 
-    row_max = logits.max(axis=-1)
-    row_lse = row_max + np.log(np.exp(logits - row_max[..., :, None]).sum(axis=-1))
-    col_max = logits.max(axis=-2)
-    col_lse = col_max + np.log(np.exp(logits - col_max[..., None, :]).sum(axis=-2))
-    value = ((row_lse - diag) + (col_lse - diag)).sum(axis=-1) / n
+        row_max = logits.max(axis=-1)
+        row_lse = row_max + np.log(np.exp(logits - row_max[..., :, None]).sum(axis=-1))
+        col_max = logits.max(axis=-2)
+        col_lse = col_max + np.log(np.exp(logits - col_max[..., None, :]).sum(axis=-2))
+        value = ((row_lse - diag) + (col_lse - diag)).sum(axis=-1) / n
 
-    row_softmax = np.exp(logits - row_lse[..., :, None])
-    col_softmax = np.exp(logits - col_lse[..., None, :])
-    grad_logits = (row_softmax + col_softmax - 2.0 * np.eye(n)) / n
-    return _scalar_if_unstacked(value), grad_logits / temperature
+        row_softmax = np.exp(logits - row_lse[..., :, None])
+        col_softmax = np.exp(logits - col_lse[..., None, :])
+        grad_logits = (row_softmax + col_softmax - 2.0 * np.eye(n)) / n
+        return _scalar_if_unstacked(value), grad_logits / temperature
 
 
 def total_loss(

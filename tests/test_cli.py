@@ -217,6 +217,31 @@ def test_diagnose_and_heatmap_artifacts(tmp_path):
     assert (heat_dir / "heatmap_v3_normalized.csv").exists()
 
 
+def test_diagnose_with_checkpoint_is_byte_identical_across_runs(tmp_path):
+    _, out, small_manifest = synth_small(tmp_path)
+    train_cfg = write_config(tmp_path, SMALL_CORPUS + SMALL_TRAIN, name="train.cfg")
+    assert main(["train", "--config", str(train_cfg), "--corpus", str(small_manifest),
+                 "--out-dir", str(out / "train")]) == 0
+    (train_dir,) = (out / "train").iterdir()
+    ckpt = sorted((train_dir / "checkpoints").iterdir())[-1]
+    # 500 videos of 3 captions: 1 122 750 cross-video pairs, more than the
+    # 1 M that diagnose samples
+    big_cfg = write_config(tmp_path, SMALL_CORPUS + ["num_videos = 500",
+                                                     "captions_per_video = 3"], name="big.cfg")
+    assert main(["synth", "--config", str(big_cfg), "--out-dir", str(tmp_path / "big")]) == 0
+    (manifest,) = (tmp_path / "big").glob("*/corpus/manifest.jsonl")
+    runs = []
+    for attempt in ("first", "second"):
+        assert main(["diagnose", "--corpus", str(manifest), "--checkpoint", str(ckpt),
+                     "--out-dir", str(tmp_path / attempt)]) == 0
+        (diag_dir,) = (tmp_path / attempt).iterdir()
+        runs.append({name: (diag_dir / name).read_bytes()
+                     for name in ("inter_hist.csv", "min_intra.csv", "summary.json")})
+    assert runs[0] == runs[1]
+    counts = [int(line.split(b",")[2]) for line in runs[0]["inter_hist.csv"].splitlines()[1:]]
+    assert sum(counts) == 1_000_000
+
+
 def test_checkpoint_header_keeps_float_warmup_default(tmp_path):
     _, out, manifest = synth_small(tmp_path)
     no_warmup = [line for line in SMALL_TRAIN if not line.startswith("warmup_epochs")]
@@ -244,6 +269,17 @@ def test_gradcheck_with_overflowing_temperature_exits_1(tmp_path, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.count("\n") == 1 and "temperature" in captured.err
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("temperature", ["1.2e-308", "2.3e-308"])
+def test_gradcheck_with_loss_overflowing_temperature_exits_2(tmp_path, capsys, temperature):
+    # above the config bound, but the loss's logit spans overflow
+    code = main(["gradcheck", "--set", f"temperature={temperature}", "--out-dir", str(tmp_path)])
+    assert code == 2
+    captured = capsys.readouterr()
+    assert captured.err.count("\n") == 1 and "non-finite" in captured.err
+    assert "RuntimeWarning" not in captured.err
 
 
 # ---------------------------------------------------------------------------

@@ -7,7 +7,6 @@ import pytest
 
 from protomatch.dataset import Corpus, SynthConfig, TextRecord, VideoRecord, synth_corpus
 from protomatch.diagnostics import (
-    _PAIR_CHUNK,
     DEFAULT_BINS,
     AmbiguityStats,
     _inter_video_pairs,
@@ -199,27 +198,68 @@ def _ragged_corpus(seed):
     return Corpus(videos, texts, (3, 4, 6)), counts
 
 
+def _sampled_pairs_in_permutation_order(video_of, n_videos, pair_cap, seed):
+    """_inter_video_pairs' pairs scattered back to their sampled positions,
+    after checking that they come ascending in upper-triangle order."""
+    i_idx, j_idx, position = _inter_video_pairs(video_of, n_videos, pair_cap, seed)
+    ordinal = i_idx * video_of.shape[0] + j_idx  # a row-major rank, for ordering only
+    assert np.all(np.diff(ordinal) > 0)
+    if position is None:
+        return i_idx, j_idx
+    assert np.array_equal(np.sort(position), np.arange(position.shape[0]))
+    got_i, got_j = np.empty_like(i_idx), np.empty_like(j_idx)
+    got_i[position], got_j[position] = i_idx, j_idx
+    return got_i, got_j
+
+
+def _assert_stats_match_oracle(corpus, params, pair_cap, seed):
+    got = intra_inter_stats(corpus, params=params, pair_cap=pair_cap, seed=seed)
+    want = _triu_stats_oracle(corpus, params, pair_cap, seed)
+    assert np.array_equal(got.bin_edges, want.bin_edges)
+    assert np.array_equal(got.inter_hist, want.inter_hist), pair_cap
+    assert got.min_intra == want.min_intra
+    assert got.mean_inter == want.mean_inter, pair_cap
+    assert got.fraction_below == want.fraction_below
+
+
 @pytest.mark.parametrize("seed", range(52))
 def test_decoded_pairs_match_listed_pairs_bitwise(seed):
     corpus, counts = _ragged_corpus(seed)
     video_of = np.array([int(t.video_id[1:]) for t in corpus.texts])
     total = (len(video_of) ** 2 - int((counts**2).sum())) // 2
     caps = {max(total - 1, 1), total, total + 1, 1 + int(RngStream(seed).integers(total))}
-    if total > _PAIR_CHUNK:  # the last gather chunk holds a single pair
-        caps.add(_PAIR_CHUNK * ((total - 1) // _PAIR_CHUNK) + 1)
+    # caps that leave a caption row holding a single sampled pair: 1, and the
+    # cap at which the last caption row the seeded sample reaches gets its first pair
+    listed_i, _ = _triu_pairs_oracle(video_of, total, seed)
+    _, first = np.unique(listed_i[RngStream(seed).permutation(total)], return_index=True)
+    caps.update({1, int(first.max()) + 1})
     head = init_head(2, 4, 6, 5, RngStream(seed, stream=0))
     for cap in sorted(caps):
-        i_idx, j_idx = _inter_video_pairs(video_of, len(counts), cap, seed)
+        got_i, got_j = _sampled_pairs_in_permutation_order(video_of, len(counts), cap, seed)
         want_i, want_j = _triu_pairs_oracle(video_of, cap, seed)
-        assert np.array_equal(i_idx, want_i) and np.array_equal(j_idx, want_j), cap
+        assert np.array_equal(got_i, want_i) and np.array_equal(got_j, want_j), cap
         for params in (None, head):
-            got = intra_inter_stats(corpus, params=params, pair_cap=cap, seed=seed)
-            want = _triu_stats_oracle(corpus, params, cap, seed)
-            assert np.array_equal(got.bin_edges, want.bin_edges)
-            assert np.array_equal(got.inter_hist, want.inter_hist), cap
-            assert got.min_intra == want.min_intra
-            assert got.mean_inter == want.mean_inter, cap
-            assert got.fraction_below == want.fraction_below
+            _assert_stats_match_oracle(corpus, params, cap, seed)
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+def test_sampled_rows_of_many_pairs_match_listed_pairs_bitwise(seed):
+    # 900 captions, 403 650 cross-video pairs: a caption row holds ~200 of
+    # the 180 000 sampled pairs on average, gathered and dotted together;
+    # odd dims leave a remainder after the dot kernel's SIMD lanes
+    corpus = synth_corpus(
+        SynthConfig(num_videos=300, captions_per_video=3, text_dim=37, seed=seed)
+    )
+    video_of = np.repeat(np.arange(300), 3)
+    assert [t.video_id for t in corpus.texts] == [corpus.videos[v].video_id for v in video_of]
+    cap = 180_000
+    got_i, got_j = _sampled_pairs_in_permutation_order(video_of, 300, cap, seed)
+    assert np.bincount(got_i).max() > 300
+    want_i, want_j = _triu_pairs_oracle(video_of, cap, seed)
+    assert np.array_equal(got_i, want_i) and np.array_equal(got_j, want_j)
+    head = init_head(3, corpus.dims[1], corpus.dims[2], 29, RngStream(seed, stream=0))
+    for params in (None, head):
+        _assert_stats_match_oracle(corpus, params, cap, seed)
 
 
 def test_written_csvs_are_self_consistent(tmp_path):

@@ -367,6 +367,32 @@ def test_kernels_match_einsum_and_scatter_oracles(case, seed, monkeypatch):
         assert (sim.winners[:, 0] == 2).all()
 
 
+@pytest.mark.parametrize("n_videos, n_rows", [(7, 3), (5, 4), (9, 2), (3, 5)])
+@pytest.mark.parametrize("seed", [0, 1])
+def test_bit_equal_stripes_break_ties_toward_lowest_index(n_videos, n_rows, seed, monkeypatch):
+    # Prototype rows are copies of three dyadic atoms, so every score is exact
+    # whatever tiles BLAS uses, and duplicated rows give bit-equal stripes.
+    # The last video's rows fill the product's final columns (21, 20, 18
+    # and 15 of them: a remainder tile for 4- and 8-wide kernels); its first
+    # and last rows are one atom, so that atom as a text ties them at the max.
+    rng = RngStream(seed)
+    atoms = _dyadic(rng, (3, 6))
+    videos = atoms[rng.integers(3, (n_videos, n_rows))]
+    videos[-1] = atoms[0] / 2
+    videos[-1, 0] = videos[-1, -1] = atoms[0]
+    texts = np.concatenate([_dyadic(rng, (20, 6)), atoms, -atoms])
+    monkeypatch.setattr(matching, "_BLOCK_BYTES", 4 * n_rows * n_videos * 8)  # 7 blocks
+    sim = similarity_matrix(texts, videos)
+    per_prototype = np.einsum("td,vkd->tvk", texts, videos)  # exact: dyadic sums
+    best = per_prototype.max(axis=2)
+    tied = (per_prototype == best[:, :, None]).sum(axis=2) > 1
+    assert tied[20, -1] and tied.sum() > texts.shape[0]
+    np.testing.assert_array_equal(sim.scores, best)
+    np.testing.assert_array_equal(sim.winners, per_prototype.argmax(axis=2))  # first maximum
+    assert sim.winners[20, -1] == 0
+    np.testing.assert_array_equal(similarity_matrix(texts, videos, winners=False).scores, best)
+
+
 def test_similarity_matrix_rejects_empty_prototype_stack():
     with pytest.raises(ValidationError):
         similarity_matrix(np.zeros((2, 3)), np.zeros((4, 0, 3)))
