@@ -84,14 +84,20 @@ def prototype_scores(text_embedded: np.ndarray, video_embedded: np.ndarray) -> n
 
 
 def similarity_matrix(
-    text_embedded: np.ndarray, video_embedded: np.ndarray, winners: bool = True
+    text_embedded: np.ndarray,
+    video_embedded: np.ndarray,
+    winners: bool = True,
+    buffer: np.ndarray | None = None,
 ) -> SimilarityMatrix:
     """All-pairs max-over-prototypes scores.
 
     text_embedded: (n_texts, embed_dim) unit rows.
     video_embedded: (n_videos, K+1, embed_dim) unit rows per video.
     With winners=False the winner pass is skipped and the result's winners
-    is None; the scores are the same bits either way.
+    is None; the scores are the same bits either way.  buffer, if given,
+    is a C-contiguous array of n_videos * (K+1) columns and at least one
+    block's rows (all n_texts at a training batch's size) that receives
+    the block products; the result never points into it.
     Ties break toward the lowest prototype index, for bit-equal scores only:
     BLAS remainder tiles can round two identical prototype rows' products
     differently in the last bit, and then the copy that rounds higher wins.
@@ -110,8 +116,8 @@ def similarity_matrix(
     # one-row block only if the budget fits fewer than four rows: such a
     # block goes through gemv, whose last bits can differ from gemm's
     bounds = [n_texts * b // n_blocks for b in range(n_blocks + 1)]
-    # one product buffer for all blocks: a fresh one per block costs page faults
-    buffer = np.empty((-(-n_texts // n_blocks), n_rows * n_videos), dtype)
+    if buffer is None:  # one for all blocks: a fresh one per block costs page faults
+        buffer = np.empty((-(-n_texts // n_blocks), n_rows * n_videos), dtype)
     scores = np.empty((n_texts, n_videos), dtype)
     won = np.empty((n_texts, n_videos), np.int64) if winners else None
     for start, stop in zip(bounds, bounds[1:]):
@@ -139,12 +145,17 @@ def similarity_vjp(
     text_embedded: np.ndarray,
     video_embedded: np.ndarray,
     winners: np.ndarray,
+    out: tuple[np.ndarray, np.ndarray] | None = None,
+    weights: np.ndarray | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Backward of similarity_matrix.
 
     The gradient for pair (t, v) flows into text row t and into the single
     winning prototype row of video v recorded in winners.  Returns
-    (grad_text_embedded, grad_video_embedded).
+    (grad_text_embedded, grad_video_embedded).  out, if given, is a pair of
+    C-contiguous arrays shaped like text_embedded and video_embedded that
+    receive them; weights, if given, is a C-contiguous (n_texts, n_videos,
+    K+1) array that holds the one-hot weights.
     """
     if (
         grad_scores.ndim != 2
@@ -163,10 +174,16 @@ def similarity_vjp(
     n_videos, n_rows, dim = video_embedded.shape
     # weights[t, v, k] is grad_scores[t, v] where k won the pair, else 0:
     # the max subgradient itself, not an approximation of it
-    weights = np.zeros((n_texts, n_videos, n_rows))
+    if weights is None:
+        weights = np.zeros((n_texts, n_videos, n_rows))
+    else:
+        weights.fill(0.0)
     np.put_along_axis(weights, winners[:, :, None], grad_scores[:, :, None], axis=2)
     weights = weights.reshape(n_texts, n_videos * n_rows)
-    grad_text = weights @ video_embedded.reshape(n_videos * n_rows, dim)
-    grad_video = (weights.T @ text_embedded).reshape(video_embedded.shape)
-    return grad_text, grad_video
+    grad_text, grad_video = (None, None) if out is None else out
+    grad_text = np.matmul(weights, video_embedded.reshape(n_videos * n_rows, dim), out=grad_text)
+    if grad_video is not None:
+        grad_video = grad_video.reshape(n_videos * n_rows, dim)
+    grad_video = np.matmul(weights.T, text_embedded, out=grad_video)
+    return grad_text, grad_video.reshape(video_embedded.shape)
 

@@ -8,7 +8,11 @@ a loss callable in chunks, as stacks along a leading probe axis, so a loss
 that broadcasts over that axis (the full objective does) runs them forward
 only, a chunk per call.  All kernels are pure functions
 over immutable inputs and safe to call concurrently; only ``adam_step``
-mutates state and must be serialized by the caller.
+mutates state and must be serialized by the caller.  A kernel that takes
+``out=`` (or ``scratch=``) arrays writes its result (or temporaries) into
+them instead of allocating, as numpy's ``out=`` does; such a workspace
+belongs to the caller that passes it and must not be shared across
+threads.
 """
 
 from __future__ import annotations
@@ -34,28 +38,49 @@ def relu_vjp(x: np.ndarray, grad_out: np.ndarray) -> np.ndarray:
     return grad_out * (x > 0)
 
 
-def l2_normalize_rows(m: np.ndarray, guard: float = NORM_GUARD) -> np.ndarray:
-    """Divide each row by (its Euclidean norm + guard); zero rows stay zero."""
+def _row_norms(m: np.ndarray, scratch: np.ndarray | None = None) -> np.ndarray:
+    """Euclidean norm of each row, keepdims; the squares go to scratch if given.
+
+    The ufuncs of np.linalg.norm(m, axis=-1, keepdims=True), so the same bits.
+    """
+    return np.sqrt(np.add.reduce(np.multiply(m, m, out=scratch), axis=-1, keepdims=True))
+
+
+def l2_normalize_rows(
+    m: np.ndarray, guard: float = NORM_GUARD, out: np.ndarray | None = None
+) -> np.ndarray:
+    """Divide each row by (its Euclidean norm + guard); zero rows stay zero.
+
+    out, if given, is an array of m's shape that receives the result.
+    """
     if guard <= 0:
         raise ValidationError(f"normalization guard must be positive, got {guard}")
-    norms = np.linalg.norm(m, axis=-1, keepdims=True)
-    return m / (norms + guard)
+    norms = _row_norms(m, out)
+    return np.divide(m, norms + guard, out=out)
 
 
 def l2_normalize_rows_vjp(
-    m: np.ndarray, grad_out: np.ndarray, guard: float = NORM_GUARD
+    m: np.ndarray,
+    grad_out: np.ndarray,
+    guard: float = NORM_GUARD,
+    out: np.ndarray | None = None,
+    scratch: np.ndarray | None = None,
 ) -> np.ndarray:
     """Backward of row normalization y = x / (||x|| + guard).
 
     Rows with norm below the guard are treated as dead: their gradient is 0
     (the true Jacobian there is I/guard, which would amplify noise by 1e12).
+    out, if given, receives the gradient, and scratch, if given, holds the
+    temporaries; both have m's shape.
     """
-    norms = np.linalg.norm(m, axis=-1, keepdims=True)
+    norms = _row_norms(m, scratch)
     safe = np.where(norms > guard, norms, 1.0)
     denom = norms + guard
-    dots = (m * grad_out).sum(axis=-1, keepdims=True)
-    grad = grad_out / denom - m * (dots / (denom * denom * safe))
-    return np.where(norms > guard, grad, 0.0)
+    dots = np.multiply(m, grad_out, out=scratch).sum(axis=-1, keepdims=True)
+    grad = np.divide(grad_out, denom, out=out)
+    grad -= np.multiply(m, dots / (denom * denom * safe), out=scratch)
+    np.copyto(grad, 0.0, where=~(norms > guard))
+    return grad
 
 
 @dataclass(eq=False)

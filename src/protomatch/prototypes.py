@@ -117,14 +117,21 @@ class HeadCache:
     embedded: np.ndarray  # (..., L, K+1, embed_dim), unit rows
 
 
-def head_forward(tokens: np.ndarray, params: HeadParameters, variant: str = "mask") -> HeadCache:
+def head_forward(
+    tokens: np.ndarray,
+    params: HeadParameters,
+    variant: str = "mask",
+    out: tuple[np.ndarray, np.ndarray] | None = None,
+) -> HeadCache:
     """Embed a (..., L, B, token_dim) stack of videos into (..., L, K+1, embed_dim).
 
     The part variant mean-pools the B-1 non-class tokens of each video in
     K contiguous chunks laid out by _part_bounds.  Either variant appends
     the class token as the final prototype.  Leading axes of the tokens
     and of a stack of heads broadcast; each (L, B, token_dim) slice gives
-    the same bits as an unstacked call.
+    the same bits as an unstacked call.  out, if given, is a pair of
+    (..., L, K+1, embed_dim) arrays that receive the projected and the
+    embedded prototypes.
     """
     if variant not in VARIANTS:
         raise ValidationError(f"unknown head variant {variant!r}, expected one of {VARIANTS}")
@@ -150,8 +157,9 @@ def head_forward(tokens: np.ndarray, params: HeadParameters, variant: str = "mas
         bounds = _part_bounds(n_body, n_parts)
         parts = [tokens[..., 1 + lo : 1 + hi, :].mean(axis=-2) for lo, hi in bounds]
         protos = np.stack(parts + [tokens[..., 0, :]], axis=-2)
-    projected = protos @ params.vproj_w.value[..., None, :, :]
-    embedded = l2_normalize_rows(projected)
+    projected_out, embedded_out = (None, None) if out is None else out
+    projected = np.matmul(protos, params.vproj_w.value[..., None, :, :], out=projected_out)
+    embedded = l2_normalize_rows(projected, out=embedded_out)
     return HeadCache(variant, acts, masks, protos, projected, embedded)
 
 
@@ -162,12 +170,15 @@ def head_backward(
     grad_embedded: np.ndarray,
     extra_mask_grad: np.ndarray | None = None,
     want_input_grads: bool = False,
+    scratch: tuple[np.ndarray, np.ndarray] | None = None,
 ) -> np.ndarray | None:
     """Accumulate parameter gradients for the batched head forward.
 
     grad_embedded is d(loss)/d(embedded prototypes), shape (L, K+1, embed_dim).
     extra_mask_grad, if given, is an additional d(loss)/d(masks) term (the
     mask regularizer contributes one) and is added before the relu backward.
+    scratch, if given, is a pair of (L, K+1, embed_dim) arrays for the
+    normalization backward's output and temporaries.
     Returns d(loss)/d(tokens) when want_input_grads is set, else None.
     """
     if grad_embedded.shape != cache.embedded.shape:
@@ -175,11 +186,10 @@ def head_backward(
             f"grad {grad_embedded.shape} does not conform with embedded {cache.embedded.shape}"
         )
     k = params.n_prototypes
-    embed_dim = params.embed_dim
-    flat_projected = cache.projected.reshape(-1, embed_dim)
+    vjp_out, vjp_scratch = (None, None) if scratch is None else scratch
     grad_projected = l2_normalize_rows_vjp(
-        flat_projected, grad_embedded.reshape(-1, embed_dim)
-    ).reshape(cache.projected.shape)
+        cache.projected, grad_embedded, out=vjp_out, scratch=vjp_scratch
+    )
 
     params.vproj_w.grad += np.einsum("lkd,lke->de", cache.protos, grad_projected)
     grad_protos = grad_projected @ params.vproj_w.value.T  # (L, K+1, token_dim)
@@ -230,17 +240,24 @@ class TextCache:
     embedded: np.ndarray  # (..., L, embed_dim), unit rows
 
 
-def text_forward(features: np.ndarray, params: HeadParameters) -> TextCache:
+def text_forward(
+    features: np.ndarray,
+    params: HeadParameters,
+    out: tuple[np.ndarray, np.ndarray] | None = None,
+) -> TextCache:
     """Embed a (..., L, text_dim) stack of caption features into unit vectors.
 
     Leading axes broadcast against a stack of heads, as in head_forward.
+    out, if given, is a pair of (..., L, embed_dim) arrays that receive the
+    projected and the embedded captions.
     """
     if features.ndim < 2 or features.shape[-1] != params.text_dim:
         raise ShapeError(
             f"text stack {features.shape} does not conform with head text_dim {params.text_dim}"
         )
-    projected = features @ params.tproj_w.value
-    return TextCache(projected, l2_normalize_rows(projected))
+    projected_out, embedded_out = (None, None) if out is None else out
+    projected = np.matmul(features, params.tproj_w.value, out=projected_out)
+    return TextCache(projected, l2_normalize_rows(projected, out=embedded_out))
 
 
 def text_backward(
@@ -249,9 +266,17 @@ def text_backward(
     cache: TextCache,
     grad_embedded: np.ndarray,
     want_input_grads: bool = False,
+    scratch: tuple[np.ndarray, np.ndarray] | None = None,
 ) -> np.ndarray | None:
-    """Accumulate the text projection gradient; optionally return input grads."""
-    grad_projected = l2_normalize_rows_vjp(cache.projected, grad_embedded)
+    """Accumulate the text projection gradient; optionally return input grads.
+
+    scratch, if given, is a pair of (L, embed_dim) arrays for the
+    normalization backward's output and temporaries.
+    """
+    vjp_out, vjp_scratch = (None, None) if scratch is None else scratch
+    grad_projected = l2_normalize_rows_vjp(
+        cache.projected, grad_embedded, out=vjp_out, scratch=vjp_scratch
+    )
     params.tproj_w.grad += features.T @ grad_projected
     return grad_projected @ params.tproj_w.value.T if want_input_grads else None
 

@@ -542,3 +542,138 @@ def test_numeric_blowup_exits_2(tmp_path, capsys):
 
 def test_bad_flag_exits_1(capsys):
     assert main(["train", "--no-such-flag"]) == 1
+
+
+# ---------------------------------------------------------------------------
+# seeded fuzz of the files eval reads
+# ---------------------------------------------------------------------------
+
+
+@pytest.fixture(scope="module")
+def eval_inputs(tmp_path_factory):
+    """A small corpus and the checkpoint a short run writes for it."""
+    tmp_path = tmp_path_factory.mktemp("fuzz")
+    _, out, manifest = synth_small(tmp_path)
+    train_cfg = write_config(tmp_path, SMALL_CORPUS + SMALL_TRAIN, name="train.cfg")
+    assert main(["train", "--config", str(train_cfg), "--corpus", str(manifest),
+                 "--out-dir", str(out / "train")]) == 0
+    (train_dir,) = (out / "train").iterdir()
+    checkpoint = sorted((train_dir / "checkpoints").iterdir())[-1]
+    return manifest, checkpoint
+
+
+def flip(data: bytes, byte: int, bit: int) -> bytes:
+    mutated = bytearray(data)
+    mutated[byte] ^= 1 << bit
+    return bytes(mutated)
+
+
+def split_checkpoint(data: bytes) -> tuple[dict, bytes]:
+    (header_len,) = struct.unpack("<Q", data[8:16])
+    return json.loads(data[16 : 16 + header_len]), data[16 + header_len :]
+
+
+def join_checkpoint(data: bytes, header: dict, blobs: bytes) -> bytes:
+    encoded = json.dumps(header, sort_keys=True).encode("utf-8")
+    return data[:8] + struct.pack("<Q", len(encoded)) + encoded + blobs
+
+
+def key_paths(tree, prefix=()):
+    """The path of every key of every object nested in a JSON value."""
+    if isinstance(tree, dict):
+        for key, value in tree.items():
+            yield prefix + (key,)
+            yield from key_paths(value, prefix + (key,))
+
+
+def without_key(tree: dict, path: tuple) -> dict:
+    tree = json.loads(json.dumps(tree))
+    parent = tree
+    for key in path[:-1]:
+        parent = parent[key]
+    del parent[path[-1]]
+    return tree
+
+
+def checkpoint_mutations(data: bytes, rng: np.random.Generator):
+    """(name, mutated bytes, whether it may still load) for a checkpoint."""
+    header, blobs = split_checkpoint(data)
+    header_end = len(data) - len(blobs)
+    for cut in rng.choice(len(data), 24, replace=False):
+        yield f"truncated to {cut} bytes", data[:cut], False
+    for byte in range(16):  # magic, version, header length: every bit
+        for bit in range(8):
+            yield f"prefix byte {byte} bit {bit} flipped", flip(data, byte, bit), False
+    for byte in rng.choice(np.arange(16, header_end), 120, replace=False):
+        bit = int(rng.integers(8))
+        mutated = flip(data, byte, bit)
+        # a digit that becomes another digit, or a space ending the number,
+        # leaves a well-formed header: only a checksum could tell
+        number = chr(data[byte]).isdigit() and chr(mutated[byte]) in "0123456789 "
+        yield f"header byte {byte} bit {bit} flipped", mutated, number
+    for path in key_paths(header):
+        yield f"header key {'/'.join(path)} deleted", \
+            join_checkpoint(data, without_key(header, path), blobs), False
+    for byte in rng.choice(np.arange(header_end, len(data)), 60, replace=False):
+        bit = int(rng.integers(8))
+        yield f"blob byte {byte} bit {bit} flipped", flip(data, byte, bit), True
+
+
+# keys a manifest record must carry; a text's event_label is optional
+REQUIRED_RECORD_KEYS = {"video": ("kind", "id", "blob", "rows", "cols"),
+                        "text": ("kind", "id", "video_id", "features")}
+
+
+def manifest_mutations(text: str, rng: np.random.Generator):
+    """(name, mutated text) for a manifest; none of them may load."""
+    # a cut at either end of a line can leave a smaller corpus that is whole
+    inside_lines = [cut for cut in range(len(text))
+                    if text[cut] != "\n" and (cut == 0 or text[cut - 1] != "\n")]
+    for cut in rng.choice(inside_lines, 24, replace=False):
+        yield f"truncated to {cut} characters", text[:cut]
+    lines = text.splitlines()
+    for lineno, line in enumerate(lines):
+        record = json.loads(line)
+        for key in REQUIRED_RECORD_KEYS[record["kind"]]:
+            edited = json.dumps(without_key(record, (key,)))
+            yield f"line {lineno + 1} key {key} deleted", \
+                "\n".join(lines[:lineno] + [edited] + lines[lineno + 1 :]) + "\n"
+
+
+def run_eval(capsys, manifest, checkpoint, out_dir):
+    capsys.readouterr()
+    code = main(["eval", "--corpus", str(manifest), "--checkpoint", str(checkpoint),
+                 "--out-dir", str(out_dir)])
+    return code, capsys.readouterr().err
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+def test_fuzzed_checkpoints_exit_1_in_one_line_or_load(eval_inputs, tmp_path, capsys, seed):
+    manifest, checkpoint = eval_inputs
+    data = checkpoint.read_bytes()
+    bad = tmp_path / "mutated.bin"
+    loaded = 0
+    for name, mutated, may_load in checkpoint_mutations(data, np.random.default_rng(seed)):
+        bad.write_bytes(mutated)
+        code, err = run_eval(capsys, manifest, bad, tmp_path / "out")
+        # a checkpoint that loads may still hold a head whose embeddings
+        # overflow, which is a numeric error
+        allowed = {0: "", 1: "error: ", 2: "numeric error: "} if may_load else {1: "error: "}
+        assert code in allowed, (name, code, err)
+        if code:
+            assert err.startswith(allowed[code]) and err.count("\n") == 1, (name, err)
+        loaded += code == 0
+    assert loaded > 0  # some blob flips only move a float
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+def test_fuzzed_manifests_exit_1_in_one_line(eval_inputs, tmp_path, capsys, seed):
+    manifest, checkpoint = eval_inputs
+    bad = manifest.with_name("mutated.jsonl")  # beside the blobs it names
+    try:
+        for name, mutated in manifest_mutations(manifest.read_text(), np.random.default_rng(seed)):
+            bad.write_text(mutated)
+            code, err = run_eval(capsys, bad, checkpoint, tmp_path / "out")
+            assert code == 1 and err.startswith("error: ") and err.count("\n") == 1, (name, err)
+    finally:
+        bad.unlink(missing_ok=True)

@@ -1,8 +1,12 @@
 """Training loop, determinism, checkpoint persistence, and the full objective."""
 
 import dataclasses
+import itertools
 import json
+import os
+import stat
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -24,6 +28,7 @@ from protomatch.trainer import (
     CHECKPOINT_VERSION,
     PARAM_ORDER,
     CheckpointState,
+    StepWorkspace,
     TrainConfig,
     batch_objective,
     load_checkpoint,
@@ -251,6 +256,98 @@ def test_history_csv_format(tmp_path):
 
 
 # ---------------------------------------------------------------------------
+# step workspace
+# ---------------------------------------------------------------------------
+
+
+def train_without_workspace(corpus, cfg):
+    """train()'s loop as a plain loop of allocating train_step calls."""
+    _, token_dim, text_dim = corpus.dims
+    params = init_head(
+        cfg.effective_prototypes, token_dim, text_dim, cfg.embed_dim, RngStream(cfg.seed, stream=0)
+    )
+    adam = AdamState.init(params.tensors())
+    sampler = RngStream(cfg.seed, stream=1)
+    steps_per_epoch = corpus.num_videos // cfg.batch_size
+    schedule = LrSchedule(cfg.warmup_epochs, cfg.peak_lr, cfg.epochs, steps_per_epoch)
+    history = []
+    for epoch in range(cfg.epochs):
+        for batch in make_batches(corpus, cfg.batch_size, sampler):
+            lr = lr_at(len(history) / steps_per_epoch, schedule)
+            b = train_step(batch, params, adam, cfg, lr, workspace=None)
+            history.append((len(history), epoch, lr, b.contrastive, b.variance, b.total))
+    return params, adam, history
+
+
+@pytest.mark.filterwarnings("ignore:variance_weight=5.0 has no effect")  # baseline
+@pytest.mark.parametrize("seed", [0, 1])
+@pytest.mark.parametrize("variant", ["mask", "part", "baseline"])
+def test_train_with_workspace_matches_allocating_steps_bitwise(tmp_path, variant, seed):
+    corpus = synth_corpus(SynthConfig(num_videos=24, seed=seed))
+    cfg = small_cfg(n_prototypes=3, embed_dim=16, batch_size=8, epochs=3, peak_lr=5e-3,
+                    seed=seed, variant=variant)
+    params, history = train(corpus, cfg, out_dir=tmp_path)
+    adam = load_checkpoint(tmp_path / "checkpoints" / "epoch_0003.bin").adam
+    want_params, want_adam, want_history = train_without_workspace(corpus, cfg)
+    got = [(h.step, h.epoch, h.lr, h.contrastive, h.variance, h.total) for h in history]
+    assert repr(got) == repr(want_history)
+    for name in PARAM_ORDER:
+        assert params.tensors()[name].value.tobytes() == want_params.tensors()[name].value.tobytes()
+        assert adam.first[name].tobytes() == want_adam.first[name].tobytes()
+        assert adam.second[name].tobytes() == want_adam.second[name].tobytes()
+    assert adam.step == want_adam.step
+
+
+def returned_arrays(result):
+    _, sim, inputs = result
+    return [sim.scores, sim.winners, *inputs]
+
+
+def test_batch_objective_returns_fresh_arrays_with_or_without_workspace():
+    batch, corpus = make_one_batch(seed=3)
+    cfg = small_cfg(batch_size=8)
+    params, _ = fresh_state(cfg, corpus)
+    args = (batch.tokens, batch.text_features, params, cfg.loss)
+    first = returned_arrays(batch_objective(*args, want_input_grads=True))
+    second = returned_arrays(batch_objective(*args, want_input_grads=True))
+    assert not any(np.shares_memory(a, b) for a in first for b in second)
+
+    workspace = StepWorkspace.for_config(cfg)
+    buffers = []
+    for field in dataclasses.fields(workspace):
+        value = getattr(workspace, field.name)
+        buffers.extend(value if isinstance(value, tuple) else [value])
+    assert not any(np.shares_memory(a, b) for a, b in itertools.combinations(buffers, 2))
+    for _ in range(2):
+        returned = returned_arrays(
+            batch_objective(*args, want_input_grads=True, workspace=workspace)
+        )
+        assert not any(np.shares_memory(a, b) for a in returned for b in buffers)
+        for got, want in zip(returned, first):
+            assert got.tobytes() == want.tobytes()
+
+
+def test_warm_train_step_transient_memory_fits_the_workspace_budget():
+    # default synthetic dims at the train benchmark's shape; without the
+    # workspace one step's transient arrays peak at 3.14 MiB, with it 0.32
+    corpus = synth_corpus(SynthConfig(num_videos=64, seed=4))
+    cfg = small_cfg(n_prototypes=3, embed_dim=256, batch_size=64)
+    params, adam = fresh_state(cfg, corpus)
+    (batch,) = make_batches(corpus, cfg.batch_size, RngStream(4, stream=1))
+    workspace = StepWorkspace.for_config(cfg)
+    for _ in range(2):
+        train_step(batch, params, adam, cfg, 1e-5, workspace)
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        train_step(batch, params, adam, cfg, 1e-5, workspace)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (peak - before) / 2**20 <= 1.25
+
+
+# ---------------------------------------------------------------------------
 # checkpointing
 # ---------------------------------------------------------------------------
 
@@ -378,6 +475,13 @@ def test_checkpoint_header_missing_key_rejected(tmp_path, key):
         (lambda header: header["rng_state"].pop("state"), "rng_state is not a sampler state"),
         (lambda header: header["rng_state"]["state"]["counter"].update(dtype="bogus"),
          "rng_state is not a sampler state"),
+        (lambda header: header["config"].pop("seed"), "header config lacks key(s) seed"),
+        (lambda header: header["config"]["loss"].pop("temperature"),
+         "header loss lacks key(s) temperature"),
+        (lambda header: header["shapes"].update(mask_w=[32]),  # as many floats as [16, 2]
+         "do not fit a head of 2 prototypes and embed_dim 8"),
+        (lambda header: header["config"].update(embed_dim=9),
+         "do not fit a head of 2 prototypes and embed_dim 9"),
     ],
     ids=[
         "unknown_config_key",
@@ -398,6 +502,10 @@ def test_checkpoint_header_missing_key_rejected(tmp_path, key):
         "rng_state_other_generator",
         "rng_state_missing_state",
         "rng_state_bad_dtype",
+        "config_key_missing",
+        "loss_key_missing",
+        "shape_of_wrong_rank",
+        "config_unlike_shapes",
     ],
 )
 def test_checkpoint_header_wrong_value_rejected(tmp_path, edit, needle):
@@ -465,6 +573,35 @@ def test_interrupted_checkpoint_write_keeps_previous_file(tmp_path, monkeypatch)
     assert path.read_bytes() == before
     assert load_checkpoint(path).epoch == 2
     assert sorted(p.name for p in path.parent.iterdir()) == ["epoch_0002.bin"]
+
+
+def test_checkpoint_is_synced_before_the_rename_and_its_directory_after(tmp_path, monkeypatch):
+    _, _, out, _, _ = run_with_checkpoints(tmp_path, epochs=2)
+    state = load_checkpoint(out / "checkpoints" / "epoch_0002.bin")
+    path = tmp_path / "synced" / "epoch_0002.bin"
+    events = []
+    real_fsync, real_replace = os.fsync, os.replace
+
+    def fsync(fd):
+        info = os.fstat(fd)
+        kind = "directory" if stat.S_ISDIR(info.st_mode) else "file"
+        events.append((f"fsync {kind}", info.st_ino, info.st_size if kind == "file" else None))
+        real_fsync(fd)
+
+    def replace(src, dst):
+        events.append(("replace", os.stat(src).st_ino, None))
+        real_replace(src, dst)
+
+    monkeypatch.setattr(trainer_module.os, "fsync", fsync)
+    monkeypatch.setattr(trainer_module.os, "replace", replace)
+    save_checkpoint(state, path)
+    monkeypatch.undo()
+    written = os.stat(path)
+    assert events == [
+        ("fsync file", written.st_ino, written.st_size),  # every byte flushed before the sync
+        ("replace", written.st_ino, None),
+        ("fsync directory", os.stat(path.parent).st_ino, None),
+    ]
 
 
 def test_checkpoint_cadence_and_final_always_written(tmp_path):
