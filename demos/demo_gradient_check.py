@@ -9,21 +9,20 @@ them.
 
 import time
 
-from protomatch.trainer import objective_finite_diff
+from protomatch.trainer import GRADCHECK_DRAW, objective_finite_diff
 
-# Micro shapes: 4 videos per batch, 9 tokens each, 8-dim tokens, 2 learned
-# prototypes, 6-dim joint space. Small enough that central differences over
-# every coordinate of every tensor stay fast.
 SEEDS = range(10)
 TOLERANCE = 1e-5
 
+# micro shapes, small enough that central differences over every coordinate
+# of every tensor stay fast
+print("draw: " + ", ".join(f"{name}={size}" for name, size in GRADCHECK_DRAW.items()))
+print()
 print("seed   max rel err")
 worst = 0.0
 start = time.perf_counter()
 for seed in SEEDS:
-    err = objective_finite_diff(
-        seed, batch=4, n_tokens=9, token_dim=8, n_prototypes=2, embed_dim=6
-    )
+    err = objective_finite_diff(seed)
     worst = max(worst, err)
     print(f"{seed:4d}   {err:.3e}")
 elapsed = time.perf_counter() - start

@@ -8,7 +8,6 @@ that is worth on retrieval metrics under identical training budgets.
 """
 
 import time
-import warnings
 
 from protomatch.dataset import SynthConfig, synth_corpus
 from protomatch.diagnostics import matching_purity
@@ -39,11 +38,7 @@ for variant in ("mask", "baseline"):
         variant=variant,
     )
     start = time.perf_counter()
-    with warnings.catch_warnings():
-        # the variance term is vacuous without learned prototypes; the
-        # trainer warns about that, which is exactly the point here
-        warnings.filterwarnings("ignore", message="variance_weight")
-        params, history = train(corpus, cfg)
+    params, history = train(corpus, cfg)
     elapsed = time.perf_counter() - start
     report = evaluate(corpus, params, variant=cfg.head_variant)
     reports[variant] = report

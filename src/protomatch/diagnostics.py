@@ -9,14 +9,14 @@ learned behavior inspectable: per-token mask heatmaps, prototype diversity
 summaries, and caption-to-prototype assignment purity on labeled corpora.
 
 The inter-video pairs are never listed.  The kept pair ordinals are sorted
-once and decoded to their caption indices from per-caption prefix counts,
-so the sampled pairs come grouped by their first caption.  Each such row's
-cosines are one gather of its partners and one dot against the row's
-caption, scattered back to their sampled positions.  Beyond O(captions x
-dim) for the embeddings, the memory is the seeded permutation of all pair
-ordinals (8 bytes a pair, freed once the kept prefix is copied) and
-O(pair_cap) for the kept pairs; a row's gather is at most one copy of the
-embeddings.
+once, so per-caption prefix counts split them into runs by first caption.
+Each such row decodes its run to partner captions by stepping past its own
+video's later captions, and its cosines are one gather of the partners and
+one dot against the row's caption, scattered back to their sampled
+positions.  Beyond O(captions x dim) for the embeddings, the memory is the
+seeded permutation of all pair ordinals (8 bytes a pair, freed once the
+kept prefix is copied) and O(pair_cap) for the kept pairs; a row's gather
+is at most one copy of the embeddings.
 """
 
 from __future__ import annotations
@@ -46,70 +46,35 @@ class AmbiguityStats:
 
 
 def _inter_video_pairs(
-    video_of: np.ndarray, n_videos: int, pair_cap: int, seed: int
+    siblings_after: np.ndarray, pair_cap: int, seed: int
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
-    """Caption index pairs (i, j), i < j, of different videos, ascending.
+    """Ordinals of the sampled caption pairs (i, j), i < j, of different videos.
 
+    siblings_after[i] counts the captions after i that describe i's video.
     The pairs are numbered in row-major upper-triangle order, skipping the
     same-video ones.  At most pair_cap of them are kept: the first pair_cap
     ordinals of a seeded permutation of all of them, else all.  Returns
-    (i, j, position) with the kept pairs in ascending ordinal order, so
-    ascending in i, and position[p] the index of pair p in the permutation
-    prefix; position is None when every pair is kept, already in order.
-    Each ordinal is decoded to (i, j) without listing the pairs: i from
-    the prefix counts of each row's cross-video pairs, j by stepping past
-    the captions of i's video that come after i.
+    (ordinals, starts, position) with the kept ordinals ascending, starts[i]
+    the ordinal of row i's first pair, and position[p] the index of kept
+    pair p in the permutation prefix; position is None when every pair is
+    kept, already in order.
     """
-    n = video_of.shape[0]
-    captions = np.arange(n)
-    # captions grouped by video, corpus order within each group
-    order = np.argsort(video_of, kind="stable")
-    per_video = np.bincount(video_of, minlength=n_videos)
-    slot = np.empty(n, np.intp)  # each caption's position in order
-    slot[order] = captions
-    siblings_after = (np.cumsum(per_video)[video_of] - 1) - slot
-    row_pairs = (n - 1 - captions) - siblings_after
+    n = siblings_after.shape[0]
+    row_pairs = (n - 1 - np.arange(n)) - siblings_after
     starts = np.cumsum(row_pairs) - row_pairs
     total = int(starts[-1] + row_pairs[-1])
-    if total > pair_cap:
-        permuted = RngStream(seed).permutation(total)
-        kept = permuted[:pair_cap].copy()
-        del permuted
-        position = np.argsort(kept)
-        ordinals = kept[position]
-        del kept
-    else:
-        position = None
-        ordinals = np.arange(total)
-
-    # the ordinals ascend, so each row's pairs are one run: the ordinals
-    # from its start up to the next row's start
-    row_counts = np.diff(np.searchsorted(ordinals, starts), append=ordinals.shape[0])
-    i = np.repeat(captions, row_counts)
-    r = ordinals  # reused in place: the pair's rank among row i's pairs
-    r -= starts[i]
-    # j is i + 1 + r plus the number c of i's later siblings before j.  The
-    # k-th sibling after i, order[slot[i] + k], lies before j iff the
-    # captions of other videos between i and it, order[slot[i] + k] - i - k,
-    # are at most r: iff order[q] - q <= r + i - slot[i] at q = slot[i] + k.
-    # order[q] - q lies in (-n, n) and does not decrease within a group, so
-    # offset by a band of 2n per video the keys are sorted, and one
-    # searchsorted counts c plus the members of i's group up to i
-    # (slot[i] - group start + 1).  The bound stays inside i's band, as
-    # r < row_pairs[i] makes r + i - slot[i] < n.
-    band = 2 * n
-    key = video_of[order] * band + (order - captions) + n
-    past_slot = captions - slot  # i - slot[i]
-    bound = r + (past_slot + video_of * band + n)[i]
-    # j = i + 1 + r + c, with c the searchsorted count - slot[i] - 1
-    r += np.searchsorted(key, bound, side="right") + past_slot[i]
-    return i, r, position
+    if total <= pair_cap:
+        return np.arange(total), starts, None
+    permuted = RngStream(seed).permutation(total)
+    kept = permuted[:pair_cap].copy()
+    del permuted
+    position = np.argsort(kept)
+    return kept[position], starts, position
 
 
 def intra_inter_stats(
     corpus: Corpus,
     params: HeadParameters | None = None,
-    bins: int = DEFAULT_BINS,
     pair_cap: int = DEFAULT_PAIR_CAP,
     seed: int = 0,
 ) -> AmbiguityStats:
@@ -143,22 +108,35 @@ def intra_inter_stats(
 
     video_index = {v.video_id: i for i, v in enumerate(corpus.videos)}
     video_of = np.array([video_index[t.video_id] for t in corpus.texts])
-    i_idx, j_idx, position = _inter_video_pairs(video_of, corpus.num_videos, pair_cap, seed)
-    if i_idx.shape[0] == 0:
+    n = video_of.shape[0]
+    # captions grouped by video, corpus order within each group
+    order = np.argsort(video_of, kind="stable")
+    slot = np.empty(n, np.intp)  # each caption's position in order
+    slot[order] = np.arange(n)
+    siblings_after = (np.cumsum(np.bincount(video_of))[video_of] - 1) - slot
+    ordinals, starts, position = _inter_video_pairs(siblings_after, pair_cap, seed)
+    if ordinals.shape[0] == 0:
         raise ValidationError(
             "inter-video similarity is undefined: every caption describes the same video"
         )
     # One row of pairs at a time: "pd,d->p" runs the same per-pair dot kernel
     # as "pd,pd->p", so each cosine keeps its bits.  Scattered back to the
     # sampled order, the mean sums in the same order too.
-    inter = np.empty(i_idx.shape[0])
-    row_bounds = np.searchsorted(i_idx, np.arange(unit.shape[0] + 1))
+    inter = np.empty(ordinals.shape[0])
+    row_bounds = np.append(np.searchsorted(ordinals, starts), ordinals.shape[0])
     for row in np.flatnonzero(np.diff(row_bounds)).tolist():
         start, stop = row_bounds[row], row_bounds[row + 1]
+        later = order[slot[row] + 1 : slot[row] + 1 + siblings_after[row]]
+        # the pair of rank r in the row skips the row's own video: j is
+        # row + 1 + r plus the count of later siblings k with
+        # later[k] - k <= row + 1 + r, as later[k] - row - 1 - k captions of
+        # other videos come between the row and later[k]
+        j = row + 1 + (ordinals[start:stop] - starts[row])
+        j += np.searchsorted(later - np.arange(later.shape[0]), j, side="right")
         pairs = slice(start, stop) if position is None else position[start:stop]
-        inter[pairs] = np.einsum("pd,d->p", unit[j_idx[start:stop]], unit[row])
+        inter[pairs] = np.einsum("pd,d->p", unit[j], unit[row])
 
-    edges = np.linspace(-1.0, 1.0, bins + 1)
+    edges = np.linspace(-1.0, 1.0, DEFAULT_BINS + 1)
     hist, _ = np.histogram(np.clip(inter, -1.0, 1.0), bins=edges)
     mean_inter = float(inter.mean())
     below = sum(1 for _, v in min_intra if v < mean_inter)

@@ -11,7 +11,6 @@ the value; nothing here calls an autodiff engine.
 from __future__ import annotations
 
 import sys
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -90,24 +89,16 @@ def variance_loss(masks: np.ndarray, cfg: LossConfig) -> tuple[float | np.ndarra
     standard deviation (with the variance floor added under the sqrt) is
     pushed up to std_target.  Returns (value, d value / d masks).  A stack
     of masks (..., batch, n_tokens, n_prototypes) gives one value per
-    stacked slice, each with the bits of the unstacked call.
-
-    With zero prototypes there is nothing to regularize: returns 0 with an
-    all-zero gradient, warning if the configured weight is positive.
+    stacked slice, each with the bits of the unstacked call.  With zero
+    prototypes there is nothing to regularize, and the masks are rejected.
     """
     if masks.ndim < 3:
         raise ShapeError(f"masks must be (batch, tokens, prototypes), got {masks.shape}")
     batch, n_tokens, n_protos = masks.shape[-3:]
-    if batch < 1 or n_tokens < 1:
-        raise ValidationError(f"masks need at least one video and one token, got {masks.shape}")
-    if n_protos == 0:
-        if cfg.variance_weight > 0:
-            warnings.warn(
-                f"variance_weight={cfg.variance_weight} has no effect with 0 prototypes",
-                stacklevel=2,
-            )
-        return _scalar_if_unstacked(np.zeros(masks.shape[:-3])), np.zeros_like(masks)
-
+    if batch < 1 or n_tokens < 1 or n_protos < 1:
+        raise ValidationError(
+            f"masks need at least one video, token and prototype, got {masks.shape}"
+        )
     pooled = n_protos * batch
     centered, std = mask_std(masks, cfg)
     slack = cfg.std_target - std

@@ -124,7 +124,6 @@ def evaluate(
     params: HeadParameters,
     directions: Sequence[str] = DIRECTIONS,
     variant: str = "mask",
-    ks: Sequence[int] = REPORTED_KS,
 ) -> RetrievalReport:
     """Retrieval metrics over a whole corpus in the requested directions.
 
@@ -157,9 +156,9 @@ def evaluate(
             gt = [corpus.texts_of(v.video_id) for v in corpus.videos]
             ranks = ranks_from_scores(scores.T, gt)
         reports[name] = DirectionReport(
-            {k: recall_at_k(ranks, k) for k in ks}, median_rank(ranks)
+            {k: recall_at_k(ranks, k) for k in REPORTED_KS}, median_rank(ranks)
         )
-    all_recalls = [rep.r_at[k] for rep in reports.values() for k in ks]
+    all_recalls = [rep.r_at[k] for rep in reports.values() for k in REPORTED_KS]
     return RetrievalReport(reports, sum_recalls(all_recalls))
 
 

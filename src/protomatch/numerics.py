@@ -26,6 +26,9 @@ import numpy as np
 from .errors import NumericError, ShapeError, ValidationError
 
 NORM_GUARD = 1e-12
+ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.999, 1e-8
+# central-difference half-width of finite_diff_check
+FD_STEP = 1e-5
 
 
 def relu(x: np.ndarray) -> np.ndarray:
@@ -46,27 +49,22 @@ def _row_norms(m: np.ndarray, scratch: np.ndarray | None = None) -> np.ndarray:
     return np.sqrt(np.add.reduce(np.multiply(m, m, out=scratch), axis=-1, keepdims=True))
 
 
-def l2_normalize_rows(
-    m: np.ndarray, guard: float = NORM_GUARD, out: np.ndarray | None = None
-) -> np.ndarray:
-    """Divide each row by (its Euclidean norm + guard); zero rows stay zero.
+def l2_normalize_rows(m: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """Divide each row by (its Euclidean norm + NORM_GUARD); zero rows stay zero.
 
     out, if given, is an array of m's shape that receives the result.
     """
-    if guard <= 0:
-        raise ValidationError(f"normalization guard must be positive, got {guard}")
     norms = _row_norms(m, out)
-    return np.divide(m, norms + guard, out=out)
+    return np.divide(m, norms + NORM_GUARD, out=out)
 
 
 def l2_normalize_rows_vjp(
     m: np.ndarray,
     grad_out: np.ndarray,
-    guard: float = NORM_GUARD,
     out: np.ndarray | None = None,
     scratch: np.ndarray | None = None,
 ) -> np.ndarray:
-    """Backward of row normalization y = x / (||x|| + guard).
+    """Backward of row normalization y = x / (||x|| + NORM_GUARD).
 
     Rows with norm below the guard are treated as dead: their gradient is 0
     (the true Jacobian there is I/guard, which would amplify noise by 1e12).
@@ -74,12 +72,12 @@ def l2_normalize_rows_vjp(
     temporaries; both have m's shape.
     """
     norms = _row_norms(m, scratch)
-    safe = np.where(norms > guard, norms, 1.0)
-    denom = norms + guard
+    safe = np.where(norms > NORM_GUARD, norms, 1.0)
+    denom = norms + NORM_GUARD
     dots = np.multiply(m, grad_out, out=scratch).sum(axis=-1, keepdims=True)
     grad = np.divide(grad_out, denom, out=out)
     grad -= np.multiply(m, dots / (denom * denom * safe), out=scratch)
-    np.copyto(grad, 0.0, where=~(norms > guard))
+    np.copyto(grad, 0.0, where=~(norms > NORM_GUARD))
     return grad
 
 
@@ -114,14 +112,7 @@ class AdamState:
         )
 
 
-def adam_step(
-    params: Mapping[str, ParamTensor],
-    state: AdamState,
-    lr: float,
-    beta1: float = 0.9,
-    beta2: float = 0.999,
-    eps: float = 1e-8,
-) -> None:
+def adam_step(params: Mapping[str, ParamTensor], state: AdamState, lr: float) -> None:
     """Bias-corrected adaptive-moment update, applied in place."""
     state.step += 1
     t = state.step
@@ -129,11 +120,11 @@ def adam_step(
         g = p.grad
         m = state.first[name]
         v = state.second[name]
-        m[:] = beta1 * m + (1.0 - beta1) * g
-        v[:] = beta2 * v + (1.0 - beta2) * (g * g)
-        m_hat = m / (1.0 - beta1**t)
-        v_hat = v / (1.0 - beta2**t)
-        p.value -= lr * m_hat / (np.sqrt(v_hat) + eps)
+        m[:] = ADAM_BETA1 * m + (1.0 - ADAM_BETA1) * g
+        v[:] = ADAM_BETA2 * v + (1.0 - ADAM_BETA2) * (g * g)
+        m_hat = m / (1.0 - ADAM_BETA1**t)
+        v_hat = v / (1.0 - ADAM_BETA2**t)
+        p.value -= lr * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
 
 
 @dataclass(frozen=True)
@@ -230,7 +221,6 @@ def _probe_rows(
 def finite_diff_check(
     fn: Callable[[dict[str, np.ndarray]], tuple[float, dict[str, np.ndarray]]],
     params: dict[str, np.ndarray],
-    step: float = 1e-5,
     loss_fn: Callable[[dict[str, np.ndarray]], np.ndarray] | None = None,
 ) -> float:
     """Compare fn's analytic gradient against central differences.
@@ -240,8 +230,8 @@ def finite_diff_check(
     perturbed points are batched: for each tensor, chunks of up to
     PROBE_CHUNK probes go to ``loss_fn`` in one call.  Every array of the
     dict it gets has a leading probe axis, of length m for the perturbed
-    tensor, whose row r has one coordinate set to orig + step or
-    orig - step, and of length 1 for every other array; it returns the m
+    tensor, whose row r has one coordinate set to orig + FD_STEP or
+    orig - FD_STEP, and of length 1 for every other array; it returns the m
     losses, each what ``fn`` would give at that row's point, so the probes
     run the forward only.  Without ``loss_fn``, ``fn`` is called once per
     row.  The arrays in ``params`` are never written.  Returns the maximum
@@ -261,14 +251,14 @@ def finite_diff_check(
                 f"gradient for '{name}' has shape {analytic.shape}, expected {base.shape}"
             )
         flat = base.reshape(-1)
-        # probe 2i moves coordinate i up by step, probe 2i + 1 moves it down
+        # probe 2i moves coordinate i up by FD_STEP, probe 2i + 1 moves it down
         losses = np.empty(2 * flat.size)
         for start in range(0, losses.size, PROBE_CHUNK):
             rows = np.arange(start, min(start + PROBE_CHUNK, losses.size))
             coords = rows // 2
             chunk = np.repeat(flat[None], rows.size, axis=0)
             chunk[np.arange(rows.size), coords] = np.where(
-                rows % 2 == 0, flat[coords] + step, flat[coords] - step
+                rows % 2 == 0, flat[coords] + FD_STEP, flat[coords] - FD_STEP
             )
             perturbed = {**unperturbed, name: chunk.reshape(rows.size, *base.shape)}
             losses[start : start + rows.size] = probe(perturbed)
@@ -277,7 +267,7 @@ def finite_diff_check(
         if not finite.all():
             idx = tuple(int(i) for i in np.unravel_index(np.argmin(finite), base.shape))
             raise NumericError(f"non-finite loss while perturbing '{name}' coordinate {idx}")
-        numeric = (up - down) / (2.0 * step)
+        numeric = (up - down) / (2.0 * FD_STEP)
         a = analytic.reshape(-1).astype(np.float64)
         err = np.abs(a - numeric) / np.maximum(np.maximum(1.0, np.abs(a)), np.abs(numeric))
         worst = float(np.max(err, initial=worst))  # a NaN stays NaN

@@ -13,7 +13,7 @@ into ParamTensor.grad; there is no autodiff anywhere in the package.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -61,12 +61,7 @@ class HeadParameters:
         return self.vproj_w.value.shape[-1]
 
     def tensors(self) -> dict[str, ParamTensor]:
-        return {
-            "mask_w": self.mask_w,
-            "mask_b": self.mask_b,
-            "vproj_w": self.vproj_w,
-            "tproj_w": self.tproj_w,
-        }
+        return {f.name: getattr(self, f.name) for f in fields(self)}
 
     def zero_grads(self) -> None:
         for p in self.tensors().values():

@@ -57,8 +57,9 @@ TRAIN_VARIANTS = ("mask", "part", "baseline")
 
 CHECKPOINT_MAGIC = b"PMCK"
 CHECKPOINT_VERSION = 1
-# Fixed blob order inside a checkpoint; the header repeats it for readers.
-PARAM_ORDER = ("mask_w", "mask_b", "vproj_w", "tproj_w")
+# Fixed blob order inside a checkpoint, HeadParameters' field order; the
+# header repeats it for readers.
+PARAM_ORDER = tuple(f.name for f in dataclasses.fields(HeadParameters))
 _HEADER_KEYS = ("epoch", "adam_step", "rng_state", "config", "shapes", "blob_order")
 
 
@@ -192,7 +193,7 @@ class _ObjectiveForward:
     head_cache: HeadCache
     text_cache: TextCache
     grad_scores: np.ndarray  # d contrastive / d scores
-    grad_masks: np.ndarray | None  # d variance / d masks; None for the part variant
+    grad_masks: np.ndarray | None  # d variance / d masks; None without a variance term
 
 
 def _objective_forward(
@@ -205,8 +206,9 @@ def _objective_forward(
 ) -> _ObjectiveForward:
     """Forward half of batch_objective for one batch; touches no gradient.
 
-    The variance regularizer applies to the mask variant only; the part
-    variant has no masks, so its variance term is 0 by definition.  Private
+    The variance regularizer applies to a mask head with at least one
+    learned prototype; the part head has no masks and the baseline head's
+    masks are empty, so their variance term is 0 by definition.  Private
     so that a tracer wrapping the public functions still sees the layer
     calls of a training step directly under batch_objective.
 
@@ -228,7 +230,7 @@ def _objective_forward(
         sim = SimilarityMatrix(scores, None)
 
     contrastive, grad_scores = contrastive_loss(sim.scores, loss_cfg.temperature)
-    if head_variant == "mask":
+    if head_variant == "mask" and params.n_prototypes > 0:
         variance, grad_masks = variance_loss(head_cache.masks, loss_cfg)
     else:
         variance, grad_masks = 0.0, None
@@ -266,7 +268,7 @@ def batch_objective(
         scratch=ws and ws.text_vjp,
     )
     extra = None
-    if fwd.grad_masks is not None and params.n_prototypes > 0:
+    if fwd.grad_masks is not None:
         extra = loss_cfg.variance_weight * fwd.grad_masks
     grad_tokens = head_backward(
         tokens, params, fwd.head_cache, grad_video_emb, extra, want_input_grads,
@@ -369,12 +371,10 @@ def train(
 
 def write_history_csv(history: list[StepLog], path: str | Path) -> None:
     """Per-step training log; full-precision floats so reruns are byte-equal."""
-    lines = ["step,epoch,lr,contrastive,variance,total"]
+    columns = [f.name for f in dataclasses.fields(StepLog)]
+    lines = [",".join(columns)]
     for row in history:
-        lines.append(
-            f"{row.step},{row.epoch},{row.lr!r},{row.contrastive!r},"
-            f"{row.variance!r},{row.total!r}"
-        )
+        lines.append(",".join(repr(getattr(row, name)) for name in columns))
     Path(path).write_text("\n".join(lines) + "\n")
 
 
@@ -510,18 +510,13 @@ def load_checkpoint(path: str | Path) -> CheckpointState:
         raise CheckpointError(f"{path} header lacks key(s) {', '.join(missing)}")
 
     order, shapes = header["blob_order"], header["shapes"]
-    if (
-        not isinstance(order, list)
-        or len(order) != len(PARAM_ORDER)
-        or any(name not in order for name in PARAM_ORDER)
-    ):
+    if order != list(PARAM_ORDER):
         raise CheckpointError(
-            f"{path} header blob_order {order!r} does not list the tensors "
-            f"{', '.join(PARAM_ORDER)} once each"
+            f"{path} header blob_order {order!r} is not {list(PARAM_ORDER)!r}"
         )
     if not isinstance(shapes, dict):
         raise CheckpointError(f"{path} header shapes is not an object")
-    for name in order:
+    for name in PARAM_ORDER:
         if name not in shapes:
             raise CheckpointError(f"{path} header shapes lack tensor '{name}'")
         shape = shapes[name]
@@ -564,7 +559,7 @@ def load_checkpoint(path: str | Path) -> CheckpointState:
     offset = 16 + header_len
     arrays: list[np.ndarray] = []
     for section in ("values", "first moments", "second moments"):
-        for name in order:
+        for name in PARAM_ORDER:
             shape = tuple(shapes[name])
             nbytes = math.prod(shape) * 8
             if len(data) < offset + nbytes:
@@ -581,11 +576,11 @@ def load_checkpoint(path: str | Path) -> CheckpointState:
     if offset != len(data):
         raise CheckpointError(f"{path} has {len(data) - offset} trailing bytes")
 
-    n = len(order)
-    params = HeadParameters(**{name: ParamTensor(arrays[i]) for i, name in enumerate(order)})
+    n = len(PARAM_ORDER)
+    params = HeadParameters(**{name: ParamTensor(a) for name, a in zip(PARAM_ORDER, arrays)})
     adam = AdamState(
-        first={name: arrays[n + i] for i, name in enumerate(order)},
-        second={name: arrays[2 * n + i] for i, name in enumerate(order)},
+        first=dict(zip(PARAM_ORDER, arrays[n : 2 * n])),
+        second=dict(zip(PARAM_ORDER, arrays[2 * n :])),
         step=header["adam_step"],
     )
     return CheckpointState(params, adam, header["epoch"], rng_state, config)
@@ -596,38 +591,40 @@ def load_checkpoint(path: str | Path) -> CheckpointState:
 # ---------------------------------------------------------------------------
 
 
-def objective_finite_diff(
-    seed: int,
-    batch: int = 4,
-    n_tokens: int = 9,
-    token_dim: int = 8,
-    n_prototypes: int = 2,
-    embed_dim: int = 6,
-    text_dim: int = 7,
-    loss_cfg: LossConfig | None = None,
-    step: float = 1e-5,
-    kink_margin: float = 1e-3,
-    max_tries: int = 64,
-) -> float:
+# The point objective_finite_diff draws: a batch of 4 videos of 9 tokens of
+# dim 8 with 7-dim captions, through a head of 2 learned prototypes into a
+# 6-dim joint space.  Small enough that central differences over every
+# coordinate of every tensor stay fast.
+GRADCHECK_DRAW = {
+    "batch": 4, "n_tokens": 9, "token_dim": 8, "text_dim": 7, "n_prototypes": 2, "embed_dim": 6
+}
+# How far a draw must sit from every kink, and how many draws to try.
+KINK_MARGIN = 1e-3
+MAX_DRAWS = 64
+
+
+def objective_finite_diff(seed: int, loss_cfg: LossConfig | None = None) -> float:
     """Finite-difference check of the whole objective at one random point.
 
     Checks the gradient of the total loss (max-matching + contrastive +
     variance) with respect to every parameter tensor AND the token/text
-    inputs.  The objective is piecewise smooth, so draws falling within
-    kink_margin of a relu kink, a prototype-max tie, or a variance hinge
-    boundary are resampled (finite differences are meaningless there).
+    inputs, at a point of the GRADCHECK_DRAW sizes.  The objective is
+    piecewise smooth, so draws falling within KINK_MARGIN of a relu kink, a
+    prototype-max tie, or a variance hinge boundary are resampled (finite
+    differences are meaningless there).
     The analytic gradient comes from one batch_objective call at the drawn
     point; the perturbed points run only the forward half, a chunk of them
     per call on a stack of heads.  Returns the max relative error over all
     coordinates.
     """
     cfg = loss_cfg if loss_cfg is not None else LossConfig()
-    for attempt in range(max_tries):
+    d = GRADCHECK_DRAW
+    for attempt in range(MAX_DRAWS):
         rng = RngStream(seed, stream=attempt + 2)
-        tokens = rng.normal((batch, n_tokens, token_dim))
-        text = rng.normal((batch, text_dim))
-        params = init_head(n_prototypes, token_dim, text_dim, embed_dim, rng)
-        if _near_nonsmooth_point(tokens, text, params, cfg, kink_margin):
+        tokens = rng.normal((d["batch"], d["n_tokens"], d["token_dim"]))
+        text = rng.normal((d["batch"], d["text_dim"]))
+        params = init_head(d["n_prototypes"], d["token_dim"], d["text_dim"], d["embed_dim"], rng)
+        if _near_nonsmooth_point(tokens, text, params, cfg):
             continue
 
         values = {name: t.value for name, t in params.tensors().items()}
@@ -647,9 +644,9 @@ def objective_finite_diff(
             fwd = _objective_forward(values["tokens"], values["text"], stacked, cfg)
             return fwd.breakdown.total
 
-        return finite_diff_check(fn, values, step, loss_fn)
+        return finite_diff_check(fn, values, loss_fn)
     raise NumericError(
-        f"could not draw a point {kink_margin} away from all kinks in {max_tries} tries"
+        f"could not draw a point {KINK_MARGIN} away from all kinks in {MAX_DRAWS} tries"
     )
 
 
@@ -658,20 +655,19 @@ def _near_nonsmooth_point(
     text: np.ndarray,
     params: HeadParameters,
     cfg: LossConfig,
-    margin: float,
 ) -> bool:
-    """True if the objective is within margin of any non-differentiable spot."""
+    """True if the objective is within KINK_MARGIN of any non-differentiable spot."""
     cache = head_forward(tokens, params)
-    if np.abs(cache.acts).min() < margin:  # relu kink
+    if np.abs(cache.acts).min() < KINK_MARGIN:  # relu kink
         return True
     text_emb = text_forward(text, params).embedded
     per_proto = prototype_scores(text_emb, cache.embedded)
     if per_proto.shape[2] >= 2:  # prototype-max tie
         top2 = np.sort(per_proto, axis=2)[:, :, -2:]
-        if (top2[:, :, 1] - top2[:, :, 0]).min() < margin:
+        if (top2[:, :, 1] - top2[:, :, 0]).min() < KINK_MARGIN:
             return True
     if params.n_prototypes > 0:  # variance hinge boundary
         _, std = mask_std(cache.masks, cfg)
-        if np.abs(cfg.std_target - std).min() < margin:
+        if np.abs(cfg.std_target - std).min() < KINK_MARGIN:
             return True
     return False

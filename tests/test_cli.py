@@ -1,11 +1,16 @@
 """Command-line surface: config handling, run layout, exit codes, pipeline."""
 
 import json
+import os
 import struct
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import protomatch
 from protomatch.cli import (
     _FIELD_TYPES,
     RunConfig,
@@ -194,6 +199,20 @@ def test_rerun_with_same_config_is_byte_identical(tmp_path):
                 )
             )
         assert payloads[0] == payloads[1], variant
+
+
+def test_baseline_train_writes_nothing_to_stderr(tmp_path):
+    # a fresh interpreter, where a warning reaches stderr as it does for a
+    # user instead of pytest's warning capture
+    _, out, manifest = synth_small(tmp_path)
+    train_cfg = write_config(tmp_path, SMALL_CORPUS + SMALL_TRAIN, name="train.cfg")
+    argv = ["train", "--config", str(train_cfg), "--set", "variant=baseline",
+            "--corpus", str(manifest), "--out-dir", str(out / "train")]
+    script = "import sys; from protomatch.cli import main; sys.exit(main(sys.argv[1:]))"
+    env = {**os.environ, "PYTHONPATH": str(Path(protomatch.__file__).parents[1])}
+    done = subprocess.run([sys.executable, "-c", script, *argv], capture_output=True,
+                          text=True, env=env, timeout=300)
+    assert (done.returncode, done.stderr) == (0, "")
 
 
 def test_diagnose_and_heatmap_artifacts(tmp_path):

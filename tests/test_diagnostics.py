@@ -198,12 +198,18 @@ def _ragged_corpus(seed):
     return Corpus(videos, texts, (3, 4, 6)), counts
 
 
-def _sampled_pairs_in_permutation_order(video_of, n_videos, pair_cap, seed):
-    """_inter_video_pairs' pairs scattered back to their sampled positions,
-    after checking that they come ascending in upper-triangle order."""
-    i_idx, j_idx, position = _inter_video_pairs(video_of, n_videos, pair_cap, seed)
-    ordinal = i_idx * video_of.shape[0] + j_idx  # a row-major rank, for ordering only
-    assert np.all(np.diff(ordinal) > 0)
+def _sampled_pairs_in_permutation_order(video_of, pair_cap, seed):
+    """_inter_video_pairs' ordinals as pairs of the oracle's full listing,
+    scattered back to their sampled positions, after checking that the
+    ordinals ascend, that starts holds each caption row's first ordinal and
+    that position is a permutation."""
+    n = video_of.shape[0]
+    siblings_after = np.array([np.sum(video_of[c + 1 :] == video_of[c]) for c in range(n)])
+    ordinals, starts, position = _inter_video_pairs(siblings_after, pair_cap, seed)
+    assert np.all(np.diff(ordinals) > 0)
+    listed_i, listed_j = _triu_pairs_oracle(video_of, n * n, seed)
+    assert np.array_equal(starts, np.searchsorted(listed_i, np.arange(n)))
+    i_idx, j_idx = listed_i[ordinals], listed_j[ordinals]
     if position is None:
         return i_idx, j_idx
     assert np.array_equal(np.sort(position), np.arange(position.shape[0]))
@@ -235,7 +241,7 @@ def test_decoded_pairs_match_listed_pairs_bitwise(seed):
     caps.update({1, int(first.max()) + 1})
     head = init_head(2, 4, 6, 5, RngStream(seed, stream=0))
     for cap in sorted(caps):
-        got_i, got_j = _sampled_pairs_in_permutation_order(video_of, len(counts), cap, seed)
+        got_i, got_j = _sampled_pairs_in_permutation_order(video_of, cap, seed)
         want_i, want_j = _triu_pairs_oracle(video_of, cap, seed)
         assert np.array_equal(got_i, want_i) and np.array_equal(got_j, want_j), cap
         for params in (None, head):
@@ -253,7 +259,7 @@ def test_sampled_rows_of_many_pairs_match_listed_pairs_bitwise(seed):
     video_of = np.repeat(np.arange(300), 3)
     assert [t.video_id for t in corpus.texts] == [corpus.videos[v].video_id for v in video_of]
     cap = 180_000
-    got_i, got_j = _sampled_pairs_in_permutation_order(video_of, 300, cap, seed)
+    got_i, got_j = _sampled_pairs_in_permutation_order(video_of, cap, seed)
     assert np.bincount(got_i).max() > 300
     want_i, want_j = _triu_pairs_oracle(video_of, cap, seed)
     assert np.array_equal(got_i, want_i) and np.array_equal(got_j, want_j)

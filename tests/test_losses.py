@@ -126,21 +126,10 @@ def test_variance_vjp_matches_finite_differences():
     assert checked == 20
 
 
-def test_zero_prototypes_warn_when_weight_positive():
-    masks = np.zeros((2, 3, 0))
-    with pytest.warns(UserWarning):
-        loss, grad = variance_loss(masks, LossConfig(variance_weight=5.0))
-    assert loss == 0.0 and grad.shape == (2, 3, 0)
-
-
-def test_zero_prototypes_silent_when_weight_zero():
-    import warnings
-
-    masks = np.zeros((2, 3, 0))
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        loss, _ = variance_loss(masks, LossConfig(variance_weight=0.0))
-    assert loss == 0.0
+def test_zero_prototype_masks_rejected():
+    # a head without learned prototypes has no variance term to compute
+    with pytest.raises(ValidationError, match="prototype, got \\(2, 3, 0\\)"):
+        variance_loss(np.zeros((2, 3, 0)), LossConfig())
 
 
 # ---------------------------------------------------------------------------

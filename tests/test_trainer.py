@@ -279,7 +279,6 @@ def train_without_workspace(corpus, cfg):
     return params, adam, history
 
 
-@pytest.mark.filterwarnings("ignore:variance_weight=5.0 has no effect")  # baseline
 @pytest.mark.parametrize("seed", [0, 1])
 @pytest.mark.parametrize("variant", ["mask", "part", "baseline"])
 def test_train_with_workspace_matches_allocating_steps_bitwise(tmp_path, variant, seed):
@@ -462,6 +461,8 @@ def test_checkpoint_header_missing_key_rejected(tmp_path, key):
         (lambda header: header["shapes"].update(mask_w=[2.5, 3]), "'mask_w' is [2.5, 3]"),
         (lambda header: header.update(shapes=[]), "shapes is not an object"),
         (lambda header: header["blob_order"].__setitem__(1, "mask_w"), "blob_order"),
+        (lambda header: header.update(blob_order=["mask_b", "mask_w", "vproj_w", "tproj_w"]),
+         "blob_order"),
         (lambda header: header.update(config=[]), "config is not an object"),
         (lambda header: header["config"].update(variant="nope"), "unknown variant 'nope'"),
         (lambda header: header.update(epoch=-1), "epoch is -1, not a non-negative integer"),
@@ -490,6 +491,7 @@ def test_checkpoint_header_missing_key_rejected(tmp_path, key):
         "non_integer_shape",
         "shapes_not_object",
         "blob_order_repeats",
+        "blob_order_permuted",
         "config_not_object",
         "config_value_invalid",
         "epoch_negative",
@@ -622,17 +624,17 @@ def test_full_objective_gradient_single_seed():
 def full_objective_finite_diff(seed: int) -> float:
     """objective_finite_diff's check with the full objective at every probe.
 
-    Draws the same points with the same default sizes and runs forward and
-    backward, with fresh parameter tensors, at the unperturbed point and at
-    each of the 2 * n perturbed ones.
+    Draws the same points of the same sizes and runs forward and backward,
+    with fresh parameter tensors, at the unperturbed point and at each of
+    the 2 * n perturbed ones.
     """
-    cfg = LossConfig()
-    for attempt in range(64):
+    cfg, d = LossConfig(), trainer_module.GRADCHECK_DRAW
+    for attempt in range(trainer_module.MAX_DRAWS):
         rng = RngStream(seed, stream=attempt + 2)
-        tokens = rng.normal((4, 9, 8))
-        text = rng.normal((4, 7))
-        params = init_head(2, 8, 7, 6, rng)
-        if trainer_module._near_nonsmooth_point(tokens, text, params, cfg, 1e-3):
+        tokens = rng.normal((d["batch"], d["n_tokens"], d["token_dim"]))
+        text = rng.normal((d["batch"], d["text_dim"]))
+        params = init_head(d["n_prototypes"], d["token_dim"], d["text_dim"], d["embed_dim"], rng)
+        if trainer_module._near_nonsmooth_point(tokens, text, params, cfg):
             continue
 
         def fn(values):
@@ -647,7 +649,7 @@ def full_objective_finite_diff(seed: int) -> float:
         values = {name: t.value for name, t in params.tensors().items()}
         values["tokens"], values["text"] = tokens, text
         return finite_diff_check(fn, values)
-    raise AssertionError(f"seed {seed}: no smooth point in 64 tries")
+    raise AssertionError(f"seed {seed}: no smooth point in {trainer_module.MAX_DRAWS} tries")
 
 
 def test_forward_only_probes_match_full_objective_oracle():
@@ -678,14 +680,14 @@ def serial_probes(values: dict, cfg: LossConfig, step: float = 1e-5) -> list:
 def test_batched_probes_match_serial_probes_bitwise(monkeypatch, seed):
     checked, chunks = {}, []
 
-    def recording(fn, values, step, loss_fn):
+    def recording(fn, values, loss_fn):
         def recorded(stack):
             losses = loss_fn(stack)
             chunks.append((stack, losses))
             return losses
 
         checked["values"] = {k: v.copy() for k, v in values.items()}
-        return finite_diff_check(fn, values, step, recorded)
+        return finite_diff_check(fn, values, recorded)
 
     monkeypatch.setattr(trainer_module, "finite_diff_check", recording)
     objective_finite_diff(seed)
@@ -702,7 +704,6 @@ def test_batched_probes_match_serial_probes_bitwise(monkeypatch, seed):
         assert loss.tobytes() == np.float64(want_loss).tobytes()
 
 
-@pytest.mark.filterwarnings("ignore:variance_weight=5.0 has no effect")  # baseline
 @pytest.mark.parametrize("variant", ["mask", "part", "baseline"])
 def test_objective_forward_total_equals_batch_objective(variant):
     batch, corpus = make_one_batch(seed=5)
