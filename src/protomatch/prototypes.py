@@ -139,7 +139,7 @@ def head_forward(
         acts = tokens @ params.mask_w.value[..., None, :, :]
         acts = acts + params.mask_b.value[..., None, None, :]
         masks = relu(acts)
-        learned = np.einsum("...lbk,...lbd->...lkd", masks, tokens)
+        learned = masks.swapaxes(-1, -2) @ tokens
         cls = np.broadcast_to(tokens[..., 0:1, :], learned.shape[:-2] + (1, tokens.shape[-1]))
         protos = np.concatenate([learned, cls], axis=-2)
     else:
@@ -180,27 +180,35 @@ def head_backward(
         raise ShapeError(
             f"grad {grad_embedded.shape} does not conform with embedded {cache.embedded.shape}"
         )
+    n_videos, n_tokens, token_dim = tokens.shape
     k = params.n_prototypes
     vjp_out, vjp_scratch = (None, None) if scratch is None else scratch
     grad_projected = l2_normalize_rows_vjp(
         cache.projected, grad_embedded, out=vjp_out, scratch=vjp_scratch
     )
 
-    params.vproj_w.grad += np.einsum("lkd,lke->de", cache.protos, grad_projected)
+    # the weight gradients sum over videos and rows in one gemm each; the sizes
+    # are explicit since a K=0 head has zero-size arrays, which reshape(-1, 0)
+    # cannot infer
+    rows = n_videos * (k + 1)
+    params.vproj_w.grad += (
+        cache.protos.reshape(rows, token_dim).T @ grad_projected.reshape(rows, params.embed_dim)
+    )
     grad_protos = grad_projected @ params.vproj_w.value.T  # (L, K+1, token_dim)
     grad_learned = grad_protos[:, :k, :]
     grad_class = grad_protos[:, k, :]  # (L, token_dim)
 
     grad_tokens = None
     if cache.variant == "mask":
-        grad_masks = np.einsum("lkd,lbd->lbk", grad_learned, tokens)
+        grad_masks = tokens @ grad_learned.swapaxes(-1, -2)
         if extra_mask_grad is not None:
             grad_masks = grad_masks + extra_mask_grad
         grad_acts = relu_vjp(cache.acts, grad_masks)
-        params.mask_w.grad += np.einsum("lbd,lbk->dk", tokens, grad_acts)
+        flat = n_videos * n_tokens
+        params.mask_w.grad += tokens.reshape(flat, token_dim).T @ grad_acts.reshape(flat, k)
         params.mask_b.grad += grad_acts.sum(axis=(0, 1))
         if want_input_grads:
-            grad_tokens = np.einsum("lbk,lkd->lbd", cache.masks, grad_learned)
+            grad_tokens = cache.masks @ grad_learned
             grad_tokens += grad_acts @ params.mask_w.value.T
             grad_tokens[:, 0, :] += grad_class
     else:

@@ -353,12 +353,15 @@ def test_part_variant_forward_matches_array_split_pooling():
 # ---------------------------------------------------------------------------
 
 
-def head_loss_check(variant: str, seed: int, with_extra: bool = False) -> float:
+def head_loss_check(
+    variant: str, seed: int, with_extra: bool = False, n_prototypes: int = 2
+) -> float:
     rng = RngStream(seed)
     tokens0 = rng.normal((3, 7, 5))
-    probe = rng.normal((3, 3, 4))  # upstream gradient on embedded prototypes
-    extra = np.abs(rng.normal((3, 7, 2))) if with_extra else None
-    base = make_head(2, 5, 6, 4, seed=seed + 50)
+    # upstream gradient on embedded prototypes
+    probe = rng.normal((3, n_prototypes + 1, 4))
+    extra = np.abs(rng.normal((3, 7, n_prototypes))) if with_extra else None
+    base = make_head(n_prototypes, 5, 6, 4, seed=seed + 50)
 
     def fn(values):
         head = HeadParameters(
@@ -397,6 +400,28 @@ def test_head_vjp_with_extra_mask_gradient_term():
 def test_part_head_vjp_matches_finite_differences():
     for seed in range(3):
         assert head_loss_check("part", seed) < 1e-5
+
+
+@pytest.mark.parametrize("variant, n_prototypes", [("mask", 0), ("part", 1), ("part", 6)])
+def test_baseline_and_part_head_vjps_match_finite_differences(variant, n_prototypes):
+    # K=0 is the baseline head, whose mask tensors have zero size; a part
+    # head with 6 parts of 6 body tokens pools one token per part
+    for seed in range(3):
+        assert head_loss_check(variant, seed, n_prototypes=n_prototypes) < 1e-5
+
+
+def test_baseline_head_backward_keeps_zero_size_mask_gradients():
+    head = make_head(0, 5, 6, 4)
+    rng = RngStream(4)
+    tokens = rng.normal((3, 7, 5))
+    cache = head_forward(tokens, head)
+    grad_tokens = head_backward(
+        tokens, head, cache, rng.normal(cache.embedded.shape), want_input_grads=True
+    )
+    assert head.mask_w.grad.shape == (5, 0) and head.mask_b.grad.shape == (0,)
+    assert grad_tokens.shape == tokens.shape
+    np.testing.assert_array_equal(grad_tokens[:, 1:], 0.0)  # only the class token is read
+    assert np.abs(head.vproj_w.grad).sum() > 0
 
 
 def test_part_backward_rejects_mask_gradient():
