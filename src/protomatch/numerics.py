@@ -41,21 +41,25 @@ def relu_vjp(x: np.ndarray, grad_out: np.ndarray) -> np.ndarray:
     return grad_out * (x > 0)
 
 
-def _row_norms(m: np.ndarray, scratch: np.ndarray | None = None) -> np.ndarray:
-    """Euclidean norm of each row, keepdims; the squares go to scratch if given.
+def _row_dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """The dot product of each pair of rows, (...,), with no product array."""
+    return np.einsum("...d,...d->...", a, b)
 
-    The ufuncs of np.linalg.norm(m, axis=-1, keepdims=True), so the same bits.
+
+def _scale_rows(m: np.ndarray, factors: np.ndarray, out: np.ndarray | None) -> np.ndarray:
+    """Each row of m times its factor, bitwise a broadcasting multiply.
+
+    einsum's loop took 3/4 of np.multiply's time at (256, 256) by (256, 1).
     """
-    return np.sqrt(np.add.reduce(np.multiply(m, m, out=scratch), axis=-1, keepdims=True))
+    return np.einsum("...d,...->...d", m, factors, out=out)
 
 
 def l2_normalize_rows(m: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-    """Divide each row by (its Euclidean norm + NORM_GUARD); zero rows stay zero.
+    """Scale each row by 1 / (its Euclidean norm + NORM_GUARD); zero rows stay zero.
 
     out, if given, is an array of m's shape that receives the result.
     """
-    norms = _row_norms(m, out)
-    return np.divide(m, norms + NORM_GUARD, out=out)
+    return _scale_rows(m, 1.0 / (np.sqrt(_row_dots(m, m)) + NORM_GUARD), out)
 
 
 def l2_normalize_rows_vjp(
@@ -66,18 +70,23 @@ def l2_normalize_rows_vjp(
 ) -> np.ndarray:
     """Backward of row normalization y = x / (||x|| + NORM_GUARD).
 
-    Rows with norm below the guard are treated as dead: their gradient is 0
-    (the true Jacobian there is I/guard, which would amplify noise by 1e12).
-    out, if given, receives the gradient, and scratch, if given, holds the
-    temporaries; both have m's shape.
+    Rows with norm at or below the guard are treated as dead: their
+    gradient is 0 (the true Jacobian there is I/guard, which would amplify
+    noise by 1e12).  With inv = 1 / (||x|| + guard), the gradient is
+    g * inv - x * coef, coef = (x . g) * inv**2 / ||x||, from one pass of
+    per-row factors that are zero for dead rows.  out, if given, receives
+    the gradient, and scratch, if given, holds the temporary; both have
+    m's shape.
     """
-    norms = _row_norms(m, scratch)
-    safe = np.where(norms > NORM_GUARD, norms, 1.0)
-    denom = norms + NORM_GUARD
-    dots = np.multiply(m, grad_out, out=scratch).sum(axis=-1, keepdims=True)
-    grad = np.divide(grad_out, denom, out=out)
-    grad -= np.multiply(m, dots / (denom * denom * safe), out=scratch)
-    np.copyto(grad, 0.0, where=~(norms > NORM_GUARD))
+    norms = np.sqrt(_row_dots(m, m))
+    live = norms > NORM_GUARD
+    inv = 1.0 / (norms + NORM_GUARD)
+    # in this order no product overflows, for a huge row or one near the guard
+    coef = _row_dots(m, grad_out) * inv * inv / np.where(live, norms, 1.0)
+    inv *= live
+    coef *= live
+    grad = _scale_rows(grad_out, inv, out)
+    grad -= _scale_rows(m, coef, scratch)
     return grad
 
 

@@ -181,23 +181,36 @@ def test_synth_train_eval_pipeline(tmp_path, capsys):
     assert "SumR" in capsys.readouterr().out
 
 
+def main_in_fresh_interpreter(argv: list[str]) -> subprocess.CompletedProcess:
+    """Run the CLI in a new Python process, as a user would."""
+    script = "import sys; from protomatch.cli import main; sys.exit(main(sys.argv[1:]))"
+    env = {**os.environ, "PYTHONPATH": str(Path(protomatch.__file__).parents[1])}
+    return subprocess.run([sys.executable, "-c", script, *argv], capture_output=True,
+                          text=True, env=env, timeout=300)
+
+
 def test_rerun_with_same_config_is_byte_identical(tmp_path):
+    # the second run starts in a fresh interpreter, so bits that depend on
+    # the process's state (heap layout, what ran before) would show here
     _, out, manifest = synth_small(tmp_path)
     train_cfg = write_config(tmp_path, SMALL_CORPUS + SMALL_TRAIN, name="train.cfg")
-    for variant in ("mask", "part"):
+    for variant in ("mask", "part", "baseline"):
         payloads = []
         for attempt in ("a", "b"):
             dest = out / f"train_{variant}_{attempt}"
-            assert main(["train", "--config", str(train_cfg), "--set", f"variant={variant}",
-                         "--corpus", str(manifest), "--out-dir", str(dest)]) == 0
+            argv = ["train", "--config", str(train_cfg), "--set", f"variant={variant}",
+                    "--set", "checkpoint_every=1",
+                    "--corpus", str(manifest), "--out-dir", str(dest)]
+            if attempt == "a":
+                assert main(argv) == 0
+            else:
+                assert main_in_fresh_interpreter(argv).returncode == 0
             (run_dir,) = dest.iterdir()
-            payloads.append(
-                (
-                    (run_dir / "train_log.csv").read_bytes(),
-                    (run_dir / "report.json").read_bytes(),
-                    (run_dir / "report.txt").read_bytes(),
-                )
-            )
+            files = sorted(p for p in run_dir.rglob("*") if p.is_file())
+            payloads.append({str(p.relative_to(run_dir)): p.read_bytes() for p in files})
+        names = set(payloads[0])
+        assert {"train_log.csv", "report.json", "report.txt"} <= names
+        assert sum(name.startswith("checkpoints") for name in names) >= 2, variant
         assert payloads[0] == payloads[1], variant
 
 
@@ -208,10 +221,7 @@ def test_baseline_train_writes_nothing_to_stderr(tmp_path):
     train_cfg = write_config(tmp_path, SMALL_CORPUS + SMALL_TRAIN, name="train.cfg")
     argv = ["train", "--config", str(train_cfg), "--set", "variant=baseline",
             "--corpus", str(manifest), "--out-dir", str(out / "train")]
-    script = "import sys; from protomatch.cli import main; sys.exit(main(sys.argv[1:]))"
-    env = {**os.environ, "PYTHONPATH": str(Path(protomatch.__file__).parents[1])}
-    done = subprocess.run([sys.executable, "-c", script, *argv], capture_output=True,
-                          text=True, env=env, timeout=300)
+    done = main_in_fresh_interpreter(argv)
     assert (done.returncode, done.stderr) == (0, "")
 
 

@@ -98,9 +98,53 @@ def test_normalize_vjp_matches_finite_differences():
 
 
 def test_normalize_vjp_zero_row_gets_zero_gradient():
-    x = np.array([[0.0, 0.0], [3.0, 4.0]])
+    # a row with 0 < norm <= NORM_GUARD is as dead as an all-zero one; the
+    # third row's norm is the guard itself
+    x = np.array([[0.0, 0.0], [3e-13, 4e-13], [numerics.NORM_GUARD, 0.0], [3.0, 4.0]])
+    assert np.linalg.norm(x[2]) == numerics.NORM_GUARD
     grad = l2_normalize_rows_vjp(x, np.ones_like(x))
-    np.testing.assert_array_equal(grad[0], 0.0)
+    np.testing.assert_array_equal(grad[:3], 0.0)
+    assert np.all(grad[3] != 0.0)
+
+
+def test_normalize_huge_rows_scale_without_overflow():
+    # norm**3 overflows from ~6e102 on, though every result here is finite;
+    # the suite turns a RuntimeWarning into an error
+    rng = RngStream(11)
+    x, g = rng.normal((6, 5)), rng.normal((6, 5))
+    for scale in (1e120, 1e150):
+        np.testing.assert_allclose(l2_normalize_rows(x * scale), l2_normalize_rows(x), rtol=1e-12)
+        np.testing.assert_allclose(
+            l2_normalize_rows_vjp(x * scale, g) * scale,
+            l2_normalize_rows_vjp(x, g),
+            rtol=1e-9,
+            atol=1e-12,
+        )
+
+
+def _shifted(a: np.ndarray, offset: int) -> np.ndarray:
+    """A copy of a that starts offset float64s into a fresh buffer."""
+    view = np.empty(a.size + 8)[offset : offset + a.size].reshape(a.shape)
+    view[...] = a
+    return view
+
+
+@pytest.mark.parametrize("shape", [(7, 17), (5, 3, 33), (64, 4, 256)])
+def test_normalize_bits_do_not_depend_on_alignment(shape):
+    # a workspace view starts wherever its block puts it, and a step must
+    # give the same bits with or without one; the offsets cover every
+    # 8-byte position in a 64-byte line
+    rng = RngStream(12)
+    x, g = rng.normal(shape), rng.normal(shape)
+    forward, backward = l2_normalize_rows(x).tobytes(), l2_normalize_rows_vjp(x, g).tobytes()
+    for offset in range(8):
+        xs, gs = _shifted(x, offset), _shifted(g, offset)
+        out, scratch = _shifted(np.zeros(shape), offset), _shifted(np.zeros(shape), 7 - offset)
+        assert l2_normalize_rows(xs).tobytes() == forward, offset
+        assert l2_normalize_rows(xs, out=out).tobytes() == forward, offset
+        assert l2_normalize_rows_vjp(xs, gs).tobytes() == backward, offset
+        got = l2_normalize_rows_vjp(xs, gs, out=out, scratch=scratch)
+        assert got.tobytes() == backward, offset
 
 
 # ---------------------------------------------------------------------------
