@@ -6,17 +6,20 @@ single-vector baseline) this is the plain inner product.  The winning prototype 
 per (text, video) pair, and the backward pass routes the upstream gradient
 only through that winning row (the subgradient of max).
 
-Batched scoring multiplies the texts, in row blocks of near-equal height
-sized by a fixed byte budget, by the stored prototype rows flattened to
-(V*(K+1), D), and reduces each block's scores over its K+1 stripes (the
-strided views of one prototype index across all V videos): the max
-stripe by stripe, and the winner as the count of leading stripes below
-it.  Memory is O(T*V + block) rather than O(T*V*(K+1)).  Evaluation asks
-for the scores only: the winner pass is skipped and no (T, V) winners
-array is allocated, which halves the output memory.  The VJP
-scatters the upstream gradient into a one-hot (T, V*(K+1)) weight matrix
-at the winning columns and is then two matmuls; no (T, V, D) temporary
-is built.
+One kernel scores everything: one gemm per prototype stripe, the texts
+against row k of every video (a strided view BLAS reads in place),
+written into a contiguous (K+1, texts, V) buffer.  A video's rows land in
+the same output column of every stripe, so bit-equal prototype rows give
+bit-equal scores, and ties break toward the lowest index.  similarity_matrix
+runs it over row blocks of near-equal height, sized by a fixed byte
+budget, and reduces each block over its contiguous stripes: the max, and
+the winner as the count of leading stripes below it.  Memory is
+O(T*V + block) rather than O(T*V*(K+1)).  Evaluation asks for the scores
+only: the winner pass is skipped and no (T, V) winners array is
+allocated.  prototype_scores is the same kernel batched over leading
+axes, unblocked.  The VJP scatters the upstream gradient into a one-hot
+(T, V*(K+1)) weight matrix at the winning columns and is then two
+matmuls; no (T, V, D) temporary is built.
 """
 
 from __future__ import annotations
@@ -57,30 +60,30 @@ def _check_shapes(
         )
 
 
-def _block_scores(
+def _stripe_products(
     text_rows: np.ndarray, video_embedded: np.ndarray, out: np.ndarray | None = None
 ) -> np.ndarray:
-    """(..., rows, K+1, V) inner products of text rows with every prototype row.
+    """(..., K+1, rows, V) inner products of text rows with every prototype row.
 
-    One matmul against the stored rows; each prototype index is a strided
-    view of the (..., rows, V*(K+1)) product.  Leading axes broadcast, one
-    gemm per stacked pair.
+    One gemm per prototype stripe: stripe k is the strided view of row k of
+    every video, which BLAS reads in place.  A video's rows land in the same
+    output column of every stripe, so bit-equal rows give bit-equal scores.
+    Leading axes broadcast, K+1 gemms per stacked pair.
     """
-    *lead, n_videos, n_rows, dim = video_embedded.shape
-    flat = video_embedded.reshape(*lead, n_videos * n_rows, dim)
-    products = np.matmul(text_rows, flat.swapaxes(-1, -2), out=out)
-    return products.reshape(*products.shape[:-1], n_videos, n_rows).swapaxes(-1, -2)
+    stripes = video_embedded.swapaxes(-2, -3).swapaxes(-1, -2)  # (..., K+1, D, V)
+    return np.matmul(text_rows[..., None, :, :], stripes, out=out)
 
 
 def prototype_scores(text_embedded: np.ndarray, video_embedded: np.ndarray) -> np.ndarray:
     """Inner product of every text row with every prototype row.
 
     text_embedded: (..., n_texts, embed_dim); video_embedded: (...,
-    n_videos, K+1, embed_dim).  Returns (..., n_texts, n_videos, K+1),
-    computed as one matmul per stacked pair; leading axes broadcast.
+    n_videos, K+1, embed_dim).  Returns a (..., n_texts, n_videos, K+1)
+    view of the stripe kernel's products for all text rows at once, which
+    similarity_matrix takes the max of; leading axes broadcast.
     """
     _check_shapes(text_embedded, video_embedded, stacked=True)
-    return _block_scores(text_embedded, video_embedded).swapaxes(-1, -2)
+    return np.moveaxis(_stripe_products(text_embedded, video_embedded), -3, -1)
 
 
 def similarity_matrix(
@@ -95,12 +98,10 @@ def similarity_matrix(
     video_embedded: (n_videos, K+1, embed_dim) unit rows per video.
     With winners=False the winner pass is skipped and the result's winners
     is None; the scores are the same bits either way.  buffer, if given,
-    is a C-contiguous array of n_videos * (K+1) columns and at least one
-    block's rows (all n_texts at a training batch's size) that receives
-    the block products; the result never points into it.
-    Ties break toward the lowest prototype index, for bit-equal scores only:
-    BLAS remainder tiles can round two identical prototype rows' products
-    differently in the last bit, and then the copy that rounds higher wins.
+    is a C-contiguous array of at least (K+1) * n_videos times one block's
+    rows (all n_texts at a training batch's size) that receives the block
+    products; the result never points into it.  Ties break toward the
+    lowest prototype index.
     """
     _check_shapes(text_embedded, video_embedded)
     n_videos, n_rows, _ = video_embedded.shape
@@ -117,24 +118,26 @@ def similarity_matrix(
     # block goes through gemv, whose last bits can differ from gemm's
     bounds = [n_texts * b // n_blocks for b in range(n_blocks + 1)]
     if buffer is None:  # one for all blocks: a fresh one per block costs page faults
-        buffer = np.empty((-(-n_texts // n_blocks), n_rows * n_videos), dtype)
+        buffer = np.empty(n_rows * -(-n_texts // n_blocks) * n_videos, dtype)
+    buffer = buffer.reshape(-1)
     scores = np.empty((n_texts, n_videos), dtype)
     won = np.empty((n_texts, n_videos), np.int64) if winners else None
     for start, stop in zip(bounds, bounds[1:]):
         rows = slice(start, stop)
-        block = _block_scores(text_embedded[rows], video_embedded, buffer[: stop - start])
-        best = scores[rows]
-        np.copyto(best, block[:, 0])
-        for k in range(1, n_rows):
-            np.maximum(best, block[:, k], out=best)
+        out = buffer[: n_rows * (stop - start) * n_videos].reshape(n_rows, stop - start, n_videos)
+        stripes = _stripe_products(text_embedded[rows], video_embedded, out)
+        best = scores[rows]  # stripe 0 against itself when it is the only one
+        np.maximum(stripes[0], stripes[min(1, n_rows - 1)], out=best)
+        for k in range(2, n_rows):
+            np.maximum(best, stripes[k], out=best)
         if won is None:
             continue
         # the winner is the first stripe equal to the max: the count of the
         # leading stripes that are not
-        undecided = block[:, 0] != best
+        undecided = stripes[0] != best
         leading = undecided.astype(np.min_scalar_type(n_rows - 1))
         for k in range(1, n_rows - 1):
-            undecided &= block[:, k] != best
+            undecided &= stripes[k] != best
             leading += undecided
         won[rows] = leading
     return SimilarityMatrix(scores, won)

@@ -143,7 +143,7 @@ class StepWorkspace:
 
     video: tuple[np.ndarray, np.ndarray]  # head_forward out: projected, embedded (L, K+1, D)
     text: tuple[np.ndarray, np.ndarray]  # text_forward out: projected, embedded (L, D)
-    block: np.ndarray  # similarity_matrix block products (L, L * (K+1))
+    block: np.ndarray  # similarity_matrix stripe products (K+1, L, L)
     weights: np.ndarray  # similarity_vjp one-hot weights (L, L, K+1)
     grads: tuple[np.ndarray, np.ndarray]  # similarity_vjp out: (L, D) texts, (L, K+1, D) videos
     video_vjp: tuple[np.ndarray, np.ndarray]  # head_backward scratch (L, K+1, D)
@@ -163,7 +163,7 @@ class StepWorkspace:
         layout = {
             "video": (video, video),
             "text": (text, text),
-            "block": ((batch_size, batch_size * n_rows),),
+            "block": ((n_rows, batch_size, batch_size),),
             "weights": ((batch_size, batch_size, n_rows),),
             "grads": (text, video),
             "video_vjp": (video, video),

@@ -321,13 +321,13 @@ def test_kernels_match_einsum_and_scatter_oracles(case, seed, monkeypatch):
         n_videos, n_rows = videos.shape[:2]
         monkeypatch.setattr(matching, "_BLOCK_BYTES", block_rows * n_rows * n_videos * 8)
         assert texts.shape[0] > block_rows and texts.shape[0] % block_rows  # unequal heights
-        block_scores = matching._block_scores
+        stripe_products = matching._stripe_products
 
-        def recording_block_scores(text_rows, *args, **kwargs):
+        def recording_stripe_products(text_rows, *args, **kwargs):
             heights.append(text_rows.shape[0])
-            return block_scores(text_rows, *args, **kwargs)
+            return stripe_products(text_rows, *args, **kwargs)
 
-        monkeypatch.setattr(matching, "_block_scores", recording_block_scores)
+        monkeypatch.setattr(matching, "_stripe_products", recording_stripe_products)
     grad_scores = RngStream(seed + 50).normal((texts.shape[0], videos.shape[0]))
     dtypes = []  # of the arrays np.empty gives the kernel
     empty = np.empty
@@ -391,6 +391,40 @@ def test_bit_equal_stripes_break_ties_toward_lowest_index(n_videos, n_rows, seed
     np.testing.assert_array_equal(sim.winners, per_prototype.argmax(axis=2))  # first maximum
     assert sim.winners[20, -1] == 0
     np.testing.assert_array_equal(similarity_matrix(texts, videos, winners=False).scores, best)
+
+
+@pytest.mark.parametrize("n_texts, n_videos", [(37, 53), (129, 131), (1000, 333)])
+@pytest.mark.parametrize("n_rows", [3, 5])
+def test_bit_equal_random_rows_tie_exactly(n_texts, n_videos, n_rows, monkeypatch):
+    # Random (non-dyadic) unit rows at widths that leave BLAS remainder tiles,
+    # with the last prototype a copy of the first.  A video's rows share an
+    # output column in every stripe's gemm, so the copies score the same bits
+    # and the lower index wins.  (In one gemm against the interleaved rows,
+    # odd K+1 put the copies in differently rounded tiles.)  1000 texts take
+    # two blocks.
+    rng = RngStream(n_videos)
+    videos = _unit_stack(rng, n_videos, n_rows, 256)
+    videos[:, -1] = videos[:, 0]
+    texts = _texts_near_rows(rng, videos[:, 0], n_texts, 0.5)
+    per_prototype = prototype_scores(texts, videos)
+    assert per_prototype[..., -1].tobytes() == per_prototype[..., 0].tobytes()
+    blocks = []
+    stripe_products = matching._stripe_products
+
+    def recording_stripe_products(*args, **kwargs):
+        products = stripe_products(*args, **kwargs)
+        blocks.append(products.copy())
+        return products
+
+    monkeypatch.setattr(matching, "_stripe_products", recording_stripe_products)
+    monkeypatch.setattr(matching, "_BLOCK_BYTES", 500 * n_rows * n_videos * 8)
+    sim = similarity_matrix(texts, videos)
+    stripes = np.concatenate(blocks, axis=1)  # (K+1, n_texts, n_videos)
+    assert len(blocks) == -(-n_texts // 500)
+    assert stripes[-1].tobytes() == stripes[0].tobytes()
+    np.testing.assert_array_equal(sim.scores, stripes.max(axis=0))
+    np.testing.assert_array_equal(sim.winners, stripes.argmax(axis=0))  # first maximum
+    assert (sim.winners == 0).any() and not (sim.winners == n_rows - 1).any()
 
 
 def test_similarity_matrix_rejects_empty_prototype_stack():
