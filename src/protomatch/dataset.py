@@ -72,6 +72,10 @@ class Corpus:
         n_tokens, token_dim, text_dim = self.dims
         if n_tokens < 1:
             raise CorpusError("corpus needs at least one token per video")
+        # one finiteness pass over all records, whatever their shapes; the
+        # record walk checks each one only after it fails, to name the first
+        arrays = [v.tokens for v in self.videos] + [t.features for t in self.texts]
+        check_finite = bool(arrays) and not np.isfinite(np.concatenate(arrays, axis=None)).all()
         video_ids = set()
         for v in self.videos:
             if v.video_id in video_ids:
@@ -81,7 +85,7 @@ class Corpus:
                 raise CorpusError(
                     f"video '{v.video_id}' tokens {v.tokens.shape} != {(n_tokens, token_dim)}"
                 )
-            if not np.isfinite(v.tokens).all():
+            if check_finite and not np.isfinite(v.tokens).all():
                 raise CorpusError(f"video '{v.video_id}' has non-finite token entries")
         text_ids = set()
         for t in self.texts:
@@ -96,7 +100,7 @@ class Corpus:
                 raise CorpusError(
                     f"text '{t.text_id}' features {t.features.shape} != {(text_dim,)}"
                 )
-            if not np.isfinite(t.features).all():
+            if check_finite and not np.isfinite(t.features).all():
                 raise CorpusError(f"text '{t.text_id}' has non-finite features")
         captioned = {t.video_id for t in self.texts}
         for v in self.videos:

@@ -25,14 +25,12 @@ DIRECTIONS = ("text_to_video", "video_to_text")
 REPORTED_KS = (1, 5, 10)
 
 
-def _checked_gt(gt_indices: Iterable[int], n_items: int) -> list[int]:
-    """The ground-truth indices as a list: not empty, each inside the gallery."""
-    gt = list(gt_indices)
+def _check_gt(gt: list[int], n_items: int) -> None:
+    """Raise ValidationError unless gt is not empty and inside the gallery."""
     if not gt:
         raise ValidationError("ranks_from_scores needs at least one ground-truth index")
     if any(not 0 <= g < n_items for g in gt):
         raise ValidationError(f"ground-truth indices {gt} outside gallery of {n_items}")
-    return gt
 
 
 def recall_at_k(ranks: Sequence[int], k: int) -> float:
@@ -110,10 +108,17 @@ def ranks_from_scores(
         raise ValidationError(
             f"got {scores.shape[0]} score rows but {len(gt_per_query)} ground-truth sets"
         )
-    gts = [_checked_gt(gt, scores.shape[1]) for gt in gt_per_query]
+    gts = list(map(list, gt_per_query))
     counts = np.fromiter(map(len, gts), np.intp, len(gts))
     rows = np.repeat(np.arange(len(gts)), counts)
-    cols = np.fromiter(chain.from_iterable(gts), np.intp, rows.size)
+    try:
+        cols = np.fromiter(chain.from_iterable(gts), np.intp, rows.size)
+        valid = counts.all() and ((cols >= 0) & (cols < scores.shape[1])).all()
+    except OverflowError:  # an index no gallery reaches
+        valid = False
+    if not valid:
+        for gt in gts:  # the first bad set raises
+            _check_gt(gt, scores.shape[1])
     best = np.full(len(gts), -np.inf)
     np.maximum.at(best, rows, scores[rows, cols])
     return (1 + (scores > best[:, None]).sum(axis=1)).tolist()

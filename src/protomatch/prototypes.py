@@ -289,25 +289,33 @@ def embed_videos(
 ) -> np.ndarray:
     """Forward-only: (V, B, token_dim) -> (V, K+1, embed_dim).
 
-    Raises NumericError, in place of overflow warnings, when the embeddings
-    are not all finite: a NaN score is never strictly above another, so
-    ranking them would put every ground truth first.
+    Raises NumericError, in place of overflow warnings, when a projected
+    row's squared norm is not finite: its embedding is then NaN or, once
+    the norm overflows, a silent zero row.  A NaN score is never strictly
+    above another, so ranking them would put every ground truth first.
     """
     with np.errstate(over="ignore", invalid="ignore"):
-        embedded = head_forward(token_stacks, params, variant).embedded
-    if not np.isfinite(embedded).all():
+        cache = head_forward(token_stacks, params, variant)
+        finite = _finite_norms(cache.projected)
+    if not finite:
         raise NumericError("the head gives non-finite video embeddings; nothing to rank")
-    return embedded
+    return cache.embedded
 
 
 def embed_texts(features: np.ndarray, params: HeadParameters) -> np.ndarray:
     """Forward-only: (T, text_dim) -> (T, embed_dim) unit rows.
 
-    Raises NumericError when the embeddings are not all finite, as
-    embed_videos does.
+    Raises NumericError when a projected row's squared norm is not finite,
+    as embed_videos does.
     """
     with np.errstate(over="ignore", invalid="ignore"):
-        embedded = text_forward(features, params).embedded
-    if not np.isfinite(embedded).all():
+        cache = text_forward(features, params)
+        finite = _finite_norms(cache.projected)
+    if not finite:
         raise NumericError("the head gives non-finite text embeddings; nothing to rank")
-    return embedded
+    return cache.embedded
+
+
+def _finite_norms(projected: np.ndarray) -> bool:
+    """Whether every row's squared norm is finite, so the row normalizes to a unit row."""
+    return bool(np.isfinite(np.einsum("...d,...d->...", projected, projected)).all())

@@ -497,6 +497,25 @@ def test_diagnose_of_overflowing_head_exits_2(tmp_path, capsys):
     assert not (out / "d").exists()
 
 
+@pytest.mark.filterwarnings("error")  # the overflow gives no warning to turn into an error
+def test_eval_of_head_whose_norms_overflow_exits_2(tmp_path, capsys):
+    # the projections stay finite, but their squared norms overflow, so the
+    # rows would normalize to zeros and every caption would rank first
+    _, out, manifest = synth_small(tmp_path)
+    state = _trained_checkpoint_state(tmp_path, out, manifest)
+    state.params.tproj_w.value *= 1e160
+    bad = tmp_path / "overflowing.bin"
+    save_checkpoint(state, bad)
+    capsys.readouterr()
+    code = main(["eval", "--corpus", str(manifest), "--checkpoint", str(bad),
+                 "--out-dir", str(out / "e")])
+    assert code == 2
+    assert capsys.readouterr().err == (
+        "numeric error: the head gives non-finite text embeddings; nothing to rank\n"
+    )
+    assert not (out / "e").exists()
+
+
 def test_heatmap_refuses_part_checkpoint(tmp_path, capsys):
     _, out, manifest = synth_small(tmp_path)
     train_cfg = write_config(tmp_path, SMALL_CORPUS + SMALL_TRAIN, name="train.cfg")

@@ -150,6 +150,37 @@ def test_corpus_validate_catches_duplicates_and_nonfinite():
         bad_tokens.validate()
 
 
+@pytest.mark.parametrize("kind", ["videos", "texts"])
+def test_corpus_validate_names_the_first_non_finite_record(kind):
+    corpus = random_corpus(num_videos=5, captions_per_video=2)
+    records = getattr(corpus, kind)
+    for i, value in ((6 if kind == "texts" else 3, np.nan), (1, np.inf), (4, -np.inf)):
+        array = records[i].tokens if kind == "videos" else records[i].features
+        array.flat[-1] = value
+    want = ("video 'v1' has non-finite token entries" if kind == "videos"
+            else "text 'v0_t1' has non-finite features")
+    with pytest.raises(CorpusError, match=f"^{want}$"):
+        corpus.validate()
+
+
+def test_corpus_validate_keeps_the_record_order_of_its_errors():
+    # a non-finite record before a structural error is named first, and after it is not
+    corpus = random_corpus(num_videos=4, captions_per_video=1)
+    corpus.videos[1].tokens[0, 0] = np.nan
+    late_dup = Corpus(corpus.videos + [corpus.videos[0]], corpus.texts, corpus.dims)
+    with pytest.raises(CorpusError, match="^video 'v1' has non-finite token entries$"):
+        late_dup.validate()
+    early_dup = Corpus([corpus.videos[0]] + corpus.videos, corpus.texts, corpus.dims)
+    with pytest.raises(CorpusError, match="^duplicate video id 'v0'$"):
+        early_dup.validate()
+    corpus.videos[3].tokens = np.zeros((2, 8))  # a record of another shape
+    with pytest.raises(CorpusError, match="^video 'v1' has non-finite token entries$"):
+        corpus.validate()
+    corpus.videos[1].tokens[0, 0] = 0.0
+    with pytest.raises(CorpusError, match=r"^video 'v3' tokens \(2, 8\) != \(5, 8\)$"):
+        corpus.validate()
+
+
 # ---------------------------------------------------------------------------
 # synthetic corpus
 # ---------------------------------------------------------------------------

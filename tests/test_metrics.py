@@ -146,16 +146,23 @@ def test_ranks_match_brute_force_oracle_on_tied_matrices():
 
 
 def test_ranks_from_scores_reports_first_bad_set():
-    scores = np.zeros((3, 2))
-    with pytest.raises(ValidationError,
-                       match="^ranks_from_scores needs at least one ground-truth index$"):
-        ranks_from_scores(scores, [{0}, set(), {5}])
-    with pytest.raises(ValidationError, match=r"^ground-truth indices \[5\] outside gallery of 2$"):
-        ranks_from_scores(scores, [{0}, {5}, set()])
-    with pytest.raises(ValidationError, match=r"\[-1\] outside gallery"):
-        ranks_from_scores(scores, [{0}, {1}, {-1}])
-    with pytest.raises(ValidationError, match="got 3 score rows but 2 ground-truth sets"):
-        ranks_from_scores(scores, [{0}, {1}])
+    outside = r"^ground-truth indices \[{}\] outside gallery of 2$"
+    for scores in (np.zeros((3, 2)), np.zeros((2, 3)).T):  # rows, and a transposed view
+        with pytest.raises(ValidationError,
+                           match="^ranks_from_scores needs at least one ground-truth index$"):
+            ranks_from_scores(scores, [{0}, set(), {5}])
+        with pytest.raises(ValidationError, match=outside.format(5)):
+            ranks_from_scores(scores, [{0}, {5}, set()])
+        with pytest.raises(ValidationError, match=outside.format(-1)):
+            ranks_from_scores(scores, [{0}, {1}, {-1}])
+        with pytest.raises(ValidationError, match=outside.format("1, 2")):
+            ranks_from_scores(scores, [[0], [1, 2], [1]])  # the gallery size itself
+        with pytest.raises(ValidationError, match=outside.format(2**70)):
+            ranks_from_scores(scores, [[0], [1], [2**70]])  # beyond any index array
+        with pytest.raises(ValidationError, match=outside.format("0, -1")):
+            ranks_from_scores(scores, [iter([1]), iter([0, -1]), iter([])])  # any iterables
+        with pytest.raises(ValidationError, match="got 3 score rows but 2 ground-truth sets"):
+            ranks_from_scores(scores, [{0}, {1}])
 
 
 def test_recall_monotone_in_k():
@@ -258,6 +265,19 @@ def test_non_finite_embeddings_raise_instead_of_a_perfect_score(tensor, value, s
     # which would read as R@1 = 100 in both directions
     corpus, params = make_eval_setup()
     getattr(params, tensor).value[:] = value
+    with pytest.raises(NumericError) as exc:
+        evaluate(corpus, params)
+    assert str(exc.value) == f"the head gives non-finite {side} embeddings; nothing to rank"
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("tensor, side", [("tproj_w", "text"), ("vproj_w", "video")])
+def test_overflowing_squared_norms_raise_instead_of_zero_rows(tensor, side):
+    # rows near 1e160 are finite, but their squared norms overflow: they would
+    # normalize to all-zero rows, with no warning, and rank as ties
+    corpus, params = make_eval_setup()
+    assert evaluate(corpus, params).sum_r < 600.0
+    getattr(params, tensor).value[:] *= 1e160
     with pytest.raises(NumericError) as exc:
         evaluate(corpus, params)
     assert str(exc.value) == f"the head gives non-finite {side} embeddings; nothing to rank"
