@@ -190,7 +190,9 @@ def export_mask_heatmaps(video: VideoRecord, params: HeadParameters, path: str |
     normalized_path.write_text(rows_to_csv(normalized))
 
 
-def prototype_diversity(corpus: Corpus, params: HeadParameters) -> tuple[float, float]:
+def prototype_diversity(
+    corpus: Corpus, params: HeadParameters, variant: str = "mask"
+) -> tuple[float, float]:
     """(mean pairwise cosine of learned prototypes, mean per-token mask std).
 
     The cosine is averaged per video over its prototype pairs in the
@@ -200,9 +202,12 @@ def prototype_diversity(corpus: Corpus, params: HeadParameters) -> tuple[float, 
     a video needs two live prototypes to contribute.  The mask std pools
     each token position's mask values across videos and prototypes,
     mirroring what the variance regularizer pushes on, then averages over
-    token positions.  Both read the mask head; on a part checkpoint its
-    mask_w and mask_b are untrained.
+    token positions.  Both read the mask head, so a head of any other
+    variant raises ValidationError: a part head's mask_w and mask_b are
+    untrained.
     """
+    if variant != "mask":
+        raise ValidationError(f"prototype diversity reads learned masks; a {variant} head has none")
     k = params.n_prototypes
     if k < 2:
         raise ValidationError(f"prototype diversity needs at least 2 prototypes, got {k}")
@@ -225,7 +230,7 @@ def prototype_diversity(corpus: Corpus, params: HeadParameters) -> tuple[float, 
     return mean_cosine, float(per_token_std.mean())
 
 
-def matching_purity(corpus: Corpus, params: HeadParameters) -> float:
+def matching_purity(corpus: Corpus, params: HeadParameters, variant: str = "mask") -> float:
     """How cleanly captions split over prototypes along event lines.
 
     For each video, captions are grouped by the prototype that wins the
@@ -236,12 +241,12 @@ def matching_purity(corpus: Corpus, params: HeadParameters) -> float:
     serves captions of a single event; a head that routes everything
     through one prototype scores the frequency of the most common event.
     Requires event labels on every caption (synthetic corpora have them).
-    Reads the mask head; on a part checkpoint its mask_w and mask_b are
-    untrained.
+    variant is the head variant whose prototypes are matched, as in
+    evaluate.
     """
     if any(t.event_label is None for t in corpus.texts):
         raise ValidationError("matching purity needs an event label on every caption")
-    video_embedded = embed_videos(np.stack([v.tokens for v in corpus.videos]), params)
+    video_embedded = embed_videos(np.stack([v.tokens for v in corpus.videos]), params, variant)
     text_embedded = embed_texts(np.stack([t.features for t in corpus.texts]), params)
 
     hits = 0

@@ -18,7 +18,7 @@ from protomatch.diagnostics import (
 )
 from protomatch.errors import NumericError, ValidationError
 from protomatch.numerics import RngStream, l2_normalize_rows
-from protomatch.prototypes import embed_texts, head_forward, init_head
+from protomatch.prototypes import embed_texts, embed_videos, head_forward, init_head
 
 from conftest import make_head, random_corpus, unit
 
@@ -382,6 +382,14 @@ def test_diversity_requires_two_prototypes():
         prototype_diversity(corpus, make_head(1, 8, 7, 6))
 
 
+def test_diversity_refuses_a_part_head():
+    corpus = random_corpus(num_videos=3, captions_per_video=2, n_tokens=5, token_dim=8, text_dim=7)
+    head = make_head(2, 8, 7, 6)
+    prototype_diversity(corpus, head, variant="mask")
+    with pytest.raises(ValidationError, match="a part head has none"):
+        prototype_diversity(corpus, head, variant="part")
+
+
 def test_diversity_skips_dead_prototypes():
     # one mask column relu-dead everywhere: no live pair, explicit error
     head = make_head(2, 4, 3, 4, seed=11)
@@ -432,3 +440,21 @@ def test_purity_single_event_is_always_one():
     corpus = synth_corpus(SynthConfig(num_videos=3, events_per_video=1, seed=14))
     head = init_head(2, corpus.dims[1], corpus.dims[2], 6, RngStream(6, stream=0))
     assert matching_purity(corpus, head) == 1.0
+
+
+def test_purity_of_a_part_head_matches_its_part_prototypes():
+    corpus = synth_corpus(SynthConfig(num_videos=6, seed=20))
+    head = init_head(3, corpus.dims[1], corpus.dims[2], 6, RngStream(20, stream=0))
+    videos = embed_videos(np.stack([v.tokens for v in corpus.videos]), head, "part")
+    texts = embed_texts(np.stack([t.features for t in corpus.texts]), head)
+    index = {v.video_id: i for i, v in enumerate(corpus.videos)}
+    groups: dict[tuple[int, int], list[int]] = {}
+    for ti, text in enumerate(corpus.texts):
+        vi = index[text.video_id]
+        winner = int(np.argmax(videos[vi] @ texts[ti]))
+        groups.setdefault((vi, winner), []).append(text.event_label)
+    hits = sum(max(labels.count(e) for e in labels) for labels in groups.values())
+    purity = matching_purity(corpus, head, variant="part")
+    assert purity == hits / corpus.num_texts
+    # the mask reading of the same parameters, which the part head never trains, differs
+    assert purity != matching_purity(corpus, head)
