@@ -261,45 +261,49 @@ def run_gradcheck_suite(seed: int, loss_cfg: LossConfig) -> list[tuple[str, floa
 def _check_row_normalize(seed: int) -> float:
     rng = RngStream(seed, stream=101)
     weights = rng.normal((5, 7))
+    m = rng.normal((5, 7))
 
-    def fn(values):
-        out = l2_normalize_rows(values["m"])
-        return float((out * weights).sum()), {"m": l2_normalize_rows_vjp(values["m"], weights)}
+    def loss(values):
+        return (l2_normalize_rows(values["m"]) * weights).sum(axis=(-2, -1))
 
-    return finite_diff_check(fn, {"m": rng.normal((5, 7))})
+    return finite_diff_check(loss, {"m": m}, {"m": l2_normalize_rows_vjp(m, weights)})
 
 
 def _check_variance_loss(seed: int, cfg: LossConfig) -> float:
     rng = RngStream(seed, stream=102)
     masks = np.abs(rng.normal((3, 6, 2)))  # in the relu image, away from hinge w.h.p.
 
-    def fn(values):
-        value, grad = variance_loss(values["masks"], cfg)
-        return value, {"masks": grad}
+    def loss(values):
+        return variance_loss(values["masks"], cfg)[0]
 
-    return finite_diff_check(fn, {"masks": masks})
+    return finite_diff_check(loss, {"masks": masks}, {"masks": variance_loss(masks, cfg)[1]})
 
 
 def _check_contrastive_loss(seed: int, cfg: LossConfig) -> float:
     rng = RngStream(seed, stream=103)
+    scores = rng.normal((5, 5))
 
-    def fn(values):
-        value, grad = contrastive_loss(values["scores"], cfg.temperature)
-        return value, {"scores": grad}
+    def loss(values):
+        return contrastive_loss(values["scores"], cfg.temperature)[0]
 
-    return finite_diff_check(fn, {"scores": rng.normal((5, 5))})
+    grad = contrastive_loss(scores, cfg.temperature)[1]
+    return finite_diff_check(loss, {"scores": scores}, {"scores": grad})
 
 
 def _check_max_matching(seed: int) -> float:
     rng = RngStream(seed, stream=104)
     weights = rng.normal((4, 3))
+    text, video = rng.normal((4, 6)), rng.normal((3, 3, 6))
 
-    def fn(values):
-        sim = similarity_matrix(values["text"], values["video"])
-        grad_text, grad_video = similarity_vjp(weights, values["text"], values["video"], sim.winners)
-        return float((sim.scores * weights).sum()), {"text": grad_text, "video": grad_video}
+    def loss(values):
+        scores = similarity_matrix(values["text"], values["video"], winners=False).scores
+        return (scores * weights).sum(axis=(-2, -1))
 
-    return finite_diff_check(fn, {"text": rng.normal((4, 6)), "video": rng.normal((3, 3, 6))})
+    winners = similarity_matrix(text, video).winners
+    grad_text, grad_video = similarity_vjp(weights, text, video, winners)
+    return finite_diff_check(
+        loss, {"text": text, "video": video}, {"text": grad_text, "video": grad_video}
+    )
 
 
 # ---------------------------------------------------------------------------

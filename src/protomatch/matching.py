@@ -16,14 +16,19 @@ budget, and reduces each block over its contiguous stripes: the max, and
 the winner as the count of leading stripes below it.  Memory is
 O(T*V + block) rather than O(T*V*(K+1)).  Evaluation asks for the scores
 only: the winner pass is skipped and no (T, V) winners array is
-allocated.  prototype_scores is the same kernel batched over leading
-axes, unblocked.  The VJP scatters the upstream gradient into a one-hot
+allocated.  Leading stack axes broadcast, and the blocks depend only on a
+slice's sizes, so a training batch, a stack of finite-difference probes
+and a gallery-scale evaluation all run the same blocked kernel, and each
+stacked slice gets the bits of an unstacked call.  prototype_scores is the
+same kernel over all rows at once, unreduced, for the top-2 gap of a
+prototype-max tie.  The VJP scatters the upstream gradient into a one-hot
 (T, V*(K+1)) weight matrix at the winning columns and is then two
 matmuls; no (T, V, D) temporary is built.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -35,8 +40,8 @@ from .errors import ShapeError, ValidationError
 class SimilarityMatrix:
     """Scores for every (text, video) pair plus the winning prototype index."""
 
-    scores: np.ndarray  # (n_texts, n_videos) float64
-    winners: np.ndarray | None  # (n_texts, n_videos) int64 in [0, K]; None if not asked for
+    scores: np.ndarray  # (..., n_texts, n_videos) float64
+    winners: np.ndarray | None  # (..., n_texts, n_videos) int64 in [0, K]; None if not asked for
 
 
 # Bytes of one block of per-prototype scores in similarity_matrix.  A
@@ -44,13 +49,15 @@ class SimilarityMatrix:
 _BLOCK_BYTES = 8 << 20
 
 
-def _check_shapes(
-    text_embedded: np.ndarray, video_embedded: np.ndarray, stacked: bool = False
-) -> None:
-    """Texts (T, D) and videos (V, K+1, D), or stacks of them if stacked."""
+def _check_shapes(text_embedded: np.ndarray, video_embedded: np.ndarray) -> tuple[int, ...]:
+    """Texts (..., T, D) and videos (..., V, K+1, D); returns the broadcast leading shape."""
+    try:
+        lead = np.broadcast_shapes(text_embedded.shape[:-2], video_embedded.shape[:-3])
+    except ValueError:
+        lead = None
     if (
-        text_embedded.ndim < 2
-        or (text_embedded.ndim > 2 and not stacked)
+        lead is None
+        or text_embedded.ndim < 2
         or video_embedded.ndim != text_embedded.ndim + 1
         or text_embedded.shape[-1] != video_embedded.shape[-1]
     ):
@@ -58,6 +65,7 @@ def _check_shapes(
             f"text embeddings {text_embedded.shape} do not conform with video "
             f"prototype stack {video_embedded.shape}"
         )
+    return lead
 
 
 def _stripe_products(
@@ -82,7 +90,7 @@ def prototype_scores(text_embedded: np.ndarray, video_embedded: np.ndarray) -> n
     view of the stripe kernel's products for all text rows at once, which
     similarity_matrix takes the max of; leading axes broadcast.
     """
-    _check_shapes(text_embedded, video_embedded, stacked=True)
+    _check_shapes(text_embedded, video_embedded)
     return np.moveaxis(_stripe_products(text_embedded, video_embedded), -3, -1)
 
 
@@ -94,22 +102,24 @@ def similarity_matrix(
 ) -> SimilarityMatrix:
     """All-pairs max-over-prototypes scores.
 
-    text_embedded: (n_texts, embed_dim) unit rows.
-    video_embedded: (n_videos, K+1, embed_dim) unit rows per video.
-    With winners=False the winner pass is skipped and the result's winners
-    is None; the scores are the same bits either way.  buffer, if given,
-    is a C-contiguous array of at least (K+1) * n_videos times one block's
-    rows (all n_texts at a training batch's size) that receives the block
-    products; the result never points into it.  Ties break toward the
-    lowest prototype index.
+    text_embedded: (..., n_texts, embed_dim) unit rows.
+    video_embedded: (..., n_videos, K+1, embed_dim) unit rows per video.
+    Leading axes broadcast, and each stacked slice gets the bits of an
+    unstacked call: the row blocks depend on the slice's sizes only.  With
+    winners=False the winner pass is skipped and the result's winners is
+    None; the scores are the same bits either way.  buffer, if given, is a
+    C-contiguous array of at least (K+1) * n_videos times one block's rows
+    (all n_texts at a training batch's size) times the stack's size that
+    receives the block products; the result never points into it.  Ties
+    break toward the lowest prototype index.
     """
-    _check_shapes(text_embedded, video_embedded)
-    n_videos, n_rows, _ = video_embedded.shape
+    lead = _check_shapes(text_embedded, video_embedded)
+    n_videos, n_rows, _ = video_embedded.shape[-3:]
     if n_rows == 0:
         raise ValidationError(
             f"prototype stack must have at least one row per video, got {video_embedded.shape}"
         )
-    n_texts = text_embedded.shape[0]
+    n_texts = text_embedded.shape[-2]
     dtype = np.result_type(text_embedded, video_embedded)
     height = _BLOCK_BYTES // (dtype.itemsize * n_rows * max(n_videos, 1))
     n_blocks = max(1, -(-n_texts // max(height, 1)))
@@ -118,28 +128,30 @@ def similarity_matrix(
     # block goes through gemv, whose last bits can differ from gemm's
     bounds = [n_texts * b // n_blocks for b in range(n_blocks + 1)]
     if buffer is None:  # one for all blocks: a fresh one per block costs page faults
-        buffer = np.empty(n_rows * -(-n_texts // n_blocks) * n_videos, dtype)
+        buffer = np.empty(math.prod(lead) * n_rows * -(-n_texts // n_blocks) * n_videos, dtype)
     buffer = buffer.reshape(-1)
-    scores = np.empty((n_texts, n_videos), dtype)
-    won = np.empty((n_texts, n_videos), np.int64) if winners else None
+    scores = np.empty(lead + (n_texts, n_videos), dtype)
+    won = np.empty(lead + (n_texts, n_videos), np.int64) if winners else None
     for start, stop in zip(bounds, bounds[1:]):
         rows = slice(start, stop)
-        out = buffer[: n_rows * (stop - start) * n_videos].reshape(n_rows, stop - start, n_videos)
-        stripes = _stripe_products(text_embedded[rows], video_embedded, out)
-        best = scores[rows]  # stripe 0 against itself when it is the only one
-        np.maximum(stripes[0], stripes[min(1, n_rows - 1)], out=best)
+        shape = lead + (n_rows, stop - start, n_videos)
+        out = buffer[: math.prod(shape)].reshape(shape)
+        stripes = _stripe_products(text_embedded[..., rows, :], video_embedded, out)
+        stripe = [stripes[..., k, :, :] for k in range(n_rows)]
+        best = scores[..., rows, :]  # stripe 0 against itself when it is the only one
+        np.maximum(stripe[0], stripe[min(1, n_rows - 1)], out=best)
         for k in range(2, n_rows):
-            np.maximum(best, stripes[k], out=best)
+            np.maximum(best, stripe[k], out=best)
         if won is None:
             continue
         # the winner is the first stripe equal to the max: the count of the
         # leading stripes that are not
-        undecided = stripes[0] != best
+        undecided = stripe[0] != best
         leading = undecided.astype(np.min_scalar_type(n_rows - 1))
         for k in range(1, n_rows - 1):
-            undecided &= stripes[k] != best
+            undecided &= stripe[k] != best
             leading += undecided
-        won[rows] = leading
+        won[..., rows, :] = leading
     return SimilarityMatrix(scores, won)
 
 

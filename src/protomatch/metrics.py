@@ -124,25 +124,15 @@ def ranks_from_scores(
     return (1 + (scores > best[:, None]).sum(axis=1)).tolist()
 
 
-def evaluate(
-    corpus: Corpus,
-    params: HeadParameters,
-    directions: Sequence[str] = DIRECTIONS,
-    variant: str = "mask",
-) -> RetrievalReport:
-    """Retrieval metrics over a whole corpus in the requested directions.
+def evaluate(corpus: Corpus, params: HeadParameters, variant: str = "mask") -> RetrievalReport:
+    """Retrieval metrics over a whole corpus in both directions.
 
     Text-to-video ranks each caption's true video among all videos;
     video-to-text ranks each video's best caption among all captions.
-    sum_r adds every reported R@K across the requested directions.
+    sum_r adds every reported R@K across both directions.
     Raises NumericError when the head's text or video embeddings are not
     all finite.
     """
-    for d in directions:
-        if d not in DIRECTIONS:
-            raise ValidationError(f"unknown direction {d!r}, expected among {DIRECTIONS}")
-    if not directions:
-        raise ValidationError("evaluate needs at least one direction")
     corpus.validate()
 
     video_embedded = embed_videos(np.stack([v.tokens for v in corpus.videos]), params, variant)
@@ -151,9 +141,7 @@ def evaluate(
 
     video_index = {v.video_id: i for i, v in enumerate(corpus.videos)}
     reports: dict[str, DirectionReport] = {}
-    for name in DIRECTIONS:  # fixed order regardless of request order
-        if name not in directions:
-            continue
+    for name in DIRECTIONS:
         if name == "text_to_video":
             gt = [[video_index[t.video_id]] for t in corpus.texts]
             ranks = ranks_from_scores(scores, gt)

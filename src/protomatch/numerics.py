@@ -2,17 +2,17 @@
 
 Every forward function here has a matching ``*_vjp`` that maps an upstream
 gradient to input/parameter gradients; correctness is enforced by the
-central-difference checker at the bottom.  The checker computes the
-gradient once and batches the perturbed points: each tensor's probes go to
-a loss callable in chunks, as stacks along a leading probe axis, so a loss
-that broadcasts over that axis (the full objective does) runs them forward
-only, a chunk per call.  All kernels are pure functions
-over immutable inputs and safe to call concurrently; only ``adam_step``
-mutates state and must be serialized by the caller.  A kernel that takes
-``out=`` (or ``scratch=``) arrays writes its result (or temporaries) into
-them instead of allocating, as numpy's ``out=`` does; such a workspace
-belongs to the caller that passes it and must not be shared across
-threads.
+central-difference checker at the bottom.  The checker takes the
+caller's analytic gradients and a loss callable over stacks of points:
+each tensor's probes go to it in chunks, along a leading probe axis, so a
+loss over kernels that broadcast over that axis (the full objective and
+the kernels it is built from) runs them forward only, a chunk per call.
+All kernels are pure functions over immutable inputs and safe to call
+concurrently; only ``adam_step`` mutates state and must be serialized by
+the caller.  A kernel that takes ``out=`` (or ``scratch=``) arrays writes
+its result (or temporaries) into them instead of allocating, as numpy's
+``out=`` does; such a workspace belongs to the caller that passes it and
+must not be shared across threads.
 """
 
 from __future__ import annotations
@@ -214,46 +214,31 @@ class RngStream:
 PROBE_CHUNK = 64
 
 
-def _probe_rows(
-    fn: Callable[[dict[str, np.ndarray]], tuple[float, dict[str, np.ndarray]]],
-) -> Callable[[dict[str, np.ndarray]], np.ndarray]:
-    """A loss_fn that calls fn once per probe row of a chunk."""
-
-    def probe(values: dict[str, np.ndarray]) -> np.ndarray:
-        rows = max(len(v) for v in values.values())
-        points = ({k: v[r if len(v) > 1 else 0] for k, v in values.items()} for r in range(rows))
-        return np.array([fn(point)[0] for point in points], dtype=np.float64)
-
-    return probe
-
-
 def finite_diff_check(
-    fn: Callable[[dict[str, np.ndarray]], tuple[float, dict[str, np.ndarray]]],
-    params: dict[str, np.ndarray],
-    loss_fn: Callable[[dict[str, np.ndarray]], np.ndarray] | None = None,
+    loss_fn: Callable[[dict[str, np.ndarray]], np.ndarray],
+    point: dict[str, np.ndarray],
+    grads: dict[str, np.ndarray],
 ) -> float:
-    """Compare fn's analytic gradient against central differences.
+    """Compare analytic gradients against central differences of loss_fn.
 
-    ``fn`` maps a dict of arrays to (scalar loss, gradient dict of the same
-    shapes); it is called once, at the unperturbed point.  The 2 * n
-    perturbed points are batched: for each tensor, chunks of up to
-    PROBE_CHUNK probes go to ``loss_fn`` in one call.  Every array of the
-    dict it gets has a leading probe axis, of length m for the perturbed
-    tensor, whose row r has one coordinate set to orig + FD_STEP or
-    orig - FD_STEP, and of length 1 for every other array; it returns the m
-    losses, each what ``fn`` would give at that row's point, so the probes
-    run the forward only.  Without ``loss_fn``, ``fn`` is called once per
-    row.  The arrays in ``params`` are never written.  Returns the maximum
-    over all coordinates of |analytic - numeric| / max(1, |analytic|,
-    |numeric|); a NaN analytic gradient makes it NaN.
+    ``grads`` holds the caller's gradient of the loss at ``point``, one
+    array of the same shape per entry.  ``loss_fn`` takes stacks: every
+    array of the dict it gets has a leading probe axis, of length m for
+    the perturbed tensor, whose row r has one coordinate set to
+    orig + FD_STEP or orig - FD_STEP, and of length 1 for every other
+    array; it returns the m losses, one per row's point.  It is called
+    once on the length-1 stacks of the unperturbed point, whose loss must
+    be finite, then for each tensor with chunks of up to PROBE_CHUNK of
+    its 2 * n probes.  The arrays in ``point`` are never written.  Returns
+    the maximum over all coordinates of |analytic - numeric| / max(1,
+    |analytic|, |numeric|); a NaN analytic gradient makes it NaN.
     """
-    loss0, grads = fn(params)
+    unperturbed = {name: value[None] for name, value in point.items()}
+    loss0 = float(loss_fn(unperturbed)[0])
     if not math.isfinite(loss0):
         raise NumericError(f"loss is non-finite at the unperturbed point: {loss0}")
-    probe = loss_fn if loss_fn is not None else _probe_rows(fn)
-    unperturbed = {name: value[None] for name, value in params.items()}
     worst = 0.0
-    for name, base in params.items():
+    for name, base in point.items():
         analytic = grads[name]
         if analytic.shape != base.shape:
             raise ShapeError(
@@ -270,7 +255,7 @@ def finite_diff_check(
                 rows % 2 == 0, flat[coords] + FD_STEP, flat[coords] - FD_STEP
             )
             perturbed = {**unperturbed, name: chunk.reshape(rows.size, *base.shape)}
-            losses[start : start + rows.size] = probe(perturbed)
+            losses[start : start + rows.size] = loss_fn(perturbed)
         up, down = losses[0::2], losses[1::2]
         finite = np.isfinite(up) & np.isfinite(down)
         if not finite.all():

@@ -46,6 +46,7 @@ from .prototypes import (
     HeadCache,
     HeadParameters,
     TextCache,
+    _finite_norms,
     head_backward,
     head_forward,
     init_head,
@@ -208,26 +209,26 @@ def _objective_forward(
 
     The variance regularizer applies to a mask head with at least one
     learned prototype; the part head has no masks and the baseline head's
-    masks are empty, so their variance term is 0 by definition.  Private
-    so that a tracer wrapping the public functions still sees the layer
-    calls of a training step directly under batch_objective.
+    masks are empty, so their variance term is 0 by definition.  Raises
+    NumericError when a projected row's squared norm is not finite: the
+    row would normalize to NaN or, once the norm overflows, to a silent
+    zero row.  Private so that a tracer wrapping the public functions
+    still sees the layer calls of a training step directly under
+    batch_objective.
 
     Also takes a stack of points: tokens (P, L, B, token_dim), text
     (P, L, text_dim) and a head whose tensors carry a leading axis too,
     each of length P or 1.  The breakdown then holds P losses, each with the
-    bits of the unstacked call, and the similarity has no winners.  A
-    workspace applies to an unstacked point only.
+    bits of the unstacked call.  A workspace applies to an unstacked point
+    only.
     """
     ws = workspace
     head_cache = head_forward(tokens, params, head_variant, out=ws and ws.video)
     text_cache = text_forward(text_features, params, out=ws and ws.text)
-    if tokens.ndim == 3:
-        sim = similarity_matrix(
-            text_cache.embedded, head_cache.embedded, buffer=ws and ws.block
-        )
-    else:  # the max over each stacked product, which is the unstacked kernel's gemm
-        scores = prototype_scores(text_cache.embedded, head_cache.embedded).max(axis=-1)
-        sim = SimilarityMatrix(scores, None)
+    for side, cache in (("video", head_cache), ("text", text_cache)):
+        if not _finite_norms(cache.projected):
+            raise NumericError(f"the head gives non-finite {side} embeddings")
+    sim = similarity_matrix(text_cache.embedded, head_cache.embedded, buffer=ws and ws.block)
 
     contrastive, grad_scores = contrastive_loss(sim.scores, loss_cfg.temperature)
     if head_variant == "mask" and params.n_prototypes > 0:
@@ -627,24 +628,18 @@ def objective_finite_diff(seed: int, loss_cfg: LossConfig | None = None) -> floa
         if _near_nonsmooth_point(tokens, text, params, cfg):
             continue
 
+        _, _, inputs = batch_objective(tokens, text, params, cfg, want_input_grads=True)
         values = {name: t.value for name, t in params.tensors().items()}
+        grads = {name: t.grad for name, t in params.tensors().items()}
         values["tokens"], values["text"] = tokens, text
-
-        def fn(values: dict[str, np.ndarray]) -> tuple[float, dict[str, np.ndarray]]:
-            params.zero_grads()
-            breakdown, _, inputs = batch_objective(
-                values["tokens"], values["text"], params, cfg, want_input_grads=True
-            )
-            grads = {name: t.grad for name, t in params.tensors().items()}
-            grads["tokens"], grads["text"] = inputs
-            return breakdown.total, grads
+        grads["tokens"], grads["text"] = inputs
 
         def loss_fn(values: dict[str, np.ndarray]) -> np.ndarray:
             stacked = HeadParameters(**{name: ParamTensor(values[name]) for name in PARAM_ORDER})
             fwd = _objective_forward(values["tokens"], values["text"], stacked, cfg)
             return fwd.breakdown.total
 
-        return finite_diff_check(fn, values, loss_fn)
+        return finite_diff_check(loss_fn, values, grads)
     raise NumericError(
         f"could not draw a point {KINK_MARGIN} away from all kinks in {MAX_DRAWS} tries"
     )

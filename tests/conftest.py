@@ -43,6 +43,22 @@ def unit(v) -> np.ndarray:
     return v / np.linalg.norm(v)
 
 
+def per_row(loss):
+    """finite_diff_check's stacked loss from a scalar loss of one point.
+
+    Calls loss once per probe row: row r's point holds row r of each
+    array whose stack has several rows and the one row of every other.
+    The serial oracle that batched losses are checked against.
+    """
+
+    def stacked(values):
+        rows = max(len(v) for v in values.values())
+        points = ({k: v[r if len(v) > 1 else 0] for k, v in values.items()} for r in range(rows))
+        return np.array([loss(point) for point in points], dtype=np.float64)
+
+    return stacked
+
+
 @pytest.fixture
 def head() -> HeadParameters:
     return make_head()

@@ -316,6 +316,27 @@ def test_gradcheck_with_loss_overflowing_temperature_exits_2(tmp_path, capsys, t
 # ---------------------------------------------------------------------------
 
 
+@pytest.mark.filterwarnings("error")
+def test_train_whose_head_overflows_exits_2_naming_the_step(tmp_path, capsys):
+    # one Adam step at lr 1e160 moves each projection weight by about 1e160,
+    # so the next step's projected rows overflow; a part head used to train
+    # on them as zero rows to the end of the run
+    _, out, manifest = synth_small(tmp_path)
+    cfg = write_config(tmp_path, SMALL_CORPUS + SMALL_TRAIN + [
+        "warmup_epochs = 0", "peak_lr = 1e160", "variant = part"
+    ], name="train.cfg")
+    capsys.readouterr()
+    code = main(["train", "--config", str(cfg), "--corpus", str(manifest),
+                 "--out-dir", str(out / "t")])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err == (
+        "numeric error: training step 1 (epoch 0): the head gives non-finite video embeddings\n"
+    )
+    (run_dir,) = (out / "t").iterdir()
+    assert not any((run_dir / "checkpoints").iterdir())
+
+
 def test_batch_size_beyond_corpus_exits_1_naming_both(tmp_path, capsys):
     _, out, manifest = synth_small(tmp_path)
     cfg = write_config(tmp_path, SMALL_CORPUS + ["batch_size = 12"], name="big.cfg")

@@ -14,7 +14,7 @@ from protomatch.matching import (
 from protomatch.numerics import RngStream, finite_diff_check, l2_normalize_rows
 from protomatch.prototypes import embed_texts, embed_videos
 
-from conftest import make_head, unit
+from conftest import make_head, per_row, unit
 
 
 def _einsum_similarity_oracle(text_embedded, video_embedded):
@@ -187,8 +187,45 @@ def test_stacked_prototype_scores_match_the_kernel_bitwise():
         assert stacked[p].tobytes() == prototype_scores(texts[0], videos[p]).tobytes()
         want = similarity_matrix(texts[0], videos[p], winners=False).scores
         assert stacked[p].max(axis=-1).tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("n_texts, n_videos, n_blocks", [(37, 53, 1), (1000, 333, 2)])
+def test_stacked_similarity_matrix_matches_unstacked_slices_bitwise(
+    n_texts, n_videos, n_blocks, monkeypatch
+):
+    # Each slice runs the row blocks of an unstacked call.  Over two blocks,
+    # one gemm per stripe over all 1000 texts would differ in the last bit.
+    rng = RngStream(n_texts)
+    texts = l2_normalize_rows(rng.normal((2, 1, n_texts, 256)))
+    videos = l2_normalize_rows(rng.normal((1, 2, n_videos, 4, 256)))
+    if n_blocks > 1:
+        monkeypatch.setattr(matching, "_BLOCK_BYTES", 500 * 4 * n_videos * 8)
+    calls = []
+    stripe_products = matching._stripe_products
+
+    def counting_stripe_products(*args, **kwargs):
+        calls.append(1)
+        return stripe_products(*args, **kwargs)
+
+    monkeypatch.setattr(matching, "_stripe_products", counting_stripe_products)
+    sim = similarity_matrix(texts, videos)
+    assert len(calls) == n_blocks
+    assert sim.scores.shape == sim.winners.shape == (2, 2, n_texts, n_videos)
+    scores_only = similarity_matrix(texts, videos, winners=False)
+    assert scores_only.winners is None
+    assert scores_only.scores.tobytes() == sim.scores.tobytes()
+    for p, q in np.ndindex(2, 2):
+        want = similarity_matrix(texts[p, 0], videos[0, q])
+        assert sim.scores[p, q].tobytes() == want.scores.tobytes()
+        assert sim.winners[p, q].tobytes() == want.winners.tobytes()
+
+
+@pytest.mark.parametrize("kernel", [similarity_matrix, prototype_scores])
+def test_kernels_reject_stacks_that_do_not_broadcast(kernel):
     with pytest.raises(ShapeError):
-        similarity_matrix(texts, videos)  # the blocked kernel takes no stacks
+        kernel(np.zeros((2, 3, 4)), np.zeros((3, 5, 2, 4)))
+    with pytest.raises(ShapeError):
+        kernel(np.zeros((3, 4)), np.zeros((2, 5, 2, 4)))  # a text axis per video axis
 
 
 def test_scores_stay_within_unit_interval():
@@ -218,17 +255,17 @@ def test_similarity_vjp_matches_finite_differences_away_from_ties():
         if (sorted_scores[:, :, -1] - sorted_scores[:, :, -2]).min() < 1e-3:
             continue
 
-        def fn(values):
+        def loss(values):
             sim = similarity_matrix(values["texts"], values["videos"])
-            grad_text, grad_video = similarity_vjp(
-                probe, values["texts"], values["videos"], sim.winners
-            )
-            return float((sim.scores * probe).sum()), {
-                "texts": grad_text,
-                "videos": grad_video,
-            }
+            return float((sim.scores * probe).sum())
 
-        err = finite_diff_check(fn, {"texts": texts0.copy(), "videos": videos0.copy()})
+        winners = similarity_matrix(texts0, videos0).winners
+        grad_text, grad_video = similarity_vjp(probe, texts0, videos0, winners)
+        err = finite_diff_check(
+            per_row(loss),
+            {"texts": texts0.copy(), "videos": videos0.copy()},
+            {"texts": grad_text, "videos": grad_video},
+        )
         assert err < 1e-5
 
 

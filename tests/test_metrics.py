@@ -240,20 +240,6 @@ def test_report_structure_and_sum():
         assert rep.med_r >= 1.0
 
 
-def test_single_direction_sums_three_recalls():
-    corpus, params = make_eval_setup()
-    report = evaluate(corpus, params, directions=("text_to_video",))
-    assert set(report.directions) == {"text_to_video"}
-    rep = report.directions["text_to_video"]
-    assert report.sum_r == sum_recalls([rep.r_at[1], rep.r_at[5], rep.r_at[10]])
-
-
-def test_unknown_direction_rejected():
-    corpus, params = make_eval_setup()
-    with pytest.raises(ValidationError):
-        evaluate(corpus, params, directions=("sideways",))
-
-
 @pytest.mark.filterwarnings("error")  # overflow is reported as the error, not as warnings
 @pytest.mark.parametrize(
     "tensor, value, side",

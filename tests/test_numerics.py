@@ -21,6 +21,8 @@ from protomatch.numerics import (
     relu_vjp,
 )
 
+from conftest import per_row
+
 
 # ---------------------------------------------------------------------------
 # relu
@@ -48,13 +50,11 @@ def test_relu_vjp_matches_finite_differences_away_from_kink():
             x0 = rng.normal((4, 5))
         probe = rng.normal((4, 5))
 
-        def fn(values):
-            return (
-                float((relu(values["x"]) * probe).sum()),
-                {"x": relu_vjp(values["x"], probe)},
-            )
+        def loss(values):
+            return float((relu(values["x"]) * probe).sum())
 
-        assert finite_diff_check(fn, {"x": x0}) < 1e-7
+        grads = {"x": relu_vjp(x0, probe)}
+        assert finite_diff_check(per_row(loss), {"x": x0}, grads) < 1e-7
 
 
 # ---------------------------------------------------------------------------
@@ -88,13 +88,11 @@ def test_normalize_vjp_matches_finite_differences():
         x0 = rng.normal((5, 4))
         probe = rng.normal((5, 4))
 
-        def fn(values):
-            return (
-                float((l2_normalize_rows(values["x"]) * probe).sum()),
-                {"x": l2_normalize_rows_vjp(values["x"], probe)},
-            )
+        def loss(values):
+            return float((l2_normalize_rows(values["x"]) * probe).sum())
 
-        assert finite_diff_check(fn, {"x": x0}) < 1e-6
+        grads = {"x": l2_normalize_rows_vjp(x0, probe)}
+        assert finite_diff_check(per_row(loss), {"x": x0}, grads) < 1e-6
 
 
 def test_normalize_vjp_zero_row_gets_zero_gradient():
@@ -253,35 +251,35 @@ def test_rng_state_roundtrip_resumes_sequence():
 # ---------------------------------------------------------------------------
 
 
-def test_finite_diff_quadratic_matches_analytic():
-    def fn(values):
-        w = values["w"]
-        return float((w * w).sum()), {"w": 2.0 * w}
+def _square_sum(values):
+    """sum(w^2) over the trailing axes, so it takes probe stacks."""
+    return (values["w"] ** 2).sum(axis=-1)
 
-    assert finite_diff_check(fn, {"w": np.array([3.0])}) < 1e-9
+
+def test_finite_diff_quadratic_matches_analytic():
+    w = np.array([3.0])
+    assert finite_diff_check(_square_sum, {"w": w}, {"w": 2.0 * w}) < 1e-9
 
 
 def test_finite_diff_constant_function_zero_both_ways():
-    def fn(values):
-        return 1.0, {"w": np.zeros_like(values["w"])}
+    def loss(values):
+        return np.ones(len(values["w"]))
 
-    assert finite_diff_check(fn, {"w": np.array([0.3, -0.7])}) == 0.0
+    w = np.array([0.3, -0.7])
+    assert finite_diff_check(loss, {"w": w}, {"w": np.zeros_like(w)}) == 0.0
 
 
 def test_finite_diff_flags_a_wrong_gradient():
-    def fn(values):
-        w = values["w"]
-        return float((w * w).sum()), {"w": 3.0 * w}  # deliberately off by 1.5x
-
-    assert finite_diff_check(fn, {"w": np.array([2.0])}) > 1e-2
+    w = np.array([2.0])
+    assert finite_diff_check(_square_sum, {"w": w}, {"w": 3.0 * w}) > 1e-2  # off by 1.5x
 
 
 def test_finite_diff_rejects_non_finite_loss():
-    def fn(values):
-        return float("nan"), {"w": np.zeros_like(values["w"])}
+    def loss(values):
+        return np.full(len(values["w"]), np.nan)
 
     with pytest.raises(NumericError):
-        finite_diff_check(fn, {"w": np.array([1.0])})
+        finite_diff_check(loss, {"w": np.array([1.0])}, {"w": np.zeros(1)})
 
 
 def _cubic_loss(values):
@@ -291,13 +289,9 @@ def _cubic_loss(values):
 
 
 def test_finite_diff_probes_use_the_loss_callable(monkeypatch):
-    calls = {"fn": 0, "loss_fn": 0}
+    calls = {"loss_fn": 0}
     w0, b0 = np.array([[0.5, -1.0, 2.0], [1.5, 0.25, -0.75]]), np.array([0.3, -0.2, 0.1, 0.4])
-
-    def fn(values):
-        calls["fn"] += 1
-        w, b = values["w"], values["b"]
-        return _cubic_loss(values), {"w": 3.0 * w**2 + b.sum(), "b": np.full_like(b, w.sum())}
+    grads = {"w": 3.0 * w0**2 + b0.sum(), "b": np.full_like(b0, w0.sum())}
 
     def loss_fn(values):
         calls["loss_fn"] += 1
@@ -311,38 +305,42 @@ def test_finite_diff_probes_use_the_loss_callable(monkeypatch):
         return losses
 
     values = {"w": w0.copy(), "b": b0.copy()}
-    err = finite_diff_check(fn, values, loss_fn=loss_fn)
-    # 12 probes of w and 8 of b: one chunk each
-    assert calls == {"fn": 1, "loss_fn": 2}
+    err = finite_diff_check(loss_fn, values, grads)
+    # the unperturbed point, then 12 probes of w and 8 of b: one chunk each
+    assert calls == {"loss_fn": 3}
     np.testing.assert_array_equal(values["w"], w0)  # never written
     np.testing.assert_array_equal(values["b"], b0)
     # chunks of 5 probes: 3 for w, 2 for b, and the same error, bit for bit
     monkeypatch.setattr(numerics, "PROBE_CHUNK", 5)
-    assert finite_diff_check(fn, values, loss_fn=loss_fn) == err
-    assert calls == {"fn": 2, "loss_fn": 7}
-    # the same probes through fn give the same error, bit for bit
-    assert err == finite_diff_check(fn, {"w": w0.copy(), "b": b0.copy()})
-    assert calls["fn"] == 3 + 2 * (w0.size + b0.size)
+    assert finite_diff_check(loss_fn, values, grads) == err
+    assert calls == {"loss_fn": 9}
+    # the same probes one point at a time give the same error, bit for bit
+    points = []
+
+    def cubic_of_one_point(point):
+        points.append(point)
+        return float(_cubic_loss(point))
+
+    assert err == finite_diff_check(per_row(cubic_of_one_point), {"w": w0, "b": b0}, grads)
+    assert len(points) == 1 + 2 * (w0.size + b0.size)
 
 
 @pytest.mark.parametrize("through", ["loss_fn", "fn"])
 def test_finite_diff_leaves_inputs_unchanged_when_a_probe_raises(through):
+    # "fn": a loss of one point, called per probe row, that raises after
+    # the unperturbed point
     w0 = np.array([[1.5, -0.5], [0.25, 2.0]])
     first = {}
 
-    def fn(values):
-        w = values["w"]
-        if first and through == "fn":
+    def loss(values):
+        if first:
             raise NumericError("probe failed")
         first["done"] = True
-        return float((w * w).sum()), {"w": 2.0 * w}
-
-    def loss_fn(values):
-        raise NumericError("probe failed")
+        return _square_sum(values).sum(axis=-1)
 
     values = {"w": w0.copy()}
     with pytest.raises(NumericError, match="probe failed"):
-        finite_diff_check(fn, values, loss_fn=loss_fn if through == "loss_fn" else None)
+        finite_diff_check(per_row(loss) if through == "fn" else loss, values, {"w": 2.0 * w0})
     assert values["w"].tobytes() == w0.tobytes()
 
 
@@ -354,18 +352,13 @@ def test_finite_diff_names_the_first_non_finite_probe(batched):
         w = values["w"]
         return np.where(w > 2.0, np.inf, w * w).sum(axis=(-2, -1))
 
-    def fn(values):
-        return float(loss(values)), {"w": 2.0 * values["w"]}
-
     w0 = np.array([[0.5, 1.0], [2.0 - 0.5e-5, 0.3]])
     with pytest.raises(NumericError) as info:
-        finite_diff_check(fn, {"w": w0}, loss_fn=loss if batched else None)
+        finite_diff_check(loss if batched else per_row(loss), {"w": w0}, {"w": 2.0 * w0})
     assert str(info.value) == "non-finite loss while perturbing 'w' coordinate (1, 0)"
 
 
 def test_finite_diff_does_not_hide_a_nan_gradient():
-    def fn(values):
-        w = values["w"]
-        return float((w * w).sum()), {"w": np.array([2.0 * w[0], np.nan, 2.0 * w[2]])}
-
-    assert math.isnan(finite_diff_check(fn, {"w": np.array([1.0, 2.0, 3.0])}))
+    w = np.array([1.0, 2.0, 3.0])
+    grads = {"w": np.array([2.0 * w[0], np.nan, 2.0 * w[2]])}
+    assert math.isnan(finite_diff_check(_square_sum, {"w": w}, grads))

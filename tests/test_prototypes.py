@@ -21,7 +21,7 @@ from protomatch.prototypes import (
     text_forward,
 )
 
-from conftest import make_head
+from conftest import make_head, per_row
 
 
 def zeroed_head(n_prototypes=2, token_dim=4, text_dim=3, embed_dim=4) -> HeadParameters:
@@ -363,7 +363,7 @@ def head_loss_check(
     extra = np.abs(rng.normal((3, 7, n_prototypes))) if with_extra else None
     base = make_head(n_prototypes, 5, 6, 4, seed=seed + 50)
 
-    def fn(values):
+    def loss(values):
         head = HeadParameters(
             mask_w=ParamTensor(values["mask_w"]),
             mask_b=ParamTensor(values["mask_b"]),
@@ -371,20 +371,20 @@ def head_loss_check(
             tproj_w=ParamTensor(values["tproj_w"]),
         )
         cache = head_forward(values["tokens"], head, variant)
-        loss = float((cache.embedded * probe).sum())
+        value = float((cache.embedded * probe).sum())
         if extra is not None:
-            loss += float((cache.masks * extra).sum())
-        grad_tokens = head_backward(
-            values["tokens"], head, cache, probe,
-            extra_mask_grad=extra, want_input_grads=True,
-        )
-        grads = {name: t.grad for name, t in head.tensors().items()}
-        grads["tokens"] = grad_tokens
-        return loss, grads
+            value += float((cache.masks * extra).sum())
+        return value
 
+    grad_tokens = head_backward(
+        tokens0, base, head_forward(tokens0, base, variant), probe,
+        extra_mask_grad=extra, want_input_grads=True,
+    )
+    grads = {name: t.grad for name, t in base.tensors().items()}
+    grads["tokens"] = grad_tokens
     values = {name: t.value.copy() for name, t in base.tensors().items()}
     values["tokens"] = tokens0
-    return finite_diff_check(fn, values)
+    return finite_diff_check(per_row(loss), values, grads)
 
 
 def test_head_vjp_matches_finite_differences():
@@ -440,21 +440,20 @@ def test_text_vjp_matches_finite_differences():
         probe = rng.normal((4, 3))
         base = make_head(1, 5, 6, 3, seed=seed + 80)
 
-        def fn(values):
+        def loss(values):
             head = HeadParameters(
                 mask_w=ParamTensor(values["mask_w"]),
                 mask_b=ParamTensor(values["mask_b"]),
                 vproj_w=ParamTensor(values["vproj_w"]),
                 tproj_w=ParamTensor(values["tproj_w"]),
             )
-            cache = text_forward(values["feats"], head)
-            grad_feats = text_backward(
-                values["feats"], head, cache, probe, want_input_grads=True
-            )
-            grads = {name: t.grad for name, t in head.tensors().items()}
-            grads["feats"] = grad_feats
-            return float((cache.embedded * probe).sum()), grads
+            return float((text_forward(values["feats"], head).embedded * probe).sum())
 
+        grad_feats = text_backward(
+            feats0, base, text_forward(feats0, base), probe, want_input_grads=True
+        )
+        grads = {name: t.grad for name, t in base.tensors().items()}
+        grads["feats"] = grad_feats
         values = {name: t.value.copy() for name, t in base.tensors().items()}
         values["feats"] = feats0
-        assert finite_diff_check(fn, values) < 1e-5
+        assert finite_diff_check(per_row(loss), values, grads) < 1e-5

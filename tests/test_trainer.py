@@ -40,7 +40,7 @@ from protomatch.trainer import (
     write_history_csv,
 )
 
-from conftest import random_corpus
+from conftest import per_row, random_corpus
 
 
 def small_cfg(**overrides) -> TrainConfig:
@@ -198,6 +198,22 @@ def test_non_finite_loss_aborts_naming_component():
     params, adam = fresh_state(cfg, corpus)
     with pytest.raises(NumericError):
         train_step(batch, params, adam, cfg, lr=1e-3)
+
+
+@pytest.mark.filterwarnings("error")  # the overflow is reported as the error, not as warnings
+@pytest.mark.parametrize("tensor, side", [("vproj_w", "video"), ("tproj_w", "text")])
+def test_step_on_a_head_whose_norms_overflow_raises(tensor, side):
+    # squared norms of about 1e320 overflow, and the rows would normalize to
+    # zero rows that train on silently with a zero gradient
+    batch, corpus = make_one_batch(seed=2)
+    cfg = small_cfg(batch_size=8)
+    params, adam = fresh_state(cfg, corpus)
+    getattr(params, tensor).value[:] *= 1e160
+    before = params_snapshot(params)
+    with pytest.raises(NumericError, match=f"non-finite {side} embeddings"):
+        train_step(batch, params, adam, cfg, lr=1e-3)
+    assert_params_equal(params, before)
+    assert adam.step == 0
 
 
 # ---------------------------------------------------------------------------
@@ -637,7 +653,7 @@ def full_objective_finite_diff(seed: int) -> float:
         if trainer_module._near_nonsmooth_point(tokens, text, params, cfg):
             continue
 
-        def fn(values):
+        def full_objective(values):
             p = HeadParameters(**{name: ParamTensor(values[name]) for name in PARAM_ORDER})
             breakdown, _, inputs = batch_objective(
                 values["tokens"], values["text"], p, cfg, want_input_grads=True
@@ -648,7 +664,8 @@ def full_objective_finite_diff(seed: int) -> float:
 
         values = {name: t.value for name, t in params.tensors().items()}
         values["tokens"], values["text"] = tokens, text
-        return finite_diff_check(fn, values)
+        _, grads = full_objective(values)
+        return finite_diff_check(per_row(lambda point: full_objective(point)[0]), values, grads)
     raise AssertionError(f"seed {seed}: no smooth point in {trainer_module.MAX_DRAWS} tries")
 
 
@@ -680,17 +697,26 @@ def serial_probes(values: dict, cfg: LossConfig, step: float = 1e-5) -> list:
 def test_batched_probes_match_serial_probes_bitwise(monkeypatch, seed):
     checked, chunks = {}, []
 
-    def recording(fn, values, loss_fn):
+    def recording(loss_fn, values, grads):
         def recorded(stack):
             losses = loss_fn(stack)
             chunks.append((stack, losses))
             return losses
 
         checked["values"] = {k: v.copy() for k, v in values.items()}
-        return finite_diff_check(fn, values, recorded)
+        return finite_diff_check(recorded, values, grads)
 
     monkeypatch.setattr(trainer_module, "finite_diff_check", recording)
     objective_finite_diff(seed)
+    # the first call is the unperturbed point, as stacks of one
+    unperturbed, loss0 = chunks.pop(0)
+    values = checked["values"]
+    for name, value in values.items():
+        assert unperturbed[name].shape == (1, *value.shape)
+        assert unperturbed[name].tobytes() == value.tobytes()
+    p = HeadParameters(**{n: ParamTensor(values[n]) for n in PARAM_ORDER})
+    breakdown, _, _ = batch_objective(values["tokens"], values["text"], p, LossConfig())
+    assert loss0.tobytes() == np.float64(breakdown.total).tobytes()
     batched = []
     for stack, losses in chunks:
         assert losses.shape == (max(len(v) for v in stack.values()),)
