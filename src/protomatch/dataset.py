@@ -325,11 +325,6 @@ class Batch:
     text_ids: list[str]
     tokens: np.ndarray  # (batch, n_tokens, token_dim)
     text_features: np.ndarray  # (batch, text_dim)
-    event_labels: list[int | None]
-
-    @property
-    def size(self) -> int:
-        return len(self.video_ids)
 
 
 def make_batches(corpus: Corpus, batch_size: int, rng: RngStream) -> list[Batch]:
@@ -347,7 +342,7 @@ def make_batches(corpus: Corpus, batch_size: int, rng: RngStream) -> list[Batch]
     batches = []
     for start in range(0, m - batch_size + 1, batch_size):
         chunk = order[start : start + batch_size]
-        vids, tids, toks, feats, events = [], [], [], [], []
+        vids, tids, toks, feats = [], [], [], []
         for vi in chunk:
             video = corpus.videos[vi]
             captions = corpus.texts_of(video.video_id)
@@ -356,6 +351,5 @@ def make_batches(corpus: Corpus, batch_size: int, rng: RngStream) -> list[Batch]
             tids.append(text.text_id)
             toks.append(video.tokens)
             feats.append(text.features)
-            events.append(text.event_label)
-        batches.append(Batch(vids, tids, np.stack(toks), np.stack(feats), events))
+        batches.append(Batch(vids, tids, np.stack(toks), np.stack(feats)))
     return batches

@@ -8,11 +8,11 @@ each tensor's probes go to it in chunks, along a leading probe axis, so a
 loss over kernels that broadcast over that axis (the full objective and
 the kernels it is built from) runs them forward only, a chunk per call.
 All kernels are pure functions over immutable inputs and safe to call
-concurrently; only ``adam_step`` mutates state and must be serialized by
-the caller.  A kernel that takes ``out=`` (or ``scratch=``) arrays writes
-its result (or temporaries) into them instead of allocating, as numpy's
-``out=`` does; such a workspace belongs to the caller that passes it and
-must not be shared across threads.
+concurrently; only ``adam_step``, which updates flat parameter and moment
+vectors in place, mutates state and must be serialized by the caller.  A
+kernel that takes ``out=`` (or ``scratch=``) arrays writes its result (or
+temporaries) into them instead of allocating, as numpy's ``out=`` does;
+such a workspace belongs to its caller and must not be shared across threads.
 """
 
 from __future__ import annotations
@@ -59,7 +59,13 @@ def l2_normalize_rows(m: np.ndarray, out: np.ndarray | None = None) -> np.ndarra
 
     out, if given, is an array of m's shape that receives the result.
     """
-    return _scale_rows(m, 1.0 / (np.sqrt(_row_dots(m, m)) + NORM_GUARD), out)
+    return _normalize_rows(m, out)[0]
+
+
+def _normalize_rows(m: np.ndarray, out: np.ndarray | None) -> tuple[np.ndarray, np.ndarray]:
+    """l2_normalize_rows' result and the squared row norms, (...,), it scaled by."""
+    sq_norms = _row_dots(m, m)
+    return _scale_rows(m, 1.0 / (np.sqrt(sq_norms) + NORM_GUARD), out), sq_norms
 
 
 def l2_normalize_rows_vjp(
@@ -92,48 +98,50 @@ def l2_normalize_rows_vjp(
 
 @dataclass(eq=False)
 class ParamTensor:
-    """A trainable array paired with its accumulated gradient."""
+    """A trainable array and its gradient; a stack of probe points has none."""
 
     value: np.ndarray
-    grad: np.ndarray = field(init=False)
-
-    def __post_init__(self) -> None:
-        self.value = np.asarray(self.value, dtype=np.float64)
-        self.grad = np.zeros_like(self.value)
-
-    def zero_grad(self) -> None:
-        self.grad.fill(0.0)
+    grad: np.ndarray | None = None
 
 
 @dataclass(eq=False)
 class AdamState:
-    """First/second moment per parameter plus the shared step counter."""
+    """Adam's moments, each laid out as the flat parameter vector, and its step.
 
-    first: dict[str, np.ndarray]
-    second: dict[str, np.ndarray]
+    The update's two temporaries are allocated once, here, so a step allocates nothing.
+    """
+
+    first: np.ndarray
+    second: np.ndarray
     step: int = 0
+    scratch: tuple[np.ndarray, np.ndarray] = field(init=False, repr=False)
+
+    def __post_init__(self) -> None:
+        self.scratch = (np.empty_like(self.first), np.empty_like(self.first))
 
     @classmethod
     def init(cls, params: Mapping[str, ParamTensor]) -> "AdamState":
-        return cls(
-            first={k: np.zeros_like(p.value) for k, p in params.items()},
-            second={k: np.zeros_like(p.value) for k, p in params.items()},
-        )
+        size = sum(p.value.size for p in params.values())
+        return cls(np.zeros(size), np.zeros(size))
 
 
-def adam_step(params: Mapping[str, ParamTensor], state: AdamState, lr: float) -> None:
-    """Bias-corrected adaptive-moment update, applied in place."""
+def adam_step(values: np.ndarray, grads: np.ndarray, state: AdamState, lr: float) -> None:
+    """Bias-corrected adaptive-moment update of a flat parameter vector, in place.
+
+    The ufuncs keep the operation order of the per-element formula
+    values -= lr * m_hat / (sqrt(v_hat) + eps), so they give its bits.
+    """
     state.step += 1
     t = state.step
-    for name, p in params.items():
-        g = p.grad
-        m = state.first[name]
-        v = state.second[name]
-        m[:] = ADAM_BETA1 * m + (1.0 - ADAM_BETA1) * g
-        v[:] = ADAM_BETA2 * v + (1.0 - ADAM_BETA2) * (g * g)
-        m_hat = m / (1.0 - ADAM_BETA1**t)
-        v_hat = v / (1.0 - ADAM_BETA2**t)
-        p.value -= lr * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
+    m, v = state.first, state.second
+    a, b = state.scratch
+    # m = b1 * m + (1 - b1) * g, then v = b2 * v + (1 - b2) * (g * g)
+    np.add(np.multiply(m, ADAM_BETA1, out=m), np.multiply(grads, 1.0 - ADAM_BETA1, out=a), out=m)
+    np.multiply(np.multiply(grads, grads, out=a), 1.0 - ADAM_BETA2, out=a)
+    np.add(np.multiply(v, ADAM_BETA2, out=v), a, out=v)
+    np.multiply(np.divide(m, 1.0 - ADAM_BETA1**t, out=a), lr, out=a)  # lr * m_hat
+    np.add(np.sqrt(np.divide(v, 1.0 - ADAM_BETA2**t, out=b), out=b), ADAM_EPS, out=b)
+    np.subtract(values, np.divide(a, b, out=a), out=values)
 
 
 @dataclass(frozen=True)
@@ -209,11 +217,11 @@ class RngStream:
 
 # Probes per loss_fn call.  Over one probe per call, the gradcheck suite's
 # process peak RSS rose by 4.0 MiB with each tensor's 2 * n probes in one
-# call, 0.7 MiB with chunks of 128 and 0.2 MiB with chunks of 64.  Each
-# call of the objective pays a fixed ~0.13 ms (the scoring kernel's winner
-# pass and the overflow check included), so chunks of 128, 10 calls per
-# objective check instead of 16, ran the suite ~14 % faster than chunks of
-# 64 (2 CPUs, numpy 2.4.6).
+# call, 0.7 MiB with chunks of 128 and 0.2 MiB with chunks of 64.  A call
+# of the objective at the gradcheck draw costs 0.15-0.32 ms for one probe
+# and 5-10 us more per added probe (timeit), so chunks of 128, 10 calls
+# per objective check instead of 16, ran the suite ~14 % faster than
+# chunks of 64 (2 CPUs, numpy 2.4.6).
 PROBE_CHUNK = 128
 
 

@@ -8,12 +8,15 @@ then linearly projected into the joint embedding space and row-normalized.
 Text features take a separate linear projection into the same space.
 
 All gradients here are hand-written vector-Jacobian products accumulated
-into ParamTensor.grad; there is no autodiff anywhere in the package.
+into views of the head's one flat gradient vector (see HeadParameters);
+there is no autodiff anywhere in the package.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
+import math
+from dataclasses import dataclass
+from typing import Mapping, Sequence
 
 import numpy as np
 
@@ -21,28 +24,48 @@ from .errors import NumericError, ShapeError, ValidationError
 from .numerics import (
     ParamTensor,
     RngStream,
-    l2_normalize_rows,
+    _normalize_rows,
     l2_normalize_rows_vjp,
     relu,
     relu_vjp,
 )
 
 VARIANTS = ("mask", "part")
+# The order of the tensors in the flat vectors, and so in a checkpoint.
+PARAM_ORDER = ("mask_w", "mask_b", "vproj_w", "tproj_w")
 
 
 @dataclass(eq=False)
 class HeadParameters:
     """All trainable tensors of the retrieval head.
 
-    The forward kernels also take a stack of heads: every tensor may carry
-    leading axes that broadcast against each other and the inputs', and the
-    dims are read from the trailing axes.
+    Built by from_vector, its values and gradients are each one flat
+    float64 vector in PARAM_ORDER, and its tensors are views into them.
+    The forward kernels also take a stack of heads, with no gradients or
+    flat vectors: every tensor may carry leading axes that broadcast
+    against each other and the inputs', and the dims are read from the
+    trailing axes.
     """
 
     mask_w: ParamTensor  # (..., token_dim, n_prototypes)
     mask_b: ParamTensor  # (..., n_prototypes)
     vproj_w: ParamTensor  # (..., token_dim, embed_dim)
     tproj_w: ParamTensor  # (..., text_dim, embed_dim)
+    values: np.ndarray | None = None
+    grads: np.ndarray | None = None
+
+    @classmethod
+    def from_vector(cls, values: np.ndarray, shapes: Mapping[str, Sequence[int]]) -> HeadParameters:
+        """The head whose tensors are back-to-back views of values, with zero gradients."""
+        sizes = [math.prod(shapes[name]) for name in PARAM_ORDER]
+        if values.shape != (sum(sizes),):
+            raise ShapeError(f"parameter vector {values.shape} does not hold {sum(sizes)} values")
+        grads, tensors, start = np.zeros_like(values), {}, 0
+        for name, size in zip(PARAM_ORDER, sizes):
+            part, shape = slice(start, start + size), tuple(shapes[name])
+            tensors[name] = ParamTensor(values[part].reshape(shape), grads[part].reshape(shape))
+            start += size
+        return cls(**tensors, values=values, grads=grads)
 
     @property
     def n_prototypes(self) -> int:
@@ -61,11 +84,10 @@ class HeadParameters:
         return self.vproj_w.value.shape[-1]
 
     def tensors(self) -> dict[str, ParamTensor]:
-        return {f.name: getattr(self, f.name) for f in fields(self)}
+        return {name: getattr(self, name) for name in PARAM_ORDER}
 
     def zero_grads(self) -> None:
-        for p in self.tensors().values():
-            p.zero_grad()
+        self.grads.fill(0.0)
 
 
 def init_head(
@@ -87,12 +109,14 @@ def init_head(
         bound = np.sqrt(6.0 / (fan_in + fan_out)) if fan_in + fan_out else 0.0
         return rng.uniform(-bound, bound, (fan_in, fan_out))
 
-    return HeadParameters(
-        mask_w=ParamTensor(glorot(token_dim, n_prototypes)),
-        mask_b=ParamTensor(np.full(n_prototypes, 0.1)),
-        vproj_w=ParamTensor(glorot(token_dim, embed_dim)),
-        tproj_w=ParamTensor(glorot(text_dim, embed_dim)),
-    )
+    tensors = {
+        "mask_w": glorot(token_dim, n_prototypes),
+        "mask_b": np.full(n_prototypes, 0.1),
+        "vproj_w": glorot(token_dim, embed_dim),
+        "tproj_w": glorot(text_dim, embed_dim),
+    }
+    values = np.concatenate([tensors[name].ravel() for name in PARAM_ORDER])
+    return HeadParameters.from_vector(values, {name: t.shape for name, t in tensors.items()})
 
 
 # ---------------------------------------------------------------------------
@@ -110,6 +134,7 @@ class HeadCache:
     protos: np.ndarray  # (..., L, K+1, token_dim)
     projected: np.ndarray  # (..., L, K+1, embed_dim)
     embedded: np.ndarray  # (..., L, K+1, embed_dim), unit rows
+    sq_norms: np.ndarray  # (..., L, K+1), each projected row's squared norm
 
 
 def head_forward(
@@ -154,8 +179,8 @@ def head_forward(
         protos = np.stack(parts + [tokens[..., 0, :]], axis=-2)
     projected_out, embedded_out = (None, None) if out is None else out
     projected = np.matmul(protos, params.vproj_w.value[..., None, :, :], out=projected_out)
-    embedded = l2_normalize_rows(projected, out=embedded_out)
-    return HeadCache(variant, acts, masks, protos, projected, embedded)
+    embedded, sq_norms = _normalize_rows(projected, embedded_out)
+    return HeadCache(variant, acts, masks, protos, projected, embedded, sq_norms)
 
 
 def head_backward(
@@ -241,6 +266,7 @@ def _part_bounds(n_body: int, n_parts: int) -> list[tuple[int, int]]:
 class TextCache:
     projected: np.ndarray  # (..., L, embed_dim)
     embedded: np.ndarray  # (..., L, embed_dim), unit rows
+    sq_norms: np.ndarray  # (..., L), each projected row's squared norm
 
 
 def text_forward(
@@ -260,7 +286,7 @@ def text_forward(
         )
     projected_out, embedded_out = (None, None) if out is None else out
     projected = np.matmul(features, params.tproj_w.value, out=projected_out)
-    return TextCache(projected, l2_normalize_rows(projected, out=embedded_out))
+    return TextCache(projected, *_normalize_rows(projected, embedded_out))
 
 
 def text_backward(
@@ -296,8 +322,7 @@ def embed_videos(
     """
     with np.errstate(over="ignore", invalid="ignore"):
         cache = head_forward(token_stacks, params, variant)
-        finite = _finite_norms(cache.projected)
-    if not finite:
+    if not np.isfinite(cache.sq_norms).all():
         raise NumericError("the head gives non-finite video embeddings; nothing to rank")
     return cache.embedded
 
@@ -310,12 +335,7 @@ def embed_texts(features: np.ndarray, params: HeadParameters) -> np.ndarray:
     """
     with np.errstate(over="ignore", invalid="ignore"):
         cache = text_forward(features, params)
-        finite = _finite_norms(cache.projected)
-    if not finite:
+    if not np.isfinite(cache.sq_norms).all():
         raise NumericError("the head gives non-finite text embeddings; nothing to rank")
     return cache.embedded
 
-
-def _finite_norms(projected: np.ndarray) -> bool:
-    """Whether every row's squared norm is finite, so the row normalizes to a unit row."""
-    return bool(np.isfinite(np.einsum("...d,...d->...", projected, projected)).all())

@@ -43,10 +43,10 @@ from .numerics import (
     lr_at,
 )
 from .prototypes import (
+    PARAM_ORDER,
     HeadCache,
     HeadParameters,
     TextCache,
-    _finite_norms,
     head_backward,
     head_forward,
     init_head,
@@ -58,9 +58,9 @@ TRAIN_VARIANTS = ("mask", "part", "baseline")
 
 CHECKPOINT_MAGIC = b"PMCK"
 CHECKPOINT_VERSION = 1
-# Fixed blob order inside a checkpoint, HeadParameters' field order; the
-# header repeats it for readers.
-PARAM_ORDER = tuple(f.name for f in dataclasses.fields(HeadParameters))
+# The three flat vectors of a checkpoint, each one blob per tensor in
+# PARAM_ORDER; the header repeats that order as blob_order for readers.
+_SECTIONS = ("values", "first moments", "second moments")
 _HEADER_KEYS = ("epoch", "adam_step", "rng_state", "config", "shapes", "blob_order")
 
 
@@ -226,7 +226,7 @@ def _objective_forward(
     head_cache = head_forward(tokens, params, head_variant, out=ws and ws.video)
     text_cache = text_forward(text_features, params, out=ws and ws.text)
     for side, cache in (("video", head_cache), ("text", text_cache)):
-        if not _finite_norms(cache.projected):
+        if not np.isfinite(cache.sq_norms).all():
             raise NumericError(f"the head gives non-finite {side} embeddings")
     sim = similarity_matrix(text_cache.embedded, head_cache.embedded, buffer=ws and ws.block)
 
@@ -297,7 +297,7 @@ def train_step(
         batch.tokens, batch.text_features, params, cfg.loss, cfg.head_variant,
         workspace=workspace,
     )
-    adam_step(params.tensors(), adam, lr)
+    adam_step(params.values, params.grads, adam, lr)
     return breakdown
 
 
@@ -421,22 +421,15 @@ def save_checkpoint(state: CheckpointState, path: str | Path) -> None:
     this returns it survives a power loss: the data is flushed to disk
     before the rename and the directory entry after it.
     """
-    tensors = state.params.tensors()
     header = {
         "epoch": state.epoch,
         "adam_step": state.adam.step,
         "rng_state": _rng_state_to_json(state.rng_state),
         "config": dataclasses.asdict(state.config),
-        "shapes": {name: list(tensors[name].value.shape) for name in PARAM_ORDER},
+        "shapes": {name: list(t.value.shape) for name, t in state.params.tensors().items()},
         "blob_order": list(PARAM_ORDER),
     }
     header_bytes = json.dumps(header, sort_keys=True).encode("utf-8")
-    blobs = []
-    for name in PARAM_ORDER:
-        blobs.append(np.ascontiguousarray(tensors[name].value, dtype="<f8").tobytes())
-    for moments in (state.adam.first, state.adam.second):
-        for name in PARAM_ORDER:
-            blobs.append(np.ascontiguousarray(moments[name], dtype="<f8").tobytes())
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     # written beside the target and renamed over it, so a crash mid-write
@@ -448,8 +441,8 @@ def save_checkpoint(state: CheckpointState, path: str | Path) -> None:
             fh.write(struct.pack("<I", CHECKPOINT_VERSION))
             fh.write(struct.pack("<Q", len(header_bytes)))
             fh.write(header_bytes)
-            for blob in blobs:
-                fh.write(blob)
+            for vector in (state.params.values, state.adam.first, state.adam.second):
+                fh.write(np.ascontiguousarray(vector, dtype="<f8").tobytes())
             fh.flush()
             os.fsync(fh.fileno())
         os.replace(tmp, path)
@@ -521,9 +514,7 @@ def load_checkpoint(path: str | Path) -> CheckpointState:
         if name not in shapes:
             raise CheckpointError(f"{path} header shapes lack tensor '{name}'")
         shape = shapes[name]
-        if not isinstance(shape, list) or not all(
-            type(dim) is int and dim >= 0 for dim in shape
-        ):
+        if not isinstance(shape, list) or not all(type(d) is int and d >= 0 for d in shape):
             raise CheckpointError(
                 f"{path} header shape of '{name}' is {shape!r}, "
                 "not a list of non-negative integers"
@@ -533,12 +524,8 @@ def load_checkpoint(path: str | Path) -> CheckpointState:
     token_dim = shapes["vproj_w"][0] if len(shapes["vproj_w"]) == 2 else -1
     text_dim = shapes["tproj_w"][0] if len(shapes["tproj_w"]) == 2 else -1
     k, embed_dim = config.effective_prototypes, config.embed_dim
-    expected = {
-        "mask_w": [token_dim, k],
-        "mask_b": [k],
-        "vproj_w": [token_dim, embed_dim],
-        "tproj_w": [text_dim, embed_dim],
-    }
+    expected = {"mask_w": [token_dim, k], "mask_b": [k],
+                "vproj_w": [token_dim, embed_dim], "tproj_w": [text_dim, embed_dim]}
     if any(shapes[name] != expected[name] for name in PARAM_ORDER):
         raise CheckpointError(
             f"{path} header shapes {shapes!r} do not fit a head of {k} prototypes "
@@ -557,33 +544,24 @@ def load_checkpoint(path: str | Path) -> CheckpointState:
             f"{path} header rng_state is not a sampler state ({type(exc).__name__}: {exc})"
         ) from exc
 
-    offset = 16 + header_len
-    arrays: list[np.ndarray] = []
-    for section in ("values", "first moments", "second moments"):
-        for name in PARAM_ORDER:
-            shape = tuple(shapes[name])
-            nbytes = math.prod(shape) * 8
-            if len(data) < offset + nbytes:
+    # the body is the three vectors back to back, each one blob per tensor
+    sizes = [math.prod(shapes[name]) for name in PARAM_ORDER]
+    start, body = 16 + header_len, 8 * len(_SECTIONS) * sum(sizes)
+    floats = np.frombuffer(data, "<f8", count=min(len(data) - start, body) // 8, offset=start)
+    offset = 0
+    for section in _SECTIONS:
+        for name, size in zip(PARAM_ORDER, sizes):
+            if floats.size < offset + size:
                 raise CheckpointError(f"{path} is truncated inside blob '{name}'")
-            array = (
-                np.frombuffer(data[offset : offset + nbytes], dtype="<f8")
-                .astype(np.float64)
-                .reshape(shape)
-            )
-            if not np.isfinite(array).all():
+            if not np.isfinite(floats[offset : offset + size]).all():
                 raise CheckpointError(f"{path} has non-finite {section} of '{name}'")
-            arrays.append(array)
-            offset += nbytes
-    if offset != len(data):
-        raise CheckpointError(f"{path} has {len(data) - offset} trailing bytes")
+            offset += size
+    if len(data) > start + body:
+        raise CheckpointError(f"{path} has {len(data) - start - body} trailing bytes")
 
-    n = len(PARAM_ORDER)
-    params = HeadParameters(**{name: ParamTensor(a) for name, a in zip(PARAM_ORDER, arrays)})
-    adam = AdamState(
-        first=dict(zip(PARAM_ORDER, arrays[n : 2 * n])),
-        second=dict(zip(PARAM_ORDER, arrays[2 * n :])),
-        step=header["adam_step"],
-    )
+    values, first, second = floats.astype(np.float64).reshape(len(_SECTIONS), sum(sizes))
+    params = HeadParameters.from_vector(values, shapes)
+    adam = AdamState(first, second, step=header["adam_step"])
     return CheckpointState(params, adam, header["epoch"], rng_state, config)
 
 
@@ -636,8 +614,7 @@ def objective_finite_diff(seed: int, loss_cfg: LossConfig | None = None) -> floa
 
         def loss_fn(values: dict[str, np.ndarray]) -> np.ndarray:
             stacked = HeadParameters(**{name: ParamTensor(values[name]) for name in PARAM_ORDER})
-            fwd = _objective_forward(values["tokens"], values["text"], stacked, cfg)
-            return fwd.breakdown.total
+            return _objective_forward(values["tokens"], values["text"], stacked, cfg).breakdown.total
 
         return finite_diff_check(loss_fn, values, grads)
     raise NumericError(

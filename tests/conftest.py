@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from protomatch.dataset import Corpus, TextRecord, VideoRecord
-from protomatch.numerics import RngStream
-from protomatch.prototypes import HeadParameters, init_head
+from protomatch.numerics import ADAM_BETA1, ADAM_BETA2, ADAM_EPS, RngStream
+from protomatch.prototypes import PARAM_ORDER, HeadParameters, init_head
 
 
 def make_head(
@@ -16,6 +16,12 @@ def make_head(
     seed: int = 0,
 ) -> HeadParameters:
     return init_head(n_prototypes, token_dim, text_dim, embed_dim, RngStream(seed))
+
+
+def trainable_head(values) -> HeadParameters:
+    """A head holding copies of the arrays values names in PARAM_ORDER, gradients zero."""
+    flat = np.concatenate([np.ravel(values[name]) for name in PARAM_ORDER])
+    return HeadParameters.from_vector(flat, {name: np.shape(values[name]) for name in PARAM_ORDER})
 
 
 def random_corpus(
@@ -57,6 +63,35 @@ def per_row(loss):
         return np.array([loss(point) for point in points], dtype=np.float64)
 
     return stacked
+
+
+def adam_oracle(values, grads, first, second, step, lr):
+    """Adam as a loop over named tensors: dicts of arrays, updated in place.
+
+    The per-tensor update that adam_step's one pass over flat vectors is
+    checked against bit for bit.
+    """
+    for name, g in grads.items():
+        m, v = first[name], second[name]
+        m[:] = ADAM_BETA1 * m + (1.0 - ADAM_BETA1) * g
+        v[:] = ADAM_BETA2 * v + (1.0 - ADAM_BETA2) * (g * g)
+        m_hat = m / (1.0 - ADAM_BETA1**step)
+        v_hat = v / (1.0 - ADAM_BETA2**step)
+        values[name] -= lr * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
+
+
+def tensor_views(vector, head: HeadParameters) -> dict[str, np.ndarray]:
+    """Each tensor's slice of a flat vector laid out like head's values.
+
+    The tensors sit back to back in the order head.tensors() lists them,
+    each row-major; an Adam moment vector has this layout too.
+    """
+    views, start = {}, 0
+    for name, tensor in head.tensors().items():
+        views[name] = vector[start : start + tensor.value.size].reshape(tensor.value.shape)
+        start += tensor.value.size
+    assert start == vector.size
+    return views
 
 
 @pytest.fixture

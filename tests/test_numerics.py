@@ -1,6 +1,7 @@
 """Kernel-level checks: relu/normalize VJPs, Adam, schedule, RNG."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -21,7 +22,7 @@ from protomatch.numerics import (
     relu_vjp,
 )
 
-from conftest import per_row
+from conftest import adam_oracle, per_row
 
 
 # ---------------------------------------------------------------------------
@@ -152,30 +153,56 @@ def test_normalize_bits_do_not_depend_on_alignment(shape):
 
 def test_adam_first_step_magnitude_is_lr():
     # bias-corrected moments cancel on step 1: update = lr * g/|g| (eps aside)
-    p = ParamTensor(np.array([0.0]))
-    p.grad[:] = 1.0
-    state = AdamState.init({"w": p})
-    adam_step({"w": p}, state, lr=0.1)
+    value, grad = np.array([0.0]), np.array([1.0])
+    state = AdamState(np.zeros(1), np.zeros(1))
+    adam_step(value, grad, state, lr=0.1)
     assert state.step == 1
-    assert abs(p.value[0] + 0.1) < 1e-8
+    assert abs(value[0] + 0.1) < 1e-8
 
 
 def test_adam_zero_gradient_leaves_parameter_unchanged():
-    p = ParamTensor(np.array([1.5, -2.5]))
-    state = AdamState.init({"w": p})
-    adam_step({"w": p}, state, lr=0.1)
-    np.testing.assert_array_equal(p.value, [1.5, -2.5])
+    value = np.array([1.5, -2.5])
+    state = AdamState.init({"w": ParamTensor(value)})
+    adam_step(value, np.zeros(2), state, lr=0.1)
+    np.testing.assert_array_equal(value, [1.5, -2.5])
 
 
 def test_adam_descends_quadratic_monotonically():
-    p = ParamTensor(np.array([1.0]))
-    state = AdamState.init({"w": p})
-    trace = [abs(p.value[0])]
+    value, grad = np.array([1.0]), np.zeros(1)
+    state = AdamState(np.zeros(1), np.zeros(1))
+    trace = [abs(value[0])]
     for _ in range(10):
-        p.grad[:] = 2.0 * p.value  # d/dw of w^2
-        adam_step({"w": p}, state, lr=0.05)
-        trace.append(abs(p.value[0]))
+        grad[:] = 2.0 * value  # d/dw of w^2
+        adam_step(value, grad, state, lr=0.05)
+        trace.append(abs(value[0]))
     assert all(b < a for a, b in zip(trace, trace[1:]))
+
+
+def test_adam_state_sizes_its_moments_to_the_tensors():
+    state = AdamState.init({"a": ParamTensor(np.ones((2, 3))), "b": ParamTensor(np.ones(0))})
+    assert state.first.shape == state.second.shape == (6,) and state.step == 0
+    assert not state.first.any() and not state.second.any()
+
+
+def test_adam_step_allocates_nothing_and_matches_the_oracle_bitwise():
+    rng = RngStream(12)
+    value, grad = rng.normal(5000), np.empty(5000)
+    want = {"w": value.copy()}
+    first, second = {"w": np.zeros(5000)}, {"w": np.zeros(5000)}
+    state = AdamState(np.zeros(5000), np.zeros(5000))
+    for step in range(1, 7):
+        grad[:] = rng.normal(5000)
+        adam_oracle(want, {"w": grad}, first, second, step, 1e-2)
+        tracemalloc.start()
+        try:
+            adam_step(value, grad, state, 1e-2)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 5000  # no temporary of the vector's 40 kB
+        assert value.tobytes() == want["w"].tobytes()
+        assert state.first.tobytes() == first["w"].tobytes()
+        assert state.second.tobytes() == second["w"].tobytes()
 
 
 # ---------------------------------------------------------------------------

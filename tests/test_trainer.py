@@ -1,8 +1,10 @@
 """Training loop, determinism, checkpoint persistence, and the full objective."""
 
 import dataclasses
+import hashlib
 import itertools
 import json
+import math
 import os
 import stat
 import struct
@@ -13,13 +15,13 @@ import pytest
 
 from protomatch import trainer as trainer_module
 from protomatch.dataset import SynthConfig, make_batches, synth_corpus
-from protomatch.errors import CheckpointError, NumericError, ValidationError
+from protomatch.errors import CheckpointError, NumericError, ShapeError, ValidationError
 from protomatch.losses import LossConfig
 from protomatch.numerics import (
     AdamState,
     LrSchedule,
-    ParamTensor,
     RngStream,
+    adam_step,
     finite_diff_check,
     lr_at,
 )
@@ -40,7 +42,7 @@ from protomatch.trainer import (
     write_history_csv,
 )
 
-from conftest import per_row, random_corpus
+from conftest import adam_oracle, per_row, random_corpus, tensor_views, trainable_head
 
 
 def small_cfg(**overrides) -> TrainConfig:
@@ -308,8 +310,9 @@ def test_train_with_workspace_matches_allocating_steps_bitwise(tmp_path, variant
     assert repr(got) == repr(want_history)
     for name in PARAM_ORDER:
         assert params.tensors()[name].value.tobytes() == want_params.tensors()[name].value.tobytes()
-        assert adam.first[name].tobytes() == want_adam.first[name].tobytes()
-        assert adam.second[name].tobytes() == want_adam.second[name].tobytes()
+    for got, want in ((adam.first, want_adam.first), (adam.second, want_adam.second)):
+        for name, moment in tensor_views(got, params).items():
+            assert moment.tobytes() == tensor_views(want, want_params)[name].tobytes()
     assert adam.step == want_adam.step
 
 
@@ -360,6 +363,93 @@ def test_warm_train_step_transient_memory_fits_the_workspace_budget():
     finally:
         tracemalloc.stop()
     assert (peak - before) / 2**20 <= 1.25
+
+
+# ---------------------------------------------------------------------------
+# flat parameter vectors
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("variant, n_prototypes", [("mask", 3), ("baseline", 3), ("part", 2)])
+def test_flat_adam_matches_the_per_tensor_oracle_bitwise(variant, n_prototypes):
+    # the baseline head's mask tensors have zero size; the part head's get
+    # zero gradients, so they must not move
+    batch, corpus = make_one_batch(seed=6)
+    cfg = small_cfg(n_prototypes=n_prototypes, batch_size=8, variant=variant)
+    params, adam = fresh_state(cfg, corpus, seed=6)
+    initial, values = params_snapshot(params), params_snapshot(params)
+    first = {name: np.zeros_like(v) for name, v in values.items()}
+    second = {name: np.zeros_like(v) for name, v in values.items()}
+    for step in range(1, 7):
+        params.zero_grads()
+        batch_objective(batch.tokens, batch.text_features, params, cfg.loss, cfg.head_variant)
+        grads = {name: t.grad.copy() for name, t in params.tensors().items()}
+        adam_oracle(values, grads, first, second, step, 1e-2)
+        adam_step(params.values, params.grads, adam, 1e-2)
+        assert adam.step == step
+        for name, t in params.tensors().items():
+            assert t.value.tobytes() == values[name].tobytes(), (name, step)
+            assert tensor_views(adam.first, params)[name].tobytes() == first[name].tobytes()
+            assert tensor_views(adam.second, params)[name].tobytes() == second[name].tobytes()
+    for name, t in params.tensors().items():
+        moved = not np.array_equal(t.value, initial[name])
+        assert moved == (t.value.size > 0 and (variant != "part" or name in ("vproj_w", "tproj_w")))
+
+
+def assert_tensors_view_the_vectors(params, adam):
+    assert params.values.shape == params.grads.shape == adam.first.shape == adam.second.shape
+    vectors = (params.values, params.grads, adam.first, adam.second)
+    assert not any(np.shares_memory(a, b) for a, b in itertools.combinations(vectors, 2))
+    for name, t in params.tensors().items():
+        assert np.shares_memory(t.value, params.values), name
+        assert np.shares_memory(t.grad, params.grads), name
+        assert np.shares_memory(tensor_views(adam.first, params)[name], adam.first), name
+        assert t.value.tobytes() == tensor_views(params.values, params)[name].tobytes(), name
+
+
+def test_tensors_are_views_of_one_vector_each_after_init_steps_and_reload(tmp_path):
+    batch, corpus = make_one_batch(seed=2)
+    cfg = small_cfg(n_prototypes=3, batch_size=8, epochs=2)
+    params, adam = fresh_state(cfg, corpus)
+    assert_tensors_view_the_vectors(params, adam)
+    vectors = (params.values, params.grads, adam.first, adam.second)
+    for _ in range(2):
+        train_step(batch, params, adam, cfg, 1e-2)
+    # a step writes through the views into the same vectors
+    assert all(a is b for a, b in zip(vectors, (params.values, params.grads, adam.first, adam.second)))
+    assert_tensors_view_the_vectors(params, adam)
+    path = tmp_path / "flat.bin"
+    save_checkpoint(CheckpointState(params, adam, 2, RngStream(0).state, cfg), path)
+    state = load_checkpoint(path)
+    assert_tensors_view_the_vectors(state.params, state.adam)
+    assert not state.params.grads.any()
+    for got, want in ((state.params.values, params.values), (state.adam.first, adam.first),
+                      (state.adam.second, adam.second)):
+        assert got.tobytes() == want.tobytes()
+
+
+def test_head_from_a_vector_of_the_wrong_length_is_refused():
+    head = init_head(2, 5, 4, 3, RngStream(0))
+    shapes = {name: t.value.shape for name, t in head.tensors().items()}
+    with pytest.raises(ShapeError, match="does not hold 39 values"):
+        HeadParameters.from_vector(np.zeros(36), shapes)
+
+
+def test_probe_losses_run_on_heads_without_gradients(monkeypatch):
+    heads = []
+    objective_forward = trainer_module._objective_forward
+
+    def recording(tokens, text, params, *args, **kwargs):
+        heads.append(params)
+        return objective_forward(tokens, text, params, *args, **kwargs)
+
+    monkeypatch.setattr(trainer_module, "_objective_forward", recording)
+    objective_finite_diff(seed=0)
+    analytic, *probes = heads  # batch_objective's call at the drawn point comes first
+    assert analytic.grads is not None and len(probes) > 1
+    for stack in probes:
+        assert stack.values is None and stack.grads is None
+        assert all(t.grad is None for t in stack.tensors().values())
 
 
 # ---------------------------------------------------------------------------
@@ -423,6 +513,85 @@ def test_checkpoint_truncation_and_garbage_rejected(tmp_path):
     not_ckpt.write_bytes(b"nope")
     with pytest.raises(CheckpointError):
         load_checkpoint(not_ckpt)
+
+
+def pinned_checkpoint(path):
+    """A checkpoint whose bytes take elementwise float ops only, no BLAS.
+
+    An init_head head after three Adam steps on RngStream gradients, so
+    the file is the same on every build and numpy version that keeps
+    Philox's streams.
+    """
+    cfg = TrainConfig(n_prototypes=3, embed_dim=6, batch_size=4, epochs=2, warmup_epochs=1, seed=11)
+    params = init_head(3, 5, 4, 6, RngStream(11))
+    adam = AdamState.init(params.tensors())
+    draws = RngStream(11, stream=7)
+    for lr in (1e-2, 5e-3, 2e-3):
+        for t in params.tensors().values():
+            t.grad[...] = draws.normal(t.grad.shape)
+        adam_step(params.values, params.grads, adam, lr)
+    save_checkpoint(CheckpointState(params, adam, 2, RngStream(11, stream=1).state, cfg), path)
+    return path
+
+
+def test_checkpoint_bytes_are_pinned(tmp_path):
+    # recorded when the values and moments were twelve per-tensor arrays:
+    # the file format and every byte must survive changes to the layout
+    data = pinned_checkpoint(tmp_path / "pinned.bin").read_bytes()
+    assert len(data) == 2453
+    assert hashlib.sha256(data).hexdigest() == (
+        "10ce445fbfdef1e7614191087013af3a1c62644e48914f317a6543bb7a9c5714"
+    )
+
+
+def blob_walk_error(body: bytes, shapes: dict) -> str | None:
+    """The body's error message from a walk over its twelve blobs in file order.
+
+    Each blob is checked for being whole, then for finite numbers; the
+    first failure is named.  The oracle for load_checkpoint's one pass.
+    """
+    offset = 0
+    for section in ("values", "first moments", "second moments"):
+        for name in PARAM_ORDER:
+            nbytes = 8 * math.prod(shapes[name])
+            if len(body) < offset + nbytes:
+                return f"is truncated inside blob '{name}'"
+            if not np.isfinite(np.frombuffer(body[offset : offset + nbytes], "<f8")).all():
+                return f"has non-finite {section} of '{name}'"
+            offset += nbytes
+    return f"has {len(body) - offset} trailing bytes" if len(body) > offset else None
+
+
+@pytest.mark.parametrize("n_prototypes", [0, 3])
+def test_checkpoint_body_errors_match_a_walk_over_the_blobs(tmp_path, n_prototypes):
+    # K=0 puts zero-size blobs at each vector's start, between whole blobs
+    params = init_head(n_prototypes, 2, 3, 2, RngStream(5))
+    adam = AdamState.init(params.tensors())
+    adam.first[:], adam.second[:] = 0.5, 0.25
+    cfg = small_cfg(n_prototypes=n_prototypes, embed_dim=2)
+    path = tmp_path / "body.bin"
+    save_checkpoint(CheckpointState(params, adam, 1, RngStream(0).state, cfg), path)
+    data = path.read_bytes()
+    start = 16 + struct.unpack("<Q", data[8:16])[0]
+    head, body = data[:start], data[start:]
+    shapes = {name: t.value.shape for name, t in params.tensors().items()}
+    floats = len(body) // 8
+    rng = np.random.default_rng(n_prototypes)
+    cases = [body[:cut] for cut in range(len(body))] + [body + b"\0" * 3, body + b"\0" * 16]
+    for i in range(floats):  # a NaN or inf at each float, whole or cut after a later byte
+        for bad, cut in ((np.nan, len(body)), (np.inf, int(rng.integers(8 * i, len(body))))):
+            mutated = bytearray(body)
+            mutated[8 * i : 8 * i + 8] = np.float64(bad).tobytes()
+            cases.append(bytes(mutated[:cut]))
+    for case in cases:
+        path.write_bytes(head + case)
+        want = blob_walk_error(case, shapes)
+        if want is None:
+            assert load_checkpoint(path).params.values.tobytes() == params.values.tobytes()
+            continue
+        with pytest.raises(CheckpointError) as exc:
+            load_checkpoint(path)
+        assert str(exc.value) == f"{path} {want}"
 
 
 def with_header(data: bytes, header_bytes: bytes) -> bytes:
@@ -545,8 +714,8 @@ def test_checkpoint_non_finite_tensor_rejected(tmp_path, section):
     state = load_checkpoint(out / "checkpoints" / "epoch_0002.bin")
     tensor = {
         "values": state.params.vproj_w.value,
-        "first moments": state.adam.first["vproj_w"],
-        "second moments": state.adam.second["vproj_w"],
+        "first moments": tensor_views(state.adam.first, state.params)["vproj_w"],
+        "second moments": tensor_views(state.adam.second, state.params)["vproj_w"],
     }[section]
     tensor[1, 2] = np.nan if section == "values" else np.inf
     bad = tmp_path / "non_finite.bin"
@@ -577,7 +746,7 @@ def test_interrupted_checkpoint_write_keeps_previous_file(tmp_path, monkeypatch)
 
         def write(self, data):
             self.writes += 1
-            if self.writes == 7:  # magic, version, length, header, two blobs
+            if self.writes == 7:  # magic, version, length, header, values, first moments
                 raise OSError("disk full")
             return self.fh.write(data)
 
@@ -654,7 +823,7 @@ def full_objective_finite_diff(seed: int) -> float:
             continue
 
         def full_objective(values):
-            p = HeadParameters(**{name: ParamTensor(values[name]) for name in PARAM_ORDER})
+            p = trainable_head(values)
             breakdown, _, inputs = batch_objective(
                 values["tokens"], values["text"], p, cfg, want_input_grads=True
             )
@@ -687,7 +856,7 @@ def serial_probes(values: dict, cfg: LossConfig, step: float = 1e-5) -> list:
             for moved in (base[idx] + step, base[idx] - step):
                 point = {k: v.copy() for k, v in values.items()}
                 point[name][idx] = moved
-                p = HeadParameters(**{n: ParamTensor(point[n]) for n in PARAM_ORDER})
+                p = trainable_head(point)
                 breakdown, _, _ = batch_objective(point["tokens"], point["text"], p, cfg)
                 probes.append((point, breakdown.total))
     return probes
@@ -714,7 +883,7 @@ def test_batched_probes_match_serial_probes_bitwise(monkeypatch, seed):
     for name, value in values.items():
         assert unperturbed[name].shape == (1, *value.shape)
         assert unperturbed[name].tobytes() == value.tobytes()
-    p = HeadParameters(**{n: ParamTensor(values[n]) for n in PARAM_ORDER})
+    p = trainable_head(values)
     breakdown, _, _ = batch_objective(values["tokens"], values["text"], p, LossConfig())
     assert loss0.tobytes() == np.float64(breakdown.total).tobytes()
     batched = []
