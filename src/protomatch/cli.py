@@ -26,7 +26,8 @@ from .errors import ConfigError, NumericError, ValidationError
 from .losses import LossConfig, contrastive_loss, variance_loss
 from .matching import similarity_matrix, similarity_vjp
 from .metrics import evaluate, write_report
-from .numerics import RngStream, finite_diff_check, l2_normalize_rows, l2_normalize_rows_vjp
+from .numerics import (RngStream, _normalize_rows, finite_diff_check, l2_normalize_rows,
+                       l2_normalize_rows_vjp)
 from .trainer import (
     TrainConfig,
     load_checkpoint,
@@ -266,7 +267,8 @@ def _check_row_normalize(seed: int) -> float:
     def loss(values):
         return (l2_normalize_rows(values["m"]) * weights).sum(axis=(-2, -1))
 
-    return finite_diff_check(loss, {"m": m}, {"m": l2_normalize_rows_vjp(m, weights)})
+    _, sq_norms = _normalize_rows(m, None)
+    return finite_diff_check(loss, {"m": m}, {"m": l2_normalize_rows_vjp(m, sq_norms, weights)})
 
 
 def _check_variance_loss(seed: int, cfg: LossConfig) -> float:

@@ -2,14 +2,20 @@
 
 On-disk layout: a JSON-lines manifest with one record per line, plus raw
 binary blobs for token matrices.  Blobs are IEEE-754 single precision,
-little-endian, row-major, exactly rows*cols*4 bytes.  In memory everything
-is float64; storage is float32.
+little-endian, row-major, exactly rows*cols*4 bytes.  In memory a corpus is
+float64 columns: every video's tokens in one array, every caption's
+features in another; storage is float32.
 """
 
 from __future__ import annotations
 
+import errno
 import json
-from dataclasses import dataclass, field
+import os
+import stat
+from dataclasses import dataclass
+from itertools import repeat
+from operator import attrgetter, is_
 from pathlib import Path
 
 import numpy as np
@@ -44,40 +50,97 @@ class TextRecord:
     event_label: int | None = None  # synthetic corpora only
 
 
-@dataclass(eq=False)
+def _column(arrays: list[np.ndarray], shape: tuple[int, ...]) -> tuple[np.ndarray, dict]:
+    """The arrays as float64 rows of one column, and by index those of another shape.
+
+    The rows of those stay zero.
+    """
+    loose = {i: array for i, array in enumerate(arrays) if array.shape != shape}
+    if not loose:
+        return np.array(arrays, dtype=np.float64).reshape(len(arrays), *shape), loose
+    column = np.zeros((len(arrays), *shape))
+    for i, array in enumerate(arrays):
+        if i not in loose:
+            column[i] = array
+    return column, loose
+
+
 class Corpus:
-    videos: list[VideoRecord]
-    texts: list[TextRecord]
-    dims: tuple[int, int, int]  # (n_tokens, token_dim, text_dim)
-    _texts_by_video: dict[str, list[int]] | None = field(default=None, repr=False)
+    """Videos and their captions, held in columns.
+
+    tokens (V, n_tokens, token_dim) and features (T, text_dim) are float64;
+    video_ids, text_ids and event_labels are lists.  text_video[t] is
+    caption t's video index (-1 for an unknown id).  Video v's captions, in
+    corpus order, are caption_order[caption_starts[v]:caption_starts[v + 1]],
+    caption_counts[v] of them.  videos and texts are records whose arrays
+    are views of the rows, so a write into one is a write into the corpus.
+    A record whose array is replaced, or that did not fit dims, is detached:
+    no consumer reads it, and validate names it.
+    """
+
+    def __init__(self, videos: list[VideoRecord], texts: list[TextRecord], dims: tuple):
+        n_tokens, token_dim, text_dim = self.dims = dims
+        self.video_ids = [v.video_id for v in videos]
+        self.text_ids = [t.text_id for t in texts]
+        self.event_labels = [t.event_label for t in texts]
+        self.tokens, loose_videos = _column([v.tokens for v in videos], (n_tokens, token_dim))
+        self.features, loose_texts = _column([t.features for t in texts], (text_dim,))
+        self._rows = (list(self.tokens), list(self.features))
+        text_video_ids = [t.video_id for t in texts]
+        self.videos = list(map(VideoRecord, self.video_ids, self._rows[0]))
+        self.texts = list(
+            map(TextRecord, self.text_ids, text_video_ids, self._rows[1], self.event_labels)
+        )
+        for i, array in loose_videos.items():
+            self.videos[i].tokens = array
+        for i, array in loose_texts.items():
+            self.texts[i].features = array
+        self._index = {video_id: v for v, video_id in enumerate(self.video_ids)}
+        self.text_video = np.fromiter(
+            map(self._index.get, text_video_ids, repeat(-1)), np.intp, len(texts)
+        )
+        self.caption_order = np.argsort(self.text_video, kind="stable")
+        # the captions of unknown videos (-1) sort before video 0's
+        self.caption_starts = np.searchsorted(
+            self.text_video[self.caption_order], np.arange(len(videos) + 1)
+        )
+        self.caption_counts = np.diff(self.caption_starts)
 
     @property
     def num_videos(self) -> int:
-        return len(self.videos)
+        return len(self.video_ids)
 
     @property
     def num_texts(self) -> int:
-        return len(self.texts)
+        return len(self.text_ids)
 
     def texts_of(self, video_id: str) -> list[int]:
         """Indices into .texts of the captions describing video_id."""
-        if self._texts_by_video is None:
-            by_video: dict[str, list[int]] = {v.video_id: [] for v in self.videos}
-            for i, t in enumerate(self.texts):
-                by_video[t.video_id].append(i)
-            self._texts_by_video = by_video
-        return self._texts_by_video[video_id]
+        v = self._index[video_id]
+        return self.caption_order[self.caption_starts[v] : self.caption_starts[v + 1]].tolist()
 
     def validate(self) -> None:
+        """Raise CorpusError for the first bad record, in record order.
+
+        The checks read the columns; the records are walked only when one
+        fails, to name the first bad record.
+        """
         n_tokens, token_dim, text_dim = self.dims
         if n_tokens < 1:
             raise CorpusError("corpus needs at least one token per video")
-        # one finiteness pass over all records, whatever their shapes; the
-        # record walk checks each one only after it fails, to name the first
-        arrays = [v.tokens for v in self.videos] + [t.features for t in self.texts]
-        check_finite = bool(arrays) and not np.isfinite(np.concatenate(arrays, axis=None)).all()
+        if (
+            all(map(is_, map(attrgetter("tokens"), self.videos), self._rows[0]))
+            and all(map(is_, map(attrgetter("features"), self.texts), self._rows[1]))
+            and len(self._index) == self.num_videos
+            and len(set(self.text_ids)) == self.num_texts
+            and self.caption_starts[0] == 0  # every caption's video is known
+            and self.caption_counts.all()
+            and np.isfinite(self.tokens).all()
+            and np.isfinite(self.features).all()
+        ):
+            return
         video_ids = set()
-        for v in self.videos:
+        for v, row in zip(self.videos, self._rows[0]):
             if v.video_id in video_ids:
                 raise CorpusError(f"duplicate video id '{v.video_id}'")
             video_ids.add(v.video_id)
@@ -85,10 +148,12 @@ class Corpus:
                 raise CorpusError(
                     f"video '{v.video_id}' tokens {v.tokens.shape} != {(n_tokens, token_dim)}"
                 )
-            if check_finite and not np.isfinite(v.tokens).all():
+            if not np.isfinite(v.tokens).all():
                 raise CorpusError(f"video '{v.video_id}' has non-finite token entries")
+            if v.tokens is not row:
+                raise CorpusError(f"video '{v.video_id}' tokens were replaced in its record")
         text_ids = set()
-        for t in self.texts:
+        for t, row in zip(self.texts, self._rows[1]):
             if t.text_id in text_ids:
                 raise CorpusError(f"duplicate text id '{t.text_id}'")
             text_ids.add(t.text_id)
@@ -100,8 +165,10 @@ class Corpus:
                 raise CorpusError(
                     f"text '{t.text_id}' features {t.features.shape} != {(text_dim,)}"
                 )
-            if check_finite and not np.isfinite(t.features).all():
+            if not np.isfinite(t.features).all():
                 raise CorpusError(f"text '{t.text_id}' has non-finite features")
+            if t.features is not row:
+                raise CorpusError(f"text '{t.text_id}' features were replaced in its record")
         captioned = {t.video_id for t in self.texts}
         for v in self.videos:
             if v.video_id not in captioned:
@@ -181,51 +248,69 @@ def _write_blob(path: Path, array: np.ndarray) -> None:
     path.write_bytes(np.ascontiguousarray(array, dtype=BLOB_DTYPE).tobytes())
 
 
-def _read_blob(path: Path, rows: int, cols: int, owner: str) -> np.ndarray:
-    if not path.is_file():
-        raise MissingBlobError(f"record '{owner}': blob file {path} does not exist")
-    data = path.read_bytes()
-    expected = rows * cols * BLOB_DTYPE.itemsize
-    if len(data) != expected:
-        raise BlobSizeError(
-            f"record '{owner}': blob {path} holds {len(data)} bytes, "
-            f"expected {rows}x{cols}x4 = {expected}"
-        )
-    return np.frombuffer(data, dtype=BLOB_DTYPE).astype(np.float64).reshape(rows, cols)
+# The errnos for which Path.is_file reports no file instead of raising.
+_NO_FILE = (errno.ENOENT, errno.ENOTDIR, errno.EBADF, errno.ELOOP)
+
+
+def _read_blob(
+    base: Path, blob: str, owner: str, shape: tuple[int, int] | None = None
+) -> np.ndarray:
+    """A record's blob as float32 values: a video's of its (rows, cols) shape, a text's 1-D.
+
+    One open, fstat and read; the Path, which drops a trailing slash, is
+    built only when the plain joined path is no regular file.  A FIFO is
+    refused, not waited on.
+    """
+    for path in (os.path.join(base, blob), None):
+        try:
+            fd = os.open(path or base / blob, os.O_RDONLY | os.O_NONBLOCK)
+        except (OSError, ValueError) as exc:  # ValueError: a NUL in the path
+            if isinstance(exc, OSError) and exc.errno not in _NO_FILE:
+                raise
+            continue
+        try:
+            info = os.fstat(fd)
+            if not stat.S_ISREG(info.st_mode):
+                continue
+            size, unit = info.st_size, BLOB_DTYPE.itemsize
+            if shape is not None and size != shape[0] * shape[1] * unit:
+                raise BlobSizeError(
+                    f"record '{owner}': blob {base / blob} holds {size} bytes, "
+                    f"expected {shape[0]}x{shape[1]}x4 = {shape[0] * shape[1] * unit}"
+                )
+            if size % unit != 0:
+                raise BlobSizeError(
+                    f"record '{owner}': blob {base / blob} holds {size} bytes, not a multiple of 4"
+                )
+            values = np.empty(size // unit, BLOB_DTYPE)
+            if os.readv(fd, [values]) != size:
+                raise BlobSizeError(f"record '{owner}': blob {base / blob} changed while read")
+            return values if shape is None else values.reshape(shape)
+        finally:
+            os.close(fd)
+    raise MissingBlobError(f"record '{owner}': blob file {base / blob} does not exist")
 
 
 def save_corpus(corpus: Corpus, manifest_path: str | Path) -> None:
     """Write a manifest plus blobs; load_corpus inverts this bit-exactly."""
     corpus.validate()
     manifest_path = Path(manifest_path)
-    manifest_path.parent.mkdir(parents=True, exist_ok=True)
-    blob_dir = manifest_path.parent / "blobs"
-    blob_dir.mkdir(exist_ok=True)
-
+    (manifest_path.parent / "blobs").mkdir(parents=True, exist_ok=True)
+    n_tokens, token_dim, _ = corpus.dims
     lines = []
-    for i, v in enumerate(corpus.videos):
+    for i, (video_id, tokens) in enumerate(zip(corpus.video_ids, corpus.tokens)):
         rel = f"blobs/video_{i:05d}.bin"
-        _write_blob(manifest_path.parent / rel, v.tokens)
-        lines.append(
-            json.dumps(
-                {
-                    "kind": "video",
-                    "id": v.video_id,
-                    "blob": rel,
-                    "rows": v.tokens.shape[0],
-                    "cols": v.tokens.shape[1],
-                }
-            )
-        )
-    for t in corpus.texts:
-        rec = {
-            "kind": "text",
-            "id": t.text_id,
-            "video_id": t.video_id,
-            "features": [float(x) for x in t.features.astype(np.float32)],
-        }
-        if t.event_label is not None:
-            rec["event_label"] = t.event_label
+        _write_blob(manifest_path.parent / rel, tokens)
+        rec = {"kind": "video", "id": video_id, "blob": rel, "rows": n_tokens, "cols": token_dim}
+        lines.append(json.dumps(rec))
+    for text_id, v, feats, label in zip(
+        corpus.text_ids, corpus.text_video.tolist(), corpus.features.astype(BLOB_DTYPE),
+        corpus.event_labels,
+    ):
+        rec = {"kind": "text", "id": text_id, "video_id": corpus.video_ids[v],
+               "features": feats.tolist()}
+        if label is not None:
+            rec["event_label"] = label
         lines.append(json.dumps(rec))
     manifest_path.write_text("\n".join(lines) + "\n")
 
@@ -236,6 +321,9 @@ _REQUIRED_KEYS = {
     "video": (("id", str), ("blob", str), ("rows", int), ("cols", int)),
     "text": (("id", str), ("video_id", str)),
 }
+# A text's event_label is optional, and a count when present: the keys of
+# a text without one, then of a text with one.
+_TEXT_KEYS = (_REQUIRED_KEYS["text"], _REQUIRED_KEYS["text"] + (("event_label", int),))
 _TYPE_NAMES = {str: "a string", int: "a non-negative integer"}
 
 
@@ -251,8 +339,8 @@ def _check_record(rec: dict, kind: str, source: str, lineno: int, keys=None) -> 
 
 def _text_features(rec: dict, source: str, lineno: int) -> np.ndarray:
     try:
-        feats = np.asarray(rec["features"], dtype=np.float32).astype(np.float64)
-    except (TypeError, ValueError):
+        feats = np.asarray(rec["features"], dtype=np.float32)
+    except (TypeError, ValueError, OverflowError):
         feats = None
     if feats is None or feats.ndim != 1:
         raise CorpusError(
@@ -262,15 +350,18 @@ def _text_features(rec: dict, source: str, lineno: int) -> np.ndarray:
 
 
 def load_corpus(manifest_path: str | Path) -> Corpus:
-    """Materialize a corpus from a JSON-lines manifest; validates everything."""
+    """Materialize a corpus from a JSON-lines manifest; validates everything.
+
+    Errors come in manifest line order, then in validate's record order.
+    Blobs and features are read as float32; the corpus converts all tokens
+    and all features to its float64 columns in one pass each.
+    """
     manifest_path = Path(manifest_path)
     if not manifest_path.is_file():
         raise MissingBlobError(f"manifest {manifest_path} does not exist")
-    base = manifest_path.parent
+    base, source = manifest_path.parent, str(manifest_path)
 
-    source = str(manifest_path)
-    videos: list[VideoRecord] = []
-    texts: list[TextRecord] = []
+    videos, texts = [], []
     for lineno, line in enumerate(manifest_path.read_text().splitlines(), start=1):
         if not line.strip():
             continue
@@ -283,24 +374,15 @@ def load_corpus(manifest_path: str | Path) -> Corpus:
         kind = rec.get("kind")
         if kind == "video":
             _check_record(rec, kind, source, lineno)
-            tokens = _read_blob(base / rec["blob"], rec["rows"], rec["cols"], rec["id"])
+            tokens = _read_blob(base, rec["blob"], rec["id"], (rec["rows"], rec["cols"]))
             videos.append(VideoRecord(rec["id"], tokens))
         elif kind == "text":
-            _check_record(rec, kind, source, lineno)
+            _check_record(rec, kind, source, lineno, _TEXT_KEYS["event_label" in rec])
             if "features" in rec:
                 feats = _text_features(rec, source, lineno)
             elif "blob" in rec:
                 _check_record(rec, kind, source, lineno, (("blob", str),))
-                raw = base / rec["blob"]
-                if not raw.is_file():
-                    raise MissingBlobError(f"record '{rec['id']}': blob file {raw} does not exist")
-                data = raw.read_bytes()
-                if len(data) % BLOB_DTYPE.itemsize != 0:
-                    raise BlobSizeError(
-                        f"record '{rec['id']}': blob {raw} holds {len(data)} bytes, "
-                        f"not a multiple of 4"
-                    )
-                feats = np.frombuffer(data, dtype=BLOB_DTYPE).astype(np.float64)
+                feats = _read_blob(base, rec["blob"], rec["id"])
             else:
                 raise CorpusError(f"text record '{rec.get('id')}' has neither features nor blob")
             texts.append(TextRecord(rec["id"], rec["video_id"], feats, rec.get("event_label")))
@@ -311,8 +393,7 @@ def load_corpus(manifest_path: str | Path) -> Corpus:
         raise CorpusError(f"manifest {manifest_path} contains no video records")
     if not texts:
         raise CorpusError(f"manifest {manifest_path} contains no text records")
-    dims = (videos[0].tokens.shape[0], videos[0].tokens.shape[1], texts[0].features.shape[0])
-    corpus = Corpus(videos, texts, dims)
+    corpus = Corpus(videos, texts, (*videos[0].tokens.shape, texts[0].features.shape[0]))
     corpus.validate()
     return corpus
 
@@ -331,25 +412,24 @@ def make_batches(corpus: Corpus, batch_size: int, rng: RngStream) -> list[Batch]
     """One epoch of batches: videos permuted, each paired with one caption.
 
     Every batch holds ``batch_size`` distinct videos; leftover videos that do
-    not fill a batch are dropped for this epoch.
+    not fill a batch are dropped for this epoch.  The caption draws are one
+    call with an array of bounds, which takes the same values from the
+    stream as one draw per video in batch order.
     """
     m = corpus.num_videos
     if batch_size > m:
         raise ValidationError(f"batch size {batch_size} exceeds corpus size {m}")
     if batch_size < 1:
         raise ValidationError(f"batch size must be >= 1, got {batch_size}")
-    order = rng.permutation(m)
-    batches = []
-    for start in range(0, m - batch_size + 1, batch_size):
-        chunk = order[start : start + batch_size]
-        vids, tids, toks, feats = [], [], [], []
-        for vi in chunk:
-            video = corpus.videos[vi]
-            captions = corpus.texts_of(video.video_id)
-            text = corpus.texts[captions[rng.integers(len(captions))]]
-            vids.append(video.video_id)
-            tids.append(text.text_id)
-            toks.append(video.tokens)
-            feats.append(text.features)
-        batches.append(Batch(vids, tids, np.stack(toks), np.stack(feats)))
-    return batches
+    n_batches = m // batch_size
+    videos = rng.permutation(m)[: n_batches * batch_size]
+    picks = rng.integers(corpus.caption_counts[videos])
+    texts = corpus.caption_order[corpus.caption_starts[videos] + picks]
+    tokens = corpus.tokens[videos].reshape(n_batches, batch_size, *corpus.tokens.shape[1:])
+    features = corpus.features[texts].reshape(n_batches, batch_size, corpus.dims[2])
+    video_ids = [corpus.video_ids[v] for v in videos.tolist()]
+    text_ids = [corpus.text_ids[t] for t in texts.tolist()]
+    return [
+        Batch(video_ids[lo : lo + batch_size], text_ids[lo : lo + batch_size], tokens[b], features[b])
+        for b, lo in enumerate(range(0, n_batches * batch_size, batch_size))
+    ]

@@ -87,33 +87,29 @@ def intra_inter_stats(
     """
     if corpus.num_videos < 2:
         raise ValidationError("inter-video statistics need at least 2 videos")
-    features = np.stack([t.features for t in corpus.texts])
     if params is not None:
-        unit = embed_texts(features, params)
+        unit = embed_texts(corpus.features, params)
     else:
-        unit = l2_normalize_rows(features)
+        unit = l2_normalize_rows(corpus.features)
 
+    # captions grouped by video, corpus order within each group
+    order, bounds = corpus.caption_order, corpus.caption_starts
     min_intra: list[tuple[str, float]] = []
-    for video in corpus.videos:
-        rows = corpus.texts_of(video.video_id)
-        if len(rows) < 2:
-            continue
+    for v in np.flatnonzero(corpus.caption_counts >= 2).tolist():
+        rows = order[bounds[v] : bounds[v + 1]]
         sims = unit[rows] @ unit[rows].T
         pair_min = sims[np.triu_indices(len(rows), k=1)].min()
-        min_intra.append((video.video_id, float(pair_min)))
+        min_intra.append((corpus.video_ids[v], float(pair_min)))
     if not min_intra:
         raise ValidationError(
             "intra-video similarity is undefined: every video has a single caption"
         )
 
-    video_index = {v.video_id: i for i, v in enumerate(corpus.videos)}
-    video_of = np.array([video_index[t.video_id] for t in corpus.texts])
+    video_of = corpus.text_video
     n = video_of.shape[0]
-    # captions grouped by video, corpus order within each group
-    order = np.argsort(video_of, kind="stable")
     slot = np.empty(n, np.intp)  # each caption's position in order
     slot[order] = np.arange(n)
-    siblings_after = (np.cumsum(np.bincount(video_of))[video_of] - 1) - slot
+    siblings_after = (bounds[video_of + 1] - 1) - slot
     ordinals, starts, position = _inter_video_pairs(siblings_after, pair_cap, seed)
     if ordinals.shape[0] == 0:
         raise ValidationError(
@@ -211,8 +207,7 @@ def prototype_diversity(
     k = params.n_prototypes
     if k < 2:
         raise ValidationError(f"prototype diversity needs at least 2 prototypes, got {k}")
-    tokens = np.stack([v.tokens for v in corpus.videos])
-    cache = head_forward(tokens, params)
+    cache = head_forward(corpus.tokens, params)
     embedded = cache.embedded[:, :k, :]  # learned rows only
     live = np.linalg.norm(embedded, axis=2) > NORM_GUARD
     per_video = []
@@ -244,19 +239,19 @@ def matching_purity(corpus: Corpus, params: HeadParameters, variant: str = "mask
     variant is the head variant whose prototypes are matched, as in
     evaluate.
     """
-    if any(t.event_label is None for t in corpus.texts):
+    if any(label is None for label in corpus.event_labels):
         raise ValidationError("matching purity needs an event label on every caption")
-    video_embedded = embed_videos(np.stack([v.tokens for v in corpus.videos]), params, variant)
-    text_embedded = embed_texts(np.stack([t.features for t in corpus.texts]), params)
+    video_embedded = embed_videos(corpus.tokens, params, variant)
+    text_embedded = embed_texts(corpus.features, params)
 
     hits = 0
-    for vi, video in enumerate(corpus.videos):
-        captions = corpus.texts_of(video.video_id)
+    for vi in range(corpus.num_videos):
+        captions = corpus.texts_of(corpus.video_ids[vi])
         # own-video scores only; argmax takes the lowest index among equal maxima
         winners = (text_embedded[captions] @ video_embedded[vi].T).argmax(axis=1)
         groups: dict[int, list[int]] = {}
         for ti, winner in zip(captions, winners.tolist()):
-            groups.setdefault(winner, []).append(corpus.texts[ti].event_label)
+            groups.setdefault(winner, []).append(corpus.event_labels[ti])
         for labels in groups.values():
             hits += max(labels.count(e) for e in set(labels))
     return hits / corpus.num_texts

@@ -119,9 +119,14 @@ def ranks_from_scores(
     if not valid:
         for gt in gts:  # the first bad set raises
             _check_gt(gt, scores.shape[1])
-    best = np.full(len(gts), -np.inf)
+    return _ranks(scores, rows, cols).tolist()
+
+
+def _ranks(scores: np.ndarray, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
+    """ranks_from_scores with the ground truths as (row, column) pairs, every row in some."""
+    best = np.full(scores.shape[0], -np.inf)
     np.maximum.at(best, rows, scores[rows, cols])
-    return (1 + (scores > best[:, None]).sum(axis=1)).tolist()
+    return 1 + (scores > best[:, None]).sum(axis=1)
 
 
 def evaluate(corpus: Corpus, params: HeadParameters, variant: str = "mask") -> RetrievalReport:
@@ -135,19 +140,17 @@ def evaluate(corpus: Corpus, params: HeadParameters, variant: str = "mask") -> R
     """
     corpus.validate()
 
-    video_embedded = embed_videos(np.stack([v.tokens for v in corpus.videos]), params, variant)
-    text_embedded = embed_texts(np.stack([t.features for t in corpus.texts]), params)
+    video_embedded = embed_videos(corpus.tokens, params, variant)
+    text_embedded = embed_texts(corpus.features, params)
     scores = similarity_matrix(text_embedded, video_embedded, winners=False).scores
 
-    video_index = {v.video_id: i for i, v in enumerate(corpus.videos)}
+    captions = np.arange(corpus.num_texts)
     reports: dict[str, DirectionReport] = {}
     for name in DIRECTIONS:
         if name == "text_to_video":
-            gt = [[video_index[t.video_id]] for t in corpus.texts]
-            ranks = ranks_from_scores(scores, gt)
+            ranks = _ranks(scores, captions, corpus.text_video).tolist()
         else:
-            gt = [corpus.texts_of(v.video_id) for v in corpus.videos]
-            ranks = ranks_from_scores(scores.T, gt)
+            ranks = _ranks(scores.T, corpus.text_video, captions).tolist()
         reports[name] = DirectionReport(
             {k: recall_at_k(ranks, k) for k in REPORTED_KS}, median_rank(ranks)
         )

@@ -70,13 +70,15 @@ def _normalize_rows(m: np.ndarray, out: np.ndarray | None) -> tuple[np.ndarray, 
 
 def l2_normalize_rows_vjp(
     m: np.ndarray,
+    sq_norms: np.ndarray,
     grad_out: np.ndarray,
     out: np.ndarray | None = None,
     scratch: np.ndarray | None = None,
 ) -> np.ndarray:
     """Backward of row normalization y = x / (||x|| + NORM_GUARD).
 
-    Rows with norm at or below the guard are treated as dead: their
+    sq_norms holds each row's squared norm, (...,), as the forward computed
+    it.  Rows with norm at or below the guard are treated as dead: their
     gradient is 0 (the true Jacobian there is I/guard, which would amplify
     noise by 1e12).  With inv = 1 / (||x|| + guard), the gradient is
     g * inv - x * coef, coef = (x . g) * inv**2 / ||x||, from one pass of
@@ -84,7 +86,7 @@ def l2_normalize_rows_vjp(
     the gradient, and scratch, if given, holds the temporary; both have
     m's shape.
     """
-    norms = np.sqrt(_row_dots(m, m))
+    norms = np.sqrt(sq_norms)
     live = norms > NORM_GUARD
     inv = 1.0 / (norms + NORM_GUARD)
     # in this order no product overflows, for a huge row or one near the guard
@@ -200,12 +202,21 @@ class RngStream:
     def uniform(self, low: float, high: float, shape: int | tuple[int, ...] = ()) -> np.ndarray:
         return self._gen.uniform(low, high, shape)
 
-    def integers(self, upper: int, shape: int | tuple[int, ...] | None = None) -> np.ndarray | int:
+    def integers(
+        self, upper: int | np.ndarray, shape: int | tuple[int, ...] | None = None
+    ) -> np.ndarray | int:
+        """Draws from [0, upper); an array of bounds draws one value for each."""
         out = self._gen.integers(0, upper, size=shape)
-        return int(out) if shape is None else out
+        return out if isinstance(out, np.ndarray) else int(out)
 
     def permutation(self, n: int) -> np.ndarray:
-        return self._gen.permutation(n)
+        """Generator.permutation(n): the same draws and values, as int32 where n fits.
+
+        That halves the ambiguity sampler's permutation of all caption pairs.
+        """
+        out = np.arange(n, dtype=np.int32 if n <= np.iinfo(np.int32).max else np.int64)
+        self._gen.shuffle(out)
+        return out
 
     @property
     def state(self) -> dict:

@@ -209,7 +209,7 @@ def head_backward(
     k = params.n_prototypes
     vjp_out, vjp_scratch = (None, None) if scratch is None else scratch
     grad_projected = l2_normalize_rows_vjp(
-        cache.projected, grad_embedded, out=vjp_out, scratch=vjp_scratch
+        cache.projected, cache.sq_norms, grad_embedded, out=vjp_out, scratch=vjp_scratch
     )
 
     # the weight gradients sum over videos and rows in one gemm each; the sizes
@@ -304,7 +304,7 @@ def text_backward(
     """
     vjp_out, vjp_scratch = (None, None) if scratch is None else scratch
     grad_projected = l2_normalize_rows_vjp(
-        cache.projected, grad_embedded, out=vjp_out, scratch=vjp_scratch
+        cache.projected, cache.sq_norms, grad_embedded, out=vjp_out, scratch=vjp_scratch
     )
     params.tproj_w.grad += features.T @ grad_projected
     return grad_projected @ params.tproj_w.value.T if want_input_grads else None

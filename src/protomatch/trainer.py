@@ -204,6 +204,7 @@ def _objective_forward(
     loss_cfg: LossConfig,
     head_variant: str = "mask",
     workspace: StepWorkspace | None = None,
+    winners: bool = False,
 ) -> _ObjectiveForward:
     """Forward half of batch_objective for one batch; touches no gradient.
 
@@ -220,7 +221,8 @@ def _objective_forward(
     (P, L, text_dim) and a head whose tensors carry a leading axis too,
     each of length P or 1.  The breakdown then holds P losses, each with the
     bits of the unstacked call.  A workspace applies to an unstacked point
-    only.
+    only.  The winning prototypes, which only the backward reads, are kept
+    in sim when winners is set.
     """
     ws = workspace
     head_cache = head_forward(tokens, params, head_variant, out=ws and ws.video)
@@ -228,7 +230,7 @@ def _objective_forward(
     for side, cache in (("video", head_cache), ("text", text_cache)):
         if not np.isfinite(cache.sq_norms).all():
             raise NumericError(f"the head gives non-finite {side} embeddings")
-    sim = similarity_matrix(text_cache.embedded, head_cache.embedded, buffer=ws and ws.block)
+    sim = similarity_matrix(text_cache.embedded, head_cache.embedded, winners, ws and ws.block)
 
     contrastive, grad_scores = contrastive_loss(sim.scores, loss_cfg.temperature)
     if head_variant == "mask" and params.n_prototypes > 0:
@@ -255,7 +257,7 @@ def batch_objective(
     come out without one.
     """
     ws = workspace
-    fwd = _objective_forward(tokens, text_features, params, loss_cfg, head_variant, ws)
+    fwd = _objective_forward(tokens, text_features, params, loss_cfg, head_variant, ws, True)
     grad_text_emb, grad_video_emb = similarity_vjp(
         fwd.grad_scores,
         fwd.text_cache.embedded,

@@ -1,6 +1,8 @@
 """Corpus model, blob format, synthetic generator, and batch sampler."""
 
 import json
+import os
+from collections import defaultdict
 
 import numpy as np
 import pytest
@@ -16,15 +18,30 @@ from protomatch.dataset import (
     save_corpus,
     synth_corpus,
 )
+from protomatch.diagnostics import intra_inter_stats
 from protomatch.errors import (
     BlobSizeError,
     CorpusError,
     DanglingReferenceError,
+    MissingBlobError,
     ValidationError,
 )
+from protomatch.metrics import evaluate
 from protomatch.numerics import RngStream
 
-from conftest import random_corpus
+from conftest import make_head, random_corpus
+
+
+def ragged_corpus(num_videos: int, seed: int = 0) -> Corpus:
+    """1-3 captions a video, the captions in a shuffled order."""
+    rng = RngStream(seed, stream=8)
+    counts = 1 + rng.integers(3, num_videos)
+    videos = [VideoRecord(f"v{v}", rng.normal((3, 4))) for v in range(num_videos)]
+    texts = [
+        TextRecord(f"v{v}_t{c}", f"v{v}", rng.normal(5), event_label=c)
+        for v in range(num_videos) for c in range(counts[v])
+    ]
+    return Corpus(videos, [texts[i] for i in rng.permutation(len(texts))], (3, 4, 5))
 
 
 # ---------------------------------------------------------------------------
@@ -126,8 +143,13 @@ def test_garbled_manifest_line_reports_path_and_lineno(tmp_path):
         ('{"kind": "text", "id": "t9", "video_id": "v0", "features": "ten"}', "'features'"),
         ('{"kind": "text", "id": "t9", "video_id": "v0", "blob": 7}', "'blob' must be a string"),
         ('{"kind": "text", "id": 9, "video_id": "v0", "features": [1.0]}', "'id' must be a string"),
+        ('{"kind": "text", "id": "t9", "video_id": "v0", "features": [1.0], "event_label": [1]}',
+         "key 'event_label' must be a non-negative integer, got [1]"),
+        ('{"kind": "text", "id": "t9", "video_id": "v0", "features": [1' + "0" * 400 + "]}",
+         "'features' must be a list of numbers"),
     ],
-    ids=["not_an_object", "string_features", "numeric_blob_path", "numeric_id"],
+    ids=["not_an_object", "string_features", "numeric_blob_path", "numeric_id", "list_label",
+         "features_beyond_float"],
 )
 def test_ill_typed_manifest_record_raises_corpus_error(tmp_path, line, needle):
     corpus = random_corpus(num_videos=2)
@@ -137,6 +159,124 @@ def test_ill_typed_manifest_record_raises_corpus_error(tmp_path, line, needle):
     with pytest.raises(CorpusError) as exc:
         load_corpus(manifest)
     assert needle in str(exc.value)
+
+
+def test_load_errors_come_in_manifest_line_order(tmp_path):
+    # a line that fails to parse is named after the blobs of the lines before
+    # it are read, and before any blob after it
+    corpus = random_corpus(num_videos=3, captions_per_video=1)
+    manifest = tmp_path / "manifest.jsonl"
+    save_corpus(corpus, manifest)
+    lines = manifest.read_text().splitlines()
+    (tmp_path / "blobs" / "video_00001.bin").unlink()  # line 2's blob
+    bad_features = json.dumps({**json.loads(lines[4]), "features": "ten"})  # line 5
+    for edited, error, needle in (
+        ({4: "{not json"}, MissingBlobError, "video_00001.bin does not exist"),
+        ({4: bad_features}, MissingBlobError, "video_00001.bin does not exist"),
+        ({0: "{not json"}, CorpusError, "manifest.jsonl:1: malformed JSON"),
+        ({0: lines[4], 4: lines[0]}, MissingBlobError, "video_00001.bin does not exist"),
+        ({0: bad_features, 4: lines[0]}, CorpusError, "manifest.jsonl:1: text record"),
+        ({3: bad_features, 4: "{not json"}, MissingBlobError, "video_00001.bin does not exist"),
+    ):
+        manifest.write_text("\n".join(edited.get(i, line) for i, line in enumerate(lines)) + "\n")
+        with pytest.raises(error, match=needle):
+            load_corpus(manifest)
+
+
+def test_load_names_a_record_of_another_shape_as_validate_does(tmp_path):
+    corpus = random_corpus(num_videos=3, captions_per_video=1)
+    manifest = tmp_path / "manifest.jsonl"
+    save_corpus(corpus, manifest)
+    lines = manifest.read_text().splitlines()
+    video = json.loads(lines[2])
+    (tmp_path / video["blob"]).write_bytes(np.zeros((2, 8), BLOB_DTYPE).tobytes())
+    lines[2] = json.dumps({**video, "rows": 2})
+    text = json.loads(lines[4])
+    lines[4] = json.dumps({**text, "features": text["features"][:-1]})
+    manifest.write_text("\n".join(lines) + "\n")
+    with pytest.raises(CorpusError, match=r"^video 'v2' tokens \(2, 8\) != \(5, 8\)$"):
+        load_corpus(manifest)
+    lines[2] = json.dumps(video)
+    (tmp_path / video["blob"]).write_bytes(corpus.videos[2].tokens.astype(BLOB_DTYPE).tobytes())
+    manifest.write_text("\n".join(lines) + "\n")
+    with pytest.raises(CorpusError, match=r"^text 'v1_t0' features \(6,\) != \(7,\)$"):
+        load_corpus(manifest)
+
+
+def test_text_features_load_from_a_blob(tmp_path):
+    corpus = random_corpus(num_videos=2, captions_per_video=2)
+    manifest = tmp_path / "manifest.jsonl"
+    save_corpus(corpus, manifest)
+    lines = manifest.read_text().splitlines()
+    text = json.loads(lines[3])
+    features = np.asarray(text.pop("features"), BLOB_DTYPE)
+    (tmp_path / "blobs" / "text.bin").write_bytes(features.tobytes())
+    lines[3] = json.dumps({**text, "blob": "blobs/text.bin"})
+    manifest.write_text("\n".join(lines) + "\n")
+    loaded = load_corpus(manifest)
+    np.testing.assert_array_equal(loaded.texts[1].features, features.astype(np.float64))
+    for a, b in zip(loaded.texts, corpus.texts):
+        np.testing.assert_array_equal(a.features, b.features.astype(BLOB_DTYPE))
+
+
+@pytest.mark.parametrize("kind", ["directory", "fifo", "trailing_slash"])
+def test_blob_paths_resolve_as_path_is_file_does(tmp_path, kind):
+    # a directory or a FIFO is no blob file, and a trailing slash is dropped
+    corpus = random_corpus(num_videos=2, captions_per_video=1)
+    manifest = tmp_path / "manifest.jsonl"
+    save_corpus(corpus, manifest)
+    blob = tmp_path / "blobs" / "video_00001.bin"
+    if kind == "trailing_slash":
+        manifest.write_text(manifest.read_text().replace("video_00001.bin", "video_00001.bin/"))
+        loaded = load_corpus(manifest).videos[1].tokens
+        np.testing.assert_array_equal(loaded, corpus.videos[1].tokens.astype(BLOB_DTYPE))
+        return
+    blob.unlink()
+    if kind == "directory":
+        blob.mkdir()
+    elif hasattr(os, "mkfifo"):
+        os.mkfifo(blob)  # opened for reading, a FIFO with no writer would block
+    else:
+        pytest.skip("no FIFOs on this platform")
+    with pytest.raises(MissingBlobError, match="video_00001.bin does not exist"):
+        load_corpus(manifest)
+
+
+def test_loaded_records_are_views_of_the_corpus_columns(tmp_path):
+    manifest = tmp_path / "manifest.jsonl"
+    save_corpus(random_corpus(num_videos=3), manifest)
+    loaded = load_corpus(manifest)
+    for i, video in enumerate(loaded.videos):
+        assert np.shares_memory(video.tokens, loaded.tokens)
+        np.testing.assert_array_equal(video.tokens, loaded.tokens[i])
+    for i, text in enumerate(loaded.texts):
+        assert np.shares_memory(text.features, loaded.features)
+        np.testing.assert_array_equal(text.features, loaded.features[i])
+    loaded.videos[1].tokens[0, 0] = 7.0
+    loaded.texts[2].features[3] = 8.0
+    assert loaded.tokens[1, 0, 0] == 7.0 and loaded.features[2, 3] == 8.0
+
+
+def test_corpus_from_records_and_its_reload_report_the_same(tmp_path):
+    # at storage precision, so that the reload holds the same values
+    ragged = ragged_corpus(40, seed=2)
+    records = Corpus(
+        [VideoRecord(v.video_id, v.tokens.astype(BLOB_DTYPE).astype(np.float64))
+         for v in ragged.videos],
+        [TextRecord(t.text_id, t.video_id, t.features.astype(BLOB_DTYPE).astype(np.float64),
+                    t.event_label) for t in ragged.texts],
+        ragged.dims,
+    )
+    save_corpus(records, tmp_path / "manifest.jsonl")
+    loaded = load_corpus(tmp_path / "manifest.jsonl")
+    head = make_head(token_dim=4, text_dim=5, embed_dim=6)
+    assert evaluate(records, head).to_json_dict() == evaluate(loaded, head).to_json_dict()
+    for params in (None, head):
+        a, b = (intra_inter_stats(c, params=params, pair_cap=300, seed=3) for c in (records, loaded))
+        np.testing.assert_array_equal(a.inter_hist, b.inter_hist)
+        assert (a.min_intra, a.mean_inter, a.fraction_below) == (
+            b.min_intra, b.mean_inter, b.fraction_below
+        )
 
 
 def test_corpus_validate_catches_duplicates_and_nonfinite():
@@ -178,6 +318,15 @@ def test_corpus_validate_keeps_the_record_order_of_its_errors():
         corpus.validate()
     corpus.videos[1].tokens[0, 0] = 0.0
     with pytest.raises(CorpusError, match=r"^video 'v3' tokens \(2, 8\) != \(5, 8\)$"):
+        corpus.validate()
+
+
+def test_corpus_validate_names_a_record_whose_array_was_replaced():
+    # the columns keep the old row, which every consumer reads
+    corpus = random_corpus(num_videos=3, captions_per_video=1)
+    corpus.validate()
+    corpus.texts[1].features = corpus.texts[1].features.copy()
+    with pytest.raises(CorpusError, match="^text 'v1_t0' features were replaced in its record$"):
         corpus.validate()
 
 
@@ -327,3 +476,39 @@ def test_batches_deterministic_given_stream():
     b = make_batches(corpus, 3, RngStream(7, stream=1))
     assert [x.video_ids for x in a] == [y.video_ids for y in b]
     assert [x.text_ids for x in a] == [y.text_ids for y in b]
+
+
+def per_video_batches(corpus: Corpus, batch_size: int, rng: RngStream) -> list[tuple]:
+    """The epoch of make_batches from one caption draw per video, in batch order."""
+    captions = defaultdict(list)
+    for i, text in enumerate(corpus.texts):
+        captions[text.video_id].append(i)
+    order = rng.permutation(corpus.num_videos)
+    batches = []
+    for start in range(0, corpus.num_videos - batch_size + 1, batch_size):
+        videos = [corpus.videos[i] for i in order[start : start + batch_size]]
+        texts = []
+        for video in videos:
+            mine = captions[video.video_id]
+            texts.append(corpus.texts[mine[rng.integers(len(mine))]])
+        batches.append((
+            [v.video_id for v in videos], [t.text_id for t in texts],
+            np.stack([v.tokens for v in videos]), np.stack([t.features for t in texts]),
+        ))
+    return batches
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_array_bound_draw_matches_one_draw_per_video(seed):
+    # 1000 videos at batch 64 leave 40 over each epoch, whose captions are not drawn
+    corpus = ragged_corpus(1000, seed=seed)
+    rng, oracle_rng = RngStream(seed, stream=1), RngStream(seed, stream=1)
+    for _ in range(3):
+        batches = make_batches(corpus, 64, rng)
+        want = per_video_batches(corpus, 64, oracle_rng)
+        assert len(batches) == len(want) == 15
+        for batch, (video_ids, text_ids, tokens, features) in zip(batches, want):
+            assert (batch.video_ids, batch.text_ids) == (video_ids, text_ids)
+            assert batch.tokens.tobytes() == tokens.tobytes()
+            assert batch.text_features.tobytes() == features.tobytes()
+    np.testing.assert_equal(rng.state, oracle_rng.state)

@@ -83,6 +83,11 @@ def test_normalize_output_norms_near_one():
         assert np.all(norms <= 1.0) and np.all(norms >= 1.0 - 1e-9)
 
 
+def normalize_vjp(x, g, **kwargs):
+    """l2_normalize_rows_vjp at x, with the squared norms the forward computes."""
+    return l2_normalize_rows_vjp(x, numerics._normalize_rows(x, None)[1], g, **kwargs)
+
+
 def test_normalize_vjp_matches_finite_differences():
     for seed in range(20):
         rng = RngStream(seed)
@@ -92,7 +97,7 @@ def test_normalize_vjp_matches_finite_differences():
         def loss(values):
             return float((l2_normalize_rows(values["x"]) * probe).sum())
 
-        grads = {"x": l2_normalize_rows_vjp(x0, probe)}
+        grads = {"x": normalize_vjp(x0, probe)}
         assert finite_diff_check(per_row(loss), {"x": x0}, grads) < 1e-6
 
 
@@ -101,7 +106,7 @@ def test_normalize_vjp_zero_row_gets_zero_gradient():
     # third row's norm is the guard itself
     x = np.array([[0.0, 0.0], [3e-13, 4e-13], [numerics.NORM_GUARD, 0.0], [3.0, 4.0]])
     assert np.linalg.norm(x[2]) == numerics.NORM_GUARD
-    grad = l2_normalize_rows_vjp(x, np.ones_like(x))
+    grad = normalize_vjp(x, np.ones_like(x))
     np.testing.assert_array_equal(grad[:3], 0.0)
     assert np.all(grad[3] != 0.0)
 
@@ -114,8 +119,8 @@ def test_normalize_huge_rows_scale_without_overflow():
     for scale in (1e120, 1e150):
         np.testing.assert_allclose(l2_normalize_rows(x * scale), l2_normalize_rows(x), rtol=1e-12)
         np.testing.assert_allclose(
-            l2_normalize_rows_vjp(x * scale, g) * scale,
-            l2_normalize_rows_vjp(x, g),
+            normalize_vjp(x * scale, g) * scale,
+            normalize_vjp(x, g),
             rtol=1e-9,
             atol=1e-12,
         )
@@ -135,14 +140,14 @@ def test_normalize_bits_do_not_depend_on_alignment(shape):
     # 8-byte position in a 64-byte line
     rng = RngStream(12)
     x, g = rng.normal(shape), rng.normal(shape)
-    forward, backward = l2_normalize_rows(x).tobytes(), l2_normalize_rows_vjp(x, g).tobytes()
+    forward, backward = l2_normalize_rows(x).tobytes(), normalize_vjp(x, g).tobytes()
     for offset in range(8):
         xs, gs = _shifted(x, offset), _shifted(g, offset)
         out, scratch = _shifted(np.zeros(shape), offset), _shifted(np.zeros(shape), 7 - offset)
         assert l2_normalize_rows(xs).tobytes() == forward, offset
         assert l2_normalize_rows(xs, out=out).tobytes() == forward, offset
-        assert l2_normalize_rows_vjp(xs, gs).tobytes() == backward, offset
-        got = l2_normalize_rows_vjp(xs, gs, out=out, scratch=scratch)
+        assert normalize_vjp(xs, gs).tobytes() == backward, offset
+        got = normalize_vjp(xs, gs, out=out, scratch=scratch)
         assert got.tobytes() == backward, offset
 
 
@@ -271,6 +276,17 @@ def test_rng_state_roundtrip_resumes_sequence():
     rng2 = RngStream(0)
     rng2.set_state(saved)
     np.testing.assert_array_equal(rng2.normal(7), expected)
+
+
+@pytest.mark.parametrize("n", [1, 2, 17, 1024, 100_003])
+def test_rng_permutation_is_the_generators_in_int32(n):
+    # the batch sampler and the ambiguity pair sampler draw through it
+    rng = RngStream(7, stream=3)
+    want = np.random.Generator(np.random.Philox(key=7 + (3 << 64)))
+    got = rng.permutation(n)
+    assert got.dtype == np.int32
+    np.testing.assert_array_equal(got, want.permutation(n))
+    np.testing.assert_equal(rng.state, want.bit_generator.state)
 
 
 # ---------------------------------------------------------------------------

@@ -452,6 +452,21 @@ def test_probe_losses_run_on_heads_without_gradients(monkeypatch):
         assert all(t.grad is None for t in stack.tensors().values())
 
 
+def test_only_the_analytic_point_runs_the_winner_pass(monkeypatch):
+    # the probe stacks read losses only, so their scoring skips the winners
+    asked = []
+    similarity_matrix = trainer_module.similarity_matrix
+
+    def recording(text, video, winners=True, buffer=None):
+        asked.append(winners)
+        return similarity_matrix(text, video, winners, buffer)
+
+    monkeypatch.setattr(trainer_module, "similarity_matrix", recording)
+    objective_finite_diff(seed=0)
+    analytic, *probes = asked
+    assert analytic is True and len(probes) > 1 and not any(probes)
+
+
 # ---------------------------------------------------------------------------
 # checkpointing
 # ---------------------------------------------------------------------------
