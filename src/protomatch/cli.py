@@ -26,8 +26,13 @@ from .errors import ConfigError, NumericError, ValidationError
 from .losses import LossConfig, contrastive_loss, variance_loss
 from .matching import similarity_matrix, similarity_vjp
 from .metrics import evaluate, write_report
-from .numerics import (RngStream, _normalize_rows, finite_diff_check, l2_normalize_rows,
-                       l2_normalize_rows_vjp)
+from .numerics import (
+    RngStream,
+    finite_diff_check,
+    l2_normalize_rows,
+    l2_normalize_rows_vjp,
+    l2_normalize_rows_with_norms,
+)
 from .trainer import (
     TrainConfig,
     load_checkpoint,
@@ -267,8 +272,8 @@ def _check_row_normalize(seed: int) -> float:
     def loss(values):
         return (l2_normalize_rows(values["m"]) * weights).sum(axis=(-2, -1))
 
-    _, sq_norms = _normalize_rows(m, None)
-    return finite_diff_check(loss, {"m": m}, {"m": l2_normalize_rows_vjp(m, sq_norms, weights)})
+    grad = l2_normalize_rows_vjp(m, l2_normalize_rows_with_norms(m)[1], weights)
+    return finite_diff_check(loss, {"m": m}, {"m": grad})
 
 
 def _check_variance_loss(seed: int, cfg: LossConfig) -> float:
@@ -320,50 +325,35 @@ class _Parser(argparse.ArgumentParser):
         raise ConfigError(message)
 
 
-def _add_common(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--config", help="plain-text config file of key = value lines")
-    parser.add_argument("--set", action="append", metavar="KEY=VALUE",
-                        help="override one config key (repeatable)")
-    parser.add_argument("--seed", type=int, help="override the run seed")
-    parser.add_argument("--out-dir", default="runs", help="parent of run directories")
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="protomatch",
                      description="multi-prototype text-video retrieval workbench")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("synth", help="generate and save a synthetic corpus")
-    _add_common(p)
-    p.set_defaults(func=cmd_synth)
+    def command(name: str, func, help_text: str) -> argparse.ArgumentParser:
+        p = sub.add_parser(name, help=help_text)
+        p.add_argument("--config", help="plain-text config file of key = value lines")
+        p.add_argument("--set", action="append", metavar="KEY=VALUE",
+                       help="override one config key (repeatable)")
+        p.add_argument("--seed", type=int, help="override the run seed")
+        p.add_argument("--out-dir", default="runs", help="parent of run directories")
+        p.set_defaults(func=func)
+        return p
 
-    p = sub.add_parser("train", help="train a head on a corpus")
-    _add_common(p)
+    command("synth", cmd_synth, "generate and save a synthetic corpus")
+    p = command("train", cmd_train, "train a head on a corpus")
     p.add_argument("--corpus", required=True, help="corpus manifest path")
-    p.set_defaults(func=cmd_train)
-
-    p = sub.add_parser("eval", help="evaluate a checkpoint on a corpus")
-    _add_common(p)
+    p = command("eval", cmd_eval, "evaluate a checkpoint on a corpus")
     p.add_argument("--corpus", required=True)
     p.add_argument("--checkpoint", required=True)
-    p.set_defaults(func=cmd_eval)
-
-    p = sub.add_parser("gradcheck", help="finite-difference check of every gradient path")
-    _add_common(p)
-    p.set_defaults(func=cmd_gradcheck)
-
-    p = sub.add_parser("diagnose", help="caption ambiguity statistics for a corpus")
-    _add_common(p)
+    command("gradcheck", cmd_gradcheck, "finite-difference check of every gradient path")
+    p = command("diagnose", cmd_diagnose, "caption ambiguity statistics for a corpus")
     p.add_argument("--corpus", required=True)
     p.add_argument("--checkpoint", help="use this head's text projection instead of raw features")
-    p.set_defaults(func=cmd_diagnose)
-
-    p = sub.add_parser("heatmap", help="export mask heatmap CSVs for one video")
-    _add_common(p)
+    p = command("heatmap", cmd_heatmap, "export mask heatmap CSVs for one video")
     p.add_argument("--corpus", required=True)
     p.add_argument("--checkpoint", required=True)
     p.add_argument("--video-id", required=True)
-    p.set_defaults(func=cmd_heatmap)
     return parser
 
 

@@ -13,8 +13,7 @@ import errno
 import json
 import os
 import stat
-from dataclasses import dataclass
-from itertools import repeat
+from dataclasses import dataclass, fields
 from operator import attrgetter, is_
 from pathlib import Path
 
@@ -50,69 +49,46 @@ class TextRecord:
     event_label: int | None = None  # synthetic corpora only
 
 
-def _column(arrays: list[np.ndarray], shape: tuple[int, ...]) -> tuple[np.ndarray, dict]:
-    """The arrays as float64 rows of one column, and by index those of another shape.
-
-    The rows of those stay zero.
-    """
-    loose = {i: array for i, array in enumerate(arrays) if array.shape != shape}
-    if not loose:
-        return np.array(arrays, dtype=np.float64).reshape(len(arrays), *shape), loose
-    column = np.zeros((len(arrays), *shape))
-    for i, array in enumerate(arrays):
-        if i not in loose:
-            column[i] = array
-    return column, loose
+def _column(arrays: list[np.ndarray], shape: tuple[int, ...]) -> tuple[np.ndarray, list | None]:
+    """The arrays as the float64 rows of one column and those rows, or zeros and None."""
+    if any(array.shape != shape for array in arrays):
+        return np.zeros((len(arrays), *shape)), None
+    column = np.array(arrays, dtype=np.float64).reshape(len(arrays), *shape)
+    return column, list(column)
 
 
 class Corpus:
     """Videos and their captions, held in columns.
 
-    tokens (V, n_tokens, token_dim) and features (T, text_dim) are float64;
-    video_ids, text_ids and event_labels are lists.  text_video[t] is
-    caption t's video index (-1 for an unknown id).  Video v's captions, in
-    corpus order, are caption_order[caption_starts[v]:caption_starts[v + 1]],
-    caption_counts[v] of them.  videos and texts are records whose arrays
-    are views of the rows, so a write into one is a write into the corpus.
-    A record whose array is replaced, or that did not fit dims, is detached:
-    no consumer reads it, and validate names it.
+    num_videos is V and num_texts T.  tokens (V, n_tokens, token_dim) and
+    features (T, text_dim) are float64; video_ids, text_ids and event_labels
+    are lists.  text_video[t] is caption t's video index (-1 for an unknown
+    id).  Video v's captions, in corpus order, are
+    caption_order[caption_starts[v]:caption_starts[v + 1]].  videos and
+    texts are records whose arrays are views of the rows, so a write into
+    one is a write into the corpus.  Every consumer reads the columns;
+    validate raises once the records differ from them.
     """
 
     def __init__(self, videos: list[VideoRecord], texts: list[TextRecord], dims: tuple):
         n_tokens, token_dim, text_dim = self.dims = dims
+        self.num_videos, self.num_texts = len(videos), len(texts)
         self.video_ids = [v.video_id for v in videos]
         self.text_ids = [t.text_id for t in texts]
         self.event_labels = [t.event_label for t in texts]
-        self.tokens, loose_videos = _column([v.tokens for v in videos], (n_tokens, token_dim))
-        self.features, loose_texts = _column([t.features for t in texts], (text_dim,))
-        self._rows = (list(self.tokens), list(self.features))
         text_video_ids = [t.video_id for t in texts]
-        self.videos = list(map(VideoRecord, self.video_ids, self._rows[0]))
-        self.texts = list(
-            map(TextRecord, self.text_ids, text_video_ids, self._rows[1], self.event_labels)
-        )
-        for i, array in loose_videos.items():
-            self.videos[i].tokens = array
-        for i, array in loose_texts.items():
-            self.texts[i].features = array
+        self.tokens, token_rows = _column([v.tokens for v in videos], (n_tokens, token_dim))
+        self.features, feature_rows = _column([t.features for t in texts], (text_dim,))
+        # a record of another shape keeps its own array, and validate names it
+        self.videos = list(map(VideoRecord, self.video_ids, token_rows or [v.tokens for v in videos]))
+        feats = feature_rows or [t.features for t in texts]
+        self.texts = list(map(TextRecord, self.text_ids, text_video_ids, feats, self.event_labels))
+        self._built = (token_rows, feature_rows, text_video_ids)
         self._index = {video_id: v for v, video_id in enumerate(self.video_ids)}
-        self.text_video = np.fromiter(
-            map(self._index.get, text_video_ids, repeat(-1)), np.intp, len(texts)
-        )
+        self.text_video = np.array([self._index.get(v, -1) for v in text_video_ids], np.intp)
         self.caption_order = np.argsort(self.text_video, kind="stable")
-        # the captions of unknown videos (-1) sort before video 0's
-        self.caption_starts = np.searchsorted(
-            self.text_video[self.caption_order], np.arange(len(videos) + 1)
-        )
-        self.caption_counts = np.diff(self.caption_starts)
-
-    @property
-    def num_videos(self) -> int:
-        return len(self.video_ids)
-
-    @property
-    def num_texts(self) -> int:
-        return len(self.text_ids)
+        # the captions of unknown videos (-1) sort first: caption_starts[0] counts them
+        self.caption_starts = np.cumsum(np.bincount(self.text_video + 1, minlength=len(videos) + 1))
 
     def texts_of(self, video_id: str) -> list[int]:
         """Indices into .texts of the captions describing video_id."""
@@ -123,24 +99,32 @@ class Corpus:
         """Raise CorpusError for the first bad record, in record order.
 
         The checks read the columns; the records are walked only when one
-        fails, to name the first bad record.
+        fails, or when the records no longer hold the ids, labels and rows
+        the columns were built from, to name the first bad record.
         """
         n_tokens, token_dim, text_dim = self.dims
         if n_tokens < 1:
             raise CorpusError("corpus needs at least one token per video")
+        token_rows, feature_rows, text_video_ids = self._built
         if (
-            all(map(is_, map(attrgetter("tokens"), self.videos), self._rows[0]))
-            and all(map(is_, map(attrgetter("features"), self.texts), self._rows[1]))
+            token_rows is not None
+            and feature_rows is not None
+            and list(map(attrgetter("video_id"), self.videos)) == self.video_ids
+            and list(map(attrgetter("text_id"), self.texts)) == self.text_ids
+            and list(map(attrgetter("video_id"), self.texts)) == text_video_ids
+            and list(map(attrgetter("event_label"), self.texts)) == self.event_labels
+            and all(map(is_, map(attrgetter("tokens"), self.videos), token_rows))
+            and all(map(is_, map(attrgetter("features"), self.texts), feature_rows))
             and len(self._index) == self.num_videos
             and len(set(self.text_ids)) == self.num_texts
             and self.caption_starts[0] == 0  # every caption's video is known
-            and self.caption_counts.all()
+            and np.diff(self.caption_starts).all()  # every video has a caption
             and np.isfinite(self.tokens).all()
             and np.isfinite(self.features).all()
         ):
             return
         video_ids = set()
-        for v, row in zip(self.videos, self._rows[0]):
+        for v in self.videos:
             if v.video_id in video_ids:
                 raise CorpusError(f"duplicate video id '{v.video_id}'")
             video_ids.add(v.video_id)
@@ -150,10 +134,8 @@ class Corpus:
                 )
             if not np.isfinite(v.tokens).all():
                 raise CorpusError(f"video '{v.video_id}' has non-finite token entries")
-            if v.tokens is not row:
-                raise CorpusError(f"video '{v.video_id}' tokens were replaced in its record")
         text_ids = set()
-        for t, row in zip(self.texts, self._rows[1]):
+        for t in self.texts:
             if t.text_id in text_ids:
                 raise CorpusError(f"duplicate text id '{t.text_id}'")
             text_ids.add(t.text_id)
@@ -167,12 +149,11 @@ class Corpus:
                 )
             if not np.isfinite(t.features).all():
                 raise CorpusError(f"text '{t.text_id}' has non-finite features")
-            if t.features is not row:
-                raise CorpusError(f"text '{t.text_id}' features were replaced in its record")
         captioned = {t.video_id for t in self.texts}
         for v in self.videos:
             if v.video_id not in captioned:
                 raise CorpusError(f"video '{v.video_id}' has no text description")
+        raise CorpusError("corpus records changed after it was built; build a new Corpus")
 
 
 @dataclass(frozen=True)
@@ -196,16 +177,8 @@ class SynthConfig:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        counts = (
-            self.num_videos,
-            self.captions_per_video,
-            self.events_per_video,
-            self.latent_dim,
-            self.tokens_per_video,
-            self.token_dim,
-            self.text_dim,
-        )
-        if any(c < 1 for c in counts):
+        ints = {f.name: getattr(self, f.name) for f in fields(self) if f.type == "int"}
+        if any(c < 1 for name, c in ints.items() if name != "seed"):  # the others are counts
             raise ValidationError(f"all synthetic corpus counts must be >= 1, got {self}")
         if self.tokens_per_video < self.events_per_video + 1:
             raise ValidationError(
@@ -223,8 +196,7 @@ def synth_corpus(cfg: SynthConfig) -> Corpus:
     token_map = rng.normal((cfg.latent_dim, cfg.token_dim)) / np.sqrt(cfg.latent_dim)
     text_map = rng.normal((cfg.latent_dim, cfg.text_dim)) / np.sqrt(cfg.latent_dim)
 
-    videos: list[VideoRecord] = []
-    texts: list[TextRecord] = []
+    videos, texts = [], []
     for v in range(cfg.num_videos):
         centers = rng.normal((cfg.events_per_video, cfg.latent_dim))
         tokens = np.empty((cfg.tokens_per_video, cfg.token_dim))
@@ -244,51 +216,42 @@ def synth_corpus(cfg: SynthConfig) -> Corpus:
     return corpus
 
 
-def _write_blob(path: Path, array: np.ndarray) -> None:
-    path.write_bytes(np.ascontiguousarray(array, dtype=BLOB_DTYPE).tobytes())
-
-
 # The errnos for which Path.is_file reports no file instead of raising.
 _NO_FILE = (errno.ENOENT, errno.ENOTDIR, errno.EBADF, errno.ELOOP)
 
 
-def _read_blob(
-    base: Path, blob: str, owner: str, shape: tuple[int, int] | None = None
-) -> np.ndarray:
+def _read_blob(path: Path, owner: str, shape: tuple[int, int] | None = None) -> np.ndarray:
     """A record's blob as float32 values: a video's of its (rows, cols) shape, a text's 1-D.
 
-    One open, fstat and read; the Path, which drops a trailing slash, is
-    built only when the plain joined path is no regular file.  A FIFO is
-    refused, not waited on.
+    One open, fstat and read; a FIFO is refused, not waited on.
     """
-    for path in (os.path.join(base, blob), None):
-        try:
-            fd = os.open(path or base / blob, os.O_RDONLY | os.O_NONBLOCK)
-        except (OSError, ValueError) as exc:  # ValueError: a NUL in the path
-            if isinstance(exc, OSError) and exc.errno not in _NO_FILE:
-                raise
-            continue
-        try:
-            info = os.fstat(fd)
-            if not stat.S_ISREG(info.st_mode):
-                continue
-            size, unit = info.st_size, BLOB_DTYPE.itemsize
-            if shape is not None and size != shape[0] * shape[1] * unit:
-                raise BlobSizeError(
-                    f"record '{owner}': blob {base / blob} holds {size} bytes, "
-                    f"expected {shape[0]}x{shape[1]}x4 = {shape[0] * shape[1] * unit}"
-                )
-            if size % unit != 0:
-                raise BlobSizeError(
-                    f"record '{owner}': blob {base / blob} holds {size} bytes, not a multiple of 4"
-                )
-            values = np.empty(size // unit, BLOB_DTYPE)
-            if os.readv(fd, [values]) != size:
-                raise BlobSizeError(f"record '{owner}': blob {base / blob} changed while read")
-            return values if shape is None else values.reshape(shape)
-        finally:
+    try:
+        fd = os.open(path, os.O_RDONLY | os.O_NONBLOCK)
+    except (OSError, ValueError) as exc:  # ValueError: a NUL in the path
+        if isinstance(exc, OSError) and exc.errno not in _NO_FILE:
+            raise
+        fd = None
+    try:
+        info = None if fd is None else os.fstat(fd)
+        if info is None or not stat.S_ISREG(info.st_mode):
+            raise MissingBlobError(f"record '{owner}': blob file {path} does not exist")
+        size, unit = info.st_size, BLOB_DTYPE.itemsize
+        if shape is not None and size != shape[0] * shape[1] * unit:
+            raise BlobSizeError(
+                f"record '{owner}': blob {path} holds {size} bytes, "
+                f"expected {shape[0]}x{shape[1]}x4 = {shape[0] * shape[1] * unit}"
+            )
+        if size % unit != 0:
+            raise BlobSizeError(
+                f"record '{owner}': blob {path} holds {size} bytes, not a multiple of 4"
+            )
+        values = np.empty(size // unit, BLOB_DTYPE)
+        if os.readv(fd, [values]) != size:
+            raise BlobSizeError(f"record '{owner}': blob {path} changed while read")
+        return values if shape is None else values.reshape(shape)
+    finally:
+        if fd is not None:
             os.close(fd)
-    raise MissingBlobError(f"record '{owner}': blob file {base / blob} does not exist")
 
 
 def save_corpus(corpus: Corpus, manifest_path: str | Path) -> None:
@@ -300,17 +263,13 @@ def save_corpus(corpus: Corpus, manifest_path: str | Path) -> None:
     lines = []
     for i, (video_id, tokens) in enumerate(zip(corpus.video_ids, corpus.tokens)):
         rel = f"blobs/video_{i:05d}.bin"
-        _write_blob(manifest_path.parent / rel, tokens)
+        (manifest_path.parent / rel).write_bytes(tokens.astype(BLOB_DTYPE).tobytes())
         rec = {"kind": "video", "id": video_id, "blob": rel, "rows": n_tokens, "cols": token_dim}
         lines.append(json.dumps(rec))
-    for text_id, v, feats, label in zip(
-        corpus.text_ids, corpus.text_video.tolist(), corpus.features.astype(BLOB_DTYPE),
-        corpus.event_labels,
-    ):
-        rec = {"kind": "text", "id": text_id, "video_id": corpus.video_ids[v],
-               "features": feats.tolist()}
-        if label is not None:
-            rec["event_label"] = label
+    for t, feats in zip(corpus.texts, corpus.features.astype(BLOB_DTYPE)):
+        rec = {"kind": "text", "id": t.text_id, "video_id": t.video_id, "features": feats.tolist()}
+        if t.event_label is not None:
+            rec["event_label"] = t.event_label
         lines.append(json.dumps(rec))
     manifest_path.write_text("\n".join(lines) + "\n")
 
@@ -321,9 +280,6 @@ _REQUIRED_KEYS = {
     "video": (("id", str), ("blob", str), ("rows", int), ("cols", int)),
     "text": (("id", str), ("video_id", str)),
 }
-# A text's event_label is optional, and a count when present: the keys of
-# a text without one, then of a text with one.
-_TEXT_KEYS = (_REQUIRED_KEYS["text"], _REQUIRED_KEYS["text"] + (("event_label", int),))
 _TYPE_NAMES = {str: "a string", int: "a non-negative integer"}
 
 
@@ -374,15 +330,17 @@ def load_corpus(manifest_path: str | Path) -> Corpus:
         kind = rec.get("kind")
         if kind == "video":
             _check_record(rec, kind, source, lineno)
-            tokens = _read_blob(base, rec["blob"], rec["id"], (rec["rows"], rec["cols"]))
+            tokens = _read_blob(base / rec["blob"], rec["id"], (rec["rows"], rec["cols"]))
             videos.append(VideoRecord(rec["id"], tokens))
         elif kind == "text":
-            _check_record(rec, kind, source, lineno, _TEXT_KEYS["event_label" in rec])
+            _check_record(rec, kind, source, lineno)
+            if "event_label" in rec:  # optional, and a count when present
+                _check_record(rec, kind, source, lineno, (("event_label", int),))
             if "features" in rec:
                 feats = _text_features(rec, source, lineno)
             elif "blob" in rec:
                 _check_record(rec, kind, source, lineno, (("blob", str),))
-                feats = _read_blob(base, rec["blob"], rec["id"])
+                feats = _read_blob(base / rec["blob"], rec["id"])
             else:
                 raise CorpusError(f"text record '{rec.get('id')}' has neither features nor blob")
             texts.append(TextRecord(rec["id"], rec["video_id"], feats, rec.get("event_label")))
@@ -422,14 +380,12 @@ def make_batches(corpus: Corpus, batch_size: int, rng: RngStream) -> list[Batch]
     if batch_size < 1:
         raise ValidationError(f"batch size must be >= 1, got {batch_size}")
     n_batches = m // batch_size
-    videos = rng.permutation(m)[: n_batches * batch_size]
-    picks = rng.integers(corpus.caption_counts[videos])
+    videos = rng.permutation(m)[: n_batches * batch_size].reshape(n_batches, batch_size)
+    picks = rng.integers(np.diff(corpus.caption_starts)[videos])
     texts = corpus.caption_order[corpus.caption_starts[videos] + picks]
-    tokens = corpus.tokens[videos].reshape(n_batches, batch_size, *corpus.tokens.shape[1:])
-    features = corpus.features[texts].reshape(n_batches, batch_size, corpus.dims[2])
-    video_ids = [corpus.video_ids[v] for v in videos.tolist()]
-    text_ids = [corpus.text_ids[t] for t in texts.tolist()]
+    tokens, features = corpus.tokens[videos], corpus.features[texts]
+    video_ids, text_ids = corpus.video_ids, corpus.text_ids
     return [
-        Batch(video_ids[lo : lo + batch_size], text_ids[lo : lo + batch_size], tokens[b], features[b])
-        for b, lo in enumerate(range(0, n_batches * batch_size, batch_size))
+        Batch([video_ids[v] for v in vs], [text_ids[t] for t in ts], tokens[b], features[b])
+        for b, (vs, ts) in enumerate(zip(videos.tolist(), texts.tolist()))
     ]

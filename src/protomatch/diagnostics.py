@@ -14,9 +14,9 @@ Each such row decodes its run to partner captions by stepping past its own
 video's later captions, and its cosines are one gather of the partners and
 one dot against the row's caption, scattered back to their sampled
 positions.  Beyond O(captions x dim) for the embeddings, the memory is the
-seeded permutation of all pair ordinals (8 bytes a pair, freed once the
-kept prefix is copied) and O(pair_cap) for the kept pairs; a row's gather
-is at most one copy of the embeddings.
+seeded permutation of all pair ordinals (4 bytes a pair, int32, freed once
+the kept prefix is copied) and O(pair_cap) for the kept pairs; a row's
+gather is at most one copy of the embeddings.
 """
 
 from __future__ import annotations
@@ -95,7 +95,7 @@ def intra_inter_stats(
     # captions grouped by video, corpus order within each group
     order, bounds = corpus.caption_order, corpus.caption_starts
     min_intra: list[tuple[str, float]] = []
-    for v in np.flatnonzero(corpus.caption_counts >= 2).tolist():
+    for v in np.flatnonzero(np.diff(bounds) >= 2).tolist():
         rows = order[bounds[v] : bounds[v + 1]]
         sims = unit[rows] @ unit[rows].T
         pair_min = sims[np.triu_indices(len(rows), k=1)].min()
@@ -105,11 +105,9 @@ def intra_inter_stats(
             "intra-video similarity is undefined: every video has a single caption"
         )
 
-    video_of = corpus.text_video
-    n = video_of.shape[0]
-    slot = np.empty(n, np.intp)  # each caption's position in order
-    slot[order] = np.arange(n)
-    siblings_after = (bounds[video_of + 1] - 1) - slot
+    slot = np.empty(corpus.num_texts, np.intp)  # each caption's position in order
+    slot[order] = np.arange(corpus.num_texts)
+    siblings_after = (bounds[corpus.text_video + 1] - 1) - slot
     ordinals, starts, position = _inter_video_pairs(siblings_after, pair_cap, seed)
     if ordinals.shape[0] == 0:
         raise ValidationError(

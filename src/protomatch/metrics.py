@@ -144,13 +144,11 @@ def evaluate(corpus: Corpus, params: HeadParameters, variant: str = "mask") -> R
     text_embedded = embed_texts(corpus.features, params)
     scores = similarity_matrix(text_embedded, video_embedded, winners=False).scores
 
-    captions = np.arange(corpus.num_texts)
+    # (query, ground truth) pairs: each caption's video, each video's captions
+    captions, videos = np.arange(corpus.num_texts), corpus.text_video
     reports: dict[str, DirectionReport] = {}
-    for name in DIRECTIONS:
-        if name == "text_to_video":
-            ranks = _ranks(scores, captions, corpus.text_video).tolist()
-        else:
-            ranks = _ranks(scores.T, corpus.text_video, captions).tolist()
+    for name, args in zip(DIRECTIONS, ((scores, captions, videos), (scores.T, videos, captions))):
+        ranks = _ranks(*args).tolist()
         reports[name] = DirectionReport(
             {k: recall_at_k(ranks, k) for k in REPORTED_KS}, median_rank(ranks)
         )

@@ -59,11 +59,13 @@ def l2_normalize_rows(m: np.ndarray, out: np.ndarray | None = None) -> np.ndarra
 
     out, if given, is an array of m's shape that receives the result.
     """
-    return _normalize_rows(m, out)[0]
+    return l2_normalize_rows_with_norms(m, out)[0]
 
 
-def _normalize_rows(m: np.ndarray, out: np.ndarray | None) -> tuple[np.ndarray, np.ndarray]:
-    """l2_normalize_rows' result and the squared row norms, (...,), it scaled by."""
+def l2_normalize_rows_with_norms(
+    m: np.ndarray, out: np.ndarray | None = None
+) -> tuple[np.ndarray, np.ndarray]:
+    """l2_normalize_rows' result and the squared row norms, (...,), that the VJP takes."""
     sq_norms = _row_dots(m, m)
     return _scale_rows(m, 1.0 / (np.sqrt(sq_norms) + NORM_GUARD), out), sq_norms
 
@@ -210,10 +212,7 @@ class RngStream:
         return out if isinstance(out, np.ndarray) else int(out)
 
     def permutation(self, n: int) -> np.ndarray:
-        """Generator.permutation(n): the same draws and values, as int32 where n fits.
-
-        That halves the ambiguity sampler's permutation of all caption pairs.
-        """
+        """Generator.permutation(n)'s draws and values, in int32 where n fits (half the bytes)."""
         out = np.arange(n, dtype=np.int32 if n <= np.iinfo(np.int32).max else np.int64)
         self._gen.shuffle(out)
         return out

@@ -24,8 +24,8 @@ from .errors import NumericError, ShapeError, ValidationError
 from .numerics import (
     ParamTensor,
     RngStream,
-    _normalize_rows,
     l2_normalize_rows_vjp,
+    l2_normalize_rows_with_norms,
     relu,
     relu_vjp,
 )
@@ -179,7 +179,7 @@ def head_forward(
         protos = np.stack(parts + [tokens[..., 0, :]], axis=-2)
     projected_out, embedded_out = (None, None) if out is None else out
     projected = np.matmul(protos, params.vproj_w.value[..., None, :, :], out=projected_out)
-    embedded, sq_norms = _normalize_rows(projected, embedded_out)
+    embedded, sq_norms = l2_normalize_rows_with_norms(projected, embedded_out)
     return HeadCache(variant, acts, masks, protos, projected, embedded, sq_norms)
 
 
@@ -254,12 +254,8 @@ def _part_bounds(n_body: int, n_parts: int) -> list[tuple[int, int]]:
     Chunk sizes differ by at most one and earlier chunks take the extra
     item, the layout of np.array_split.
     """
-    sizes = [n_body // n_parts + (1 if i < n_body % n_parts else 0) for i in range(n_parts)]
-    bounds, lo = [], 0
-    for s in sizes:
-        bounds.append((lo, lo + s))
-        lo += s
-    return bounds
+    size, extra = divmod(n_body, n_parts)
+    return [(i * size + min(i, extra), (i + 1) * size + min(i + 1, extra)) for i in range(n_parts)]
 
 
 @dataclass(eq=False)
@@ -286,7 +282,7 @@ def text_forward(
         )
     projected_out, embedded_out = (None, None) if out is None else out
     projected = np.matmul(features, params.tproj_w.value, out=projected_out)
-    return TextCache(projected, *_normalize_rows(projected, embedded_out))
+    return TextCache(projected, *l2_normalize_rows_with_norms(projected, embedded_out))
 
 
 def text_backward(

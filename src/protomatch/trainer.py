@@ -88,28 +88,21 @@ class TrainConfig:
             raise ValidationError(
                 f"unknown variant {self.variant!r}, expected one of {TRAIN_VARIANTS}"
             )
-        if self.n_prototypes < 0:
-            raise ValidationError(f"n_prototypes must be >= 0, got {self.n_prototypes}")
+        self._check_at_least(n_prototypes=0)
         if self.variant == "part" and self.n_prototypes < 1:
             raise ValidationError("the part variant needs at least one prototype")
-        if self.embed_dim < 1:
-            raise ValidationError(f"embed_dim must be >= 1, got {self.embed_dim}")
-        if self.batch_size < 1:
-            raise ValidationError(f"batch_size must be >= 1, got {self.batch_size}")
-        if self.epochs < 0:
-            raise ValidationError(f"epochs must be >= 0, got {self.epochs}")
-        if self.warmup_epochs < 0:
-            raise ValidationError(f"warmup_epochs must be >= 0, got {self.warmup_epochs}")
+        self._check_at_least(embed_dim=1, batch_size=1, epochs=0, warmup_epochs=0)
         if self.epochs > 0 and self.warmup_epochs > self.epochs:
             raise ValidationError(
                 f"warmup_epochs ({self.warmup_epochs}) must not exceed epochs ({self.epochs})"
             )
-        if self.peak_lr < 0:
-            raise ValidationError(f"peak_lr must be >= 0, got {self.peak_lr}")
-        if self.checkpoint_every < 1:
-            raise ValidationError(f"checkpoint_every must be >= 1, got {self.checkpoint_every}")
-        if self.seed < 0:
-            raise ValidationError(f"seed must be >= 0, got {self.seed}")
+        self._check_at_least(peak_lr=0, checkpoint_every=1, seed=0)
+
+    def _check_at_least(self, **lows) -> None:
+        """Raise ValidationError for the first of these fields below its bound."""
+        for name, low in lows.items():
+            if getattr(self, name) < low:
+                raise ValidationError(f"{name} must be >= {low}, got {getattr(self, name)}")
 
     @property
     def effective_prototypes(self) -> int:

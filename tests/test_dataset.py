@@ -321,12 +321,42 @@ def test_corpus_validate_keeps_the_record_order_of_its_errors():
         corpus.validate()
 
 
-def test_corpus_validate_names_a_record_whose_array_was_replaced():
-    # the columns keep the old row, which every consumer reads
-    corpus = random_corpus(num_videos=3, captions_per_video=1)
+# Edits to a built corpus's records that break no rule the record walk checks.
+RECORD_EDITS = {
+    "replaced_array": lambda c: setattr(c.texts[1], "features", c.texts[1].features.copy()),
+    "appended_video": lambda c: (
+        c.videos.append(VideoRecord("v9", np.zeros((5, 8)))),
+        c.texts.append(TextRecord("v9_t0", "v9", np.zeros(7))),
+    ),
+    "appended_text": lambda c: c.texts.append(TextRecord("v0_t9", "v0", np.zeros(7))),
+    "removed_text": lambda c: c.texts.pop(),
+    "moved_caption": lambda c: setattr(c.texts[0], "video_id", "v2"),
+    "swapped_video_ids": lambda c: (
+        setattr(c.videos[1], "video_id", "v2"), setattr(c.videos[2], "video_id", "v1")
+    ),
+    "relabelled_caption": lambda c: setattr(c.texts[2], "event_label", 1),
+}
+
+
+@pytest.mark.parametrize("edit", RECORD_EDITS.values(), ids=RECORD_EDITS.keys())
+def test_corpus_validate_raises_once_its_records_change(edit):
+    # every consumer reads the columns, which keep what the records held
+    corpus = random_corpus(num_videos=3, captions_per_video=2)
     corpus.validate()
-    corpus.texts[1].features = corpus.texts[1].features.copy()
-    with pytest.raises(CorpusError, match="^text 'v1_t0' features were replaced in its record$"):
+    edit(corpus)
+    changed = "^corpus records changed after it was built; build a new Corpus$"
+    with pytest.raises(CorpusError, match=changed):
+        corpus.validate()
+
+
+def test_corpus_validate_names_a_changed_record_as_the_walk_does():
+    corpus = random_corpus(num_videos=3, captions_per_video=1)
+    corpus.videos.append(corpus.videos[0])
+    with pytest.raises(CorpusError, match="^duplicate video id 'v0'$"):
+        corpus.validate()
+    corpus = random_corpus(num_videos=3, captions_per_video=1)
+    corpus.texts[1].video_id = "v7"
+    with pytest.raises(DanglingReferenceError, match="^text 'v1_t0' references unknown video"):
         corpus.validate()
 
 

@@ -85,7 +85,7 @@ def test_normalize_output_norms_near_one():
 
 def normalize_vjp(x, g, **kwargs):
     """l2_normalize_rows_vjp at x, with the squared norms the forward computes."""
-    return l2_normalize_rows_vjp(x, numerics._normalize_rows(x, None)[1], g, **kwargs)
+    return l2_normalize_rows_vjp(x, numerics.l2_normalize_rows_with_norms(x)[1], g, **kwargs)
 
 
 def test_normalize_vjp_matches_finite_differences():
