@@ -14,8 +14,8 @@ import json
 import os
 import stat
 from dataclasses import dataclass, fields
-from operator import attrgetter, is_
 from pathlib import Path
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -31,16 +31,14 @@ from .numerics import RngStream
 BLOB_DTYPE = np.dtype("<f4")
 
 
-@dataclass(eq=False)
-class VideoRecord:
+class VideoRecord(NamedTuple):
     """One video's token features; row 0 is the class (summary) token."""
 
     video_id: str
     tokens: np.ndarray  # (n_tokens, token_dim) float64
 
 
-@dataclass(eq=False)
-class TextRecord:
+class TextRecord(NamedTuple):
     """One caption: its feature vector and the id of the video it describes."""
 
     text_id: str
@@ -49,111 +47,87 @@ class TextRecord:
     event_label: int | None = None  # synthetic corpora only
 
 
-def _column(arrays: list[np.ndarray], shape: tuple[int, ...]) -> tuple[np.ndarray, list | None]:
-    """The arrays as the float64 rows of one column and those rows, or zeros and None."""
-    if any(array.shape != shape for array in arrays):
-        return np.zeros((len(arrays), *shape)), None
-    column = np.array(arrays, dtype=np.float64).reshape(len(arrays), *shape)
-    return column, list(column)
+def _raise_first_bad_record(videos, texts, dims: tuple) -> None:
+    """Raise CorpusError for the first bad record, in record order."""
+    n_tokens, token_dim, text_dim = dims
+    token_shape, video_ids, text_ids = (n_tokens, token_dim), set(), set()
+    for v in videos:
+        if v.video_id in video_ids:
+            raise CorpusError(f"duplicate video id '{v.video_id}'")
+        video_ids.add(v.video_id)
+        if v.tokens.shape != token_shape:
+            raise CorpusError(f"video '{v.video_id}' tokens {v.tokens.shape} != {token_shape}")
+        if not np.isfinite(v.tokens).all():
+            raise CorpusError(f"video '{v.video_id}' has non-finite token entries")
+    for t in texts:
+        if t.text_id in text_ids:
+            raise CorpusError(f"duplicate text id '{t.text_id}'")
+        text_ids.add(t.text_id)
+        if t.video_id not in video_ids:
+            raise DanglingReferenceError(
+                f"text '{t.text_id}' references unknown video '{t.video_id}'"
+            )
+        if t.features.shape != (text_dim,):
+            raise CorpusError(f"text '{t.text_id}' features {t.features.shape} != {(text_dim,)}")
+        if not np.isfinite(t.features).all():
+            raise CorpusError(f"text '{t.text_id}' has non-finite features")
+    captioned = {t.video_id for t in texts}
+    for v in videos:
+        if v.video_id not in captioned:
+            raise CorpusError(f"video '{v.video_id}' has no text description")
 
 
 class Corpus:
-    """Videos and their captions, held in columns.
+    """Videos and their captions, checked once and held in read-only columns.
 
     num_videos is V and num_texts T.  tokens (V, n_tokens, token_dim) and
-    features (T, text_dim) are float64; video_ids, text_ids and event_labels
-    are lists.  text_video[t] is caption t's video index (-1 for an unknown
-    id).  Video v's captions, in corpus order, are
+    features (T, text_dim) are float64 copies of the records' arrays;
+    video_ids, text_ids and event_labels are tuples.  text_video[t] is
+    caption t's video index.  Video v's captions, in corpus order, are
     caption_order[caption_starts[v]:caption_starts[v + 1]].  videos and
-    texts are records whose arrays are views of the rows, so a write into
-    one is a write into the corpus.  Every consumer reads the columns;
-    validate raises once the records differ from them.
+    texts are tuples of records whose arrays are views of the rows.  The
+    first bad record, in record order, raises CorpusError.
     """
 
-    def __init__(self, videos: list[VideoRecord], texts: list[TextRecord], dims: tuple):
+    def __init__(self, videos: Sequence[VideoRecord], texts: Sequence[TextRecord], dims: tuple):
         n_tokens, token_dim, text_dim = self.dims = dims
+        if n_tokens < 1:
+            raise CorpusError("corpus needs at least one token per video")
         self.num_videos, self.num_texts = len(videos), len(texts)
-        self.video_ids = [v.video_id for v in videos]
-        self.text_ids = [t.text_id for t in texts]
-        self.event_labels = [t.event_label for t in texts]
-        text_video_ids = [t.video_id for t in texts]
-        self.tokens, token_rows = _column([v.tokens for v in videos], (n_tokens, token_dim))
-        self.features, feature_rows = _column([t.features for t in texts], (text_dim,))
-        # a record of another shape keeps its own array, and validate names it
-        self.videos = list(map(VideoRecord, self.video_ids, token_rows or [v.tokens for v in videos]))
-        feats = feature_rows or [t.features for t in texts]
-        self.texts = list(map(TextRecord, self.text_ids, text_video_ids, feats, self.event_labels))
-        self._built = (token_rows, feature_rows, text_video_ids)
+        token_arrays, feature_arrays = [v.tokens for v in videos], [t.features for t in texts]
+        if any(a.shape != (n_tokens, token_dim) for a in token_arrays) or any(
+            a.shape != (text_dim,) for a in feature_arrays
+        ):
+            _raise_first_bad_record(videos, texts, dims)
+        self.tokens = np.array(token_arrays, np.float64).reshape(len(videos), n_tokens, token_dim)
+        self.features = np.array(feature_arrays, np.float64).reshape(len(texts), text_dim)
+        self.video_ids = tuple(v.video_id for v in videos)
+        self.text_ids = tuple(t.text_id for t in texts)
+        self.event_labels = tuple(t.event_label for t in texts)
+        owners = [t.video_id for t in texts]
         self._index = {video_id: v for v, video_id in enumerate(self.video_ids)}
-        self.text_video = np.array([self._index.get(v, -1) for v in text_video_ids], np.intp)
-        self.caption_order = np.argsort(self.text_video, kind="stable")
-        # the captions of unknown videos (-1) sort first: caption_starts[0] counts them
+        self.text_video = np.array([self._index.get(v, -1) for v in owners], np.intp)
         self.caption_starts = np.cumsum(np.bincount(self.text_video + 1, minlength=len(videos) + 1))
+        if not (
+            len(self._index) == self.num_videos
+            and len(set(self.text_ids)) == self.num_texts
+            and self.caption_starts[0] == 0  # no caption of an unknown video (-1)
+            and np.diff(self.caption_starts).all()  # every video has a caption
+            and np.isfinite(self.tokens).all()
+            and np.isfinite(self.features).all()
+        ):
+            _raise_first_bad_record(videos, texts, dims)
+        self.caption_order = np.argsort(self.text_video, kind="stable")
+        for column in self.tokens, self.features, self.text_video, self.caption_order:
+            column.flags.writeable = False
+        self.caption_starts.flags.writeable = False
+        self.videos = tuple(map(VideoRecord, self.video_ids, self.tokens))
+        self.texts = tuple(map(TextRecord, self.text_ids, owners, self.features, self.event_labels))
 
     def texts_of(self, video_id: str) -> list[int]:
         """Indices into .texts of the captions describing video_id."""
         v = self._index[video_id]
         return self.caption_order[self.caption_starts[v] : self.caption_starts[v + 1]].tolist()
-
-    def validate(self) -> None:
-        """Raise CorpusError for the first bad record, in record order.
-
-        The checks read the columns; the records are walked only when one
-        fails, or when the records no longer hold the ids, labels and rows
-        the columns were built from, to name the first bad record.
-        """
-        n_tokens, token_dim, text_dim = self.dims
-        if n_tokens < 1:
-            raise CorpusError("corpus needs at least one token per video")
-        token_rows, feature_rows, text_video_ids = self._built
-        if (
-            token_rows is not None
-            and feature_rows is not None
-            and list(map(attrgetter("video_id"), self.videos)) == self.video_ids
-            and list(map(attrgetter("text_id"), self.texts)) == self.text_ids
-            and list(map(attrgetter("video_id"), self.texts)) == text_video_ids
-            and list(map(attrgetter("event_label"), self.texts)) == self.event_labels
-            and all(map(is_, map(attrgetter("tokens"), self.videos), token_rows))
-            and all(map(is_, map(attrgetter("features"), self.texts), feature_rows))
-            and len(self._index) == self.num_videos
-            and len(set(self.text_ids)) == self.num_texts
-            and self.caption_starts[0] == 0  # every caption's video is known
-            and np.diff(self.caption_starts).all()  # every video has a caption
-            and np.isfinite(self.tokens).all()
-            and np.isfinite(self.features).all()
-        ):
-            return
-        video_ids = set()
-        for v in self.videos:
-            if v.video_id in video_ids:
-                raise CorpusError(f"duplicate video id '{v.video_id}'")
-            video_ids.add(v.video_id)
-            if v.tokens.shape != (n_tokens, token_dim):
-                raise CorpusError(
-                    f"video '{v.video_id}' tokens {v.tokens.shape} != {(n_tokens, token_dim)}"
-                )
-            if not np.isfinite(v.tokens).all():
-                raise CorpusError(f"video '{v.video_id}' has non-finite token entries")
-        text_ids = set()
-        for t in self.texts:
-            if t.text_id in text_ids:
-                raise CorpusError(f"duplicate text id '{t.text_id}'")
-            text_ids.add(t.text_id)
-            if t.video_id not in video_ids:
-                raise DanglingReferenceError(
-                    f"text '{t.text_id}' references unknown video '{t.video_id}'"
-                )
-            if t.features.shape != (text_dim,):
-                raise CorpusError(
-                    f"text '{t.text_id}' features {t.features.shape} != {(text_dim,)}"
-                )
-            if not np.isfinite(t.features).all():
-                raise CorpusError(f"text '{t.text_id}' has non-finite features")
-        captioned = {t.video_id for t in self.texts}
-        for v in self.videos:
-            if v.video_id not in captioned:
-                raise CorpusError(f"video '{v.video_id}' has no text description")
-        raise CorpusError("corpus records changed after it was built; build a new Corpus")
 
 
 @dataclass(frozen=True)
@@ -211,9 +185,7 @@ def synth_corpus(cfg: SynthConfig) -> Corpus:
             feats = centers[event] @ text_map + cfg.caption_noise * rng.normal(cfg.text_dim)
             texts.append(TextRecord(f"v{v}_t{c}", video_id, feats, event_label=event))
 
-    corpus = Corpus(videos, texts, (cfg.tokens_per_video, cfg.token_dim, cfg.text_dim))
-    corpus.validate()
-    return corpus
+    return Corpus(videos, texts, (cfg.tokens_per_video, cfg.token_dim, cfg.text_dim))
 
 
 # The errnos for which Path.is_file reports no file instead of raising.
@@ -255,18 +227,26 @@ def _read_blob(path: Path, owner: str, shape: tuple[int, int] | None = None) -> 
 
 
 def save_corpus(corpus: Corpus, manifest_path: str | Path) -> None:
-    """Write a manifest plus blobs; load_corpus inverts this bit-exactly."""
-    corpus.validate()
+    """Write a manifest plus blobs; load_corpus inverts this bit-exactly.
+
+    A value beyond float32 range raises CorpusError, naming its record, before any file is written.
+    """
+    with np.errstate(over="ignore"):  # the corpus is finite, so an inf is an overflow
+        tokens, features = corpus.tokens.astype(BLOB_DTYPE), corpus.features.astype(BLOB_DTYPE)
+    for kind, ids, rows in ("video", corpus.video_ids, tokens), ("text", corpus.text_ids, features):
+        for record_id, row in zip(ids, rows):
+            if not np.isfinite(row).all():
+                raise CorpusError(f"{kind} '{record_id}' holds a value beyond float32 range")
     manifest_path = Path(manifest_path)
     (manifest_path.parent / "blobs").mkdir(parents=True, exist_ok=True)
     n_tokens, token_dim, _ = corpus.dims
     lines = []
-    for i, (video_id, tokens) in enumerate(zip(corpus.video_ids, corpus.tokens)):
+    for i, (video_id, video_tokens) in enumerate(zip(corpus.video_ids, tokens)):
         rel = f"blobs/video_{i:05d}.bin"
-        (manifest_path.parent / rel).write_bytes(tokens.astype(BLOB_DTYPE).tobytes())
+        (manifest_path.parent / rel).write_bytes(video_tokens.tobytes())
         rec = {"kind": "video", "id": video_id, "blob": rel, "rows": n_tokens, "cols": token_dim}
         lines.append(json.dumps(rec))
-    for t, feats in zip(corpus.texts, corpus.features.astype(BLOB_DTYPE)):
+    for t, feats in zip(corpus.texts, features):
         rec = {"kind": "text", "id": t.text_id, "video_id": t.video_id, "features": feats.tolist()}
         if t.event_label is not None:
             rec["event_label"] = t.event_label
@@ -294,13 +274,14 @@ def _check_record(rec: dict, kind: str, source: str, lineno: int, keys=None) -> 
 
 
 def _text_features(rec: dict, source: str, lineno: int) -> np.ndarray:
-    try:
+    try:  # under np.errstate(over="raise"), a number beyond float32 range raises
         feats = np.asarray(rec["features"], dtype=np.float32)
-    except (TypeError, ValueError, OverflowError):
+    except (TypeError, ValueError, OverflowError, FloatingPointError):
         feats = None
     if feats is None or feats.ndim != 1:
         raise CorpusError(
-            f"{source}:{lineno}: text record {rec['id']!r} key 'features' must be a list of numbers"
+            f"{source}:{lineno}: text record {rec['id']!r} key 'features' "
+            "must be a list of numbers in float32 range"
         )
     return feats
 
@@ -308,7 +289,7 @@ def _text_features(rec: dict, source: str, lineno: int) -> np.ndarray:
 def load_corpus(manifest_path: str | Path) -> Corpus:
     """Materialize a corpus from a JSON-lines manifest; validates everything.
 
-    Errors come in manifest line order, then in validate's record order.
+    Errors come in manifest line order, then in Corpus's record order.
     Blobs and features are read as float32; the corpus converts all tokens
     and all features to its float64 columns in one pass each.
     """
@@ -318,42 +299,42 @@ def load_corpus(manifest_path: str | Path) -> Corpus:
     base, source = manifest_path.parent, str(manifest_path)
 
     videos, texts = [], []
-    for lineno, line in enumerate(manifest_path.read_text().splitlines(), start=1):
-        if not line.strip():
-            continue
-        try:
-            rec = json.loads(line)
-        except json.JSONDecodeError as exc:
-            raise CorpusError(f"{manifest_path}:{lineno}: malformed JSON ({exc})") from exc
-        if not isinstance(rec, dict):
-            raise CorpusError(f"{source}:{lineno}: expected a JSON object, got {line!r}")
-        kind = rec.get("kind")
-        if kind == "video":
-            _check_record(rec, kind, source, lineno)
-            tokens = _read_blob(base / rec["blob"], rec["id"], (rec["rows"], rec["cols"]))
-            videos.append(VideoRecord(rec["id"], tokens))
-        elif kind == "text":
-            _check_record(rec, kind, source, lineno)
-            if "event_label" in rec:  # optional, and a count when present
-                _check_record(rec, kind, source, lineno, (("event_label", int),))
-            if "features" in rec:
-                feats = _text_features(rec, source, lineno)
-            elif "blob" in rec:
-                _check_record(rec, kind, source, lineno, (("blob", str),))
-                feats = _read_blob(base / rec["blob"], rec["id"])
+    with np.errstate(over="raise"):  # a feature beyond float32 range, named by its line
+        for lineno, line in enumerate(manifest_path.read_text().splitlines(), start=1):
+            if not line.strip():
+                continue
+            try:
+                rec = json.loads(line)
+            except json.JSONDecodeError as exc:
+                raise CorpusError(f"{manifest_path}:{lineno}: malformed JSON ({exc})") from exc
+            if not isinstance(rec, dict):
+                raise CorpusError(f"{source}:{lineno}: expected a JSON object, got {line!r}")
+            kind = rec.get("kind")
+            if kind == "video":
+                _check_record(rec, kind, source, lineno)
+                tokens = _read_blob(base / rec["blob"], rec["id"], (rec["rows"], rec["cols"]))
+                videos.append(VideoRecord(rec["id"], tokens))
+            elif kind == "text":
+                _check_record(rec, kind, source, lineno)
+                if "event_label" in rec:  # optional, and a count when present
+                    _check_record(rec, kind, source, lineno, (("event_label", int),))
+                if "features" in rec:
+                    feats = _text_features(rec, source, lineno)
+                elif "blob" in rec:
+                    _check_record(rec, kind, source, lineno, (("blob", str),))
+                    feats = _read_blob(base / rec["blob"], rec["id"])
+                else:
+                    raise CorpusError(f"{source}:{lineno}: text record {rec['id']!r} "
+                                      "has neither features nor blob")
+                texts.append(TextRecord(rec["id"], rec["video_id"], feats, rec.get("event_label")))
             else:
-                raise CorpusError(f"text record '{rec.get('id')}' has neither features nor blob")
-            texts.append(TextRecord(rec["id"], rec["video_id"], feats, rec.get("event_label")))
-        else:
-            raise CorpusError(f"{manifest_path}:{lineno}: unknown record kind {kind!r}")
+                raise CorpusError(f"{manifest_path}:{lineno}: unknown record kind {kind!r}")
 
     if not videos:
         raise CorpusError(f"manifest {manifest_path} contains no video records")
     if not texts:
         raise CorpusError(f"manifest {manifest_path} contains no text records")
-    corpus = Corpus(videos, texts, (*videos[0].tokens.shape, texts[0].features.shape[0]))
-    corpus.validate()
-    return corpus
+    return Corpus(videos, texts, (*videos[0].tokens.shape, texts[0].features.shape[0]))
 
 
 @dataclass(eq=False)

@@ -87,6 +87,8 @@ def intra_inter_stats(
     """
     if corpus.num_videos < 2:
         raise ValidationError("inter-video statistics need at least 2 videos")
+    if pair_cap < 1:
+        raise ValidationError(f"pair_cap must be >= 1, got {pair_cap}")
     if params is not None:
         unit = embed_texts(corpus.features, params)
     else:
@@ -109,10 +111,6 @@ def intra_inter_stats(
     slot[order] = np.arange(corpus.num_texts)
     siblings_after = (bounds[corpus.text_video + 1] - 1) - slot
     ordinals, starts, position = _inter_video_pairs(siblings_after, pair_cap, seed)
-    if ordinals.shape[0] == 0:
-        raise ValidationError(
-            "inter-video similarity is undefined: every caption describes the same video"
-        )
     # One row of pairs at a time: "pd,d->p" runs the same per-pair dot kernel
     # as "pd,pd->p", so each cosine keeps its bits.  Scattered back to the
     # sampled order, the mean sums in the same order too.

@@ -138,8 +138,6 @@ def evaluate(corpus: Corpus, params: HeadParameters, variant: str = "mask") -> R
     Raises NumericError when the head's text or video embeddings are not
     all finite.
     """
-    corpus.validate()
-
     video_embedded = embed_videos(corpus.tokens, params, variant)
     text_embedded = embed_texts(corpus.features, params)
     scores = similarity_matrix(text_embedded, video_embedded, winners=False).scores

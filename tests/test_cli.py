@@ -225,6 +225,24 @@ def test_baseline_train_writes_nothing_to_stderr(tmp_path):
     assert (done.returncode, done.stderr) == (0, "")
 
 
+def test_feature_beyond_float32_range_exits_1_in_one_line(tmp_path):
+    # a fresh interpreter, where numpy's overflow warning would reach stderr
+    _, out, manifest = synth_small(tmp_path)
+    lines = manifest.read_text().splitlines()
+    lineno = next(i for i, line in enumerate(lines, 1) if '"kind": "text"' in line) + 2
+    rec = json.loads(lines[lineno - 1])
+    rec["features"][1] = 1e39
+    lines[lineno - 1] = json.dumps(rec)
+    manifest.write_text("\n".join(lines) + "\n")
+    done = main_in_fresh_interpreter(["diagnose", "--corpus", str(manifest),
+                                      "--out-dir", str(out / "diag")])
+    assert (done.returncode, done.stderr) == (1, (
+        f"error: {manifest}:{lineno}: text record {rec['id']!r} key 'features' "
+        "must be a list of numbers in float32 range\n"
+    ))
+    assert not (out / "diag").exists()
+
+
 def test_diagnose_and_heatmap_artifacts(tmp_path):
     _, out, manifest = synth_small(tmp_path)
     assert main(["diagnose", "--corpus", str(manifest), "--out-dir", str(out / "diag")]) == 0

@@ -44,6 +44,14 @@ def ragged_corpus(num_videos: int, seed: int = 0) -> Corpus:
     return Corpus(videos, [texts[i] for i in rng.permutation(len(texts))], (3, 4, 5))
 
 
+def editable_records(corpus: Corpus) -> tuple[list[VideoRecord], list[TextRecord]]:
+    """The corpus's records with writable copies of their arrays, to edit before a build."""
+    return (
+        [v._replace(tokens=v.tokens.copy()) for v in corpus.videos],
+        [t._replace(features=t.features.copy()) for t in corpus.texts],
+    )
+
+
 # ---------------------------------------------------------------------------
 # save/load round-trip and forced failures
 # ---------------------------------------------------------------------------
@@ -117,11 +125,26 @@ def test_dangling_video_reference_raises(tmp_path):
 
 
 def test_video_without_caption_rejected_on_save(tmp_path):
+    # the corpus is checked when it is built, so the save never starts
     corpus = random_corpus(num_videos=2, captions_per_video=1)
-    corpus = Corpus(corpus.videos, corpus.texts[:1], corpus.dims)  # v1 left textless
-    with pytest.raises(CorpusError) as exc:
-        save_corpus(corpus, tmp_path / "manifest.jsonl")
+    with pytest.raises(CorpusError) as exc:  # v1 left textless
+        save_corpus(Corpus(corpus.videos, corpus.texts[:1], corpus.dims), tmp_path / "m.jsonl")
     assert "v1" in str(exc.value)
+    assert not any(tmp_path.iterdir())
+
+
+def test_value_beyond_float32_range_rejected_on_save(tmp_path):
+    # the first such record is named, videos before texts, before any file is written
+    corpus = random_corpus(num_videos=3, captions_per_video=2)
+    videos, texts = editable_records(corpus)
+    texts[1].features[0] = 1e39
+    texts[4].features[2] = -1e39
+    with pytest.raises(CorpusError, match="^text 'v0_t1' holds a value beyond float32 range$"):
+        save_corpus(Corpus(videos, texts, corpus.dims), tmp_path / "manifest.jsonl")
+    videos[2].tokens[3, 4] = 4e38
+    with pytest.raises(CorpusError, match="^video 'v2' holds a value beyond float32 range$"):
+        save_corpus(Corpus(videos, texts, corpus.dims), tmp_path / "manifest.jsonl")
+    assert not any(tmp_path.iterdir())
 
 
 def test_garbled_manifest_line_reports_path_and_lineno(tmp_path):
@@ -147,9 +170,13 @@ def test_garbled_manifest_line_reports_path_and_lineno(tmp_path):
          "key 'event_label' must be a non-negative integer, got [1]"),
         ('{"kind": "text", "id": "t9", "video_id": "v0", "features": [1' + "0" * 400 + "]}",
          "'features' must be a list of numbers"),
+        ('{"kind": "text", "id": "t9", "video_id": "v0", "features": [0.5, 1e39]}',
+         "manifest.jsonl:7: text record 't9' key 'features' must be a list of numbers in float32"),
+        ('{"kind": "text", "id": "t9", "video_id": "v0"}',
+         "manifest.jsonl:7: text record 't9' has neither features nor blob"),
     ],
     ids=["not_an_object", "string_features", "numeric_blob_path", "numeric_id", "list_label",
-         "features_beyond_float"],
+         "features_beyond_float", "features_beyond_float32", "no_features"],
 )
 def test_ill_typed_manifest_record_raises_corpus_error(tmp_path, line, needle):
     corpus = random_corpus(num_videos=2)
@@ -242,21 +269,6 @@ def test_blob_paths_resolve_as_path_is_file_does(tmp_path, kind):
         load_corpus(manifest)
 
 
-def test_loaded_records_are_views_of_the_corpus_columns(tmp_path):
-    manifest = tmp_path / "manifest.jsonl"
-    save_corpus(random_corpus(num_videos=3), manifest)
-    loaded = load_corpus(manifest)
-    for i, video in enumerate(loaded.videos):
-        assert np.shares_memory(video.tokens, loaded.tokens)
-        np.testing.assert_array_equal(video.tokens, loaded.tokens[i])
-    for i, text in enumerate(loaded.texts):
-        assert np.shares_memory(text.features, loaded.features)
-        np.testing.assert_array_equal(text.features, loaded.features[i])
-    loaded.videos[1].tokens[0, 0] = 7.0
-    loaded.texts[2].features[3] = 8.0
-    assert loaded.tokens[1, 0, 0] == 7.0 and loaded.features[2, 3] == 8.0
-
-
 def test_corpus_from_records_and_its_reload_report_the_same(tmp_path):
     # at storage precision, so that the reload holds the same values
     ragged = ragged_corpus(40, seed=2)
@@ -281,83 +293,102 @@ def test_corpus_from_records_and_its_reload_report_the_same(tmp_path):
 
 def test_corpus_validate_catches_duplicates_and_nonfinite():
     good = random_corpus(num_videos=2, captions_per_video=1)
-    dup = Corpus(good.videos + [good.videos[0]], good.texts, good.dims)
     with pytest.raises(CorpusError):
-        dup.validate()
-    bad_tokens = random_corpus(num_videos=2, captions_per_video=1)
-    bad_tokens.videos[0].tokens[0, 0] = np.nan
+        Corpus(good.videos + good.videos[:1], good.texts, good.dims)
+    videos, texts = editable_records(good)
+    videos[0].tokens[0, 0] = np.nan
     with pytest.raises(CorpusError):
-        bad_tokens.validate()
+        Corpus(videos, texts, good.dims)
 
 
 @pytest.mark.parametrize("kind", ["videos", "texts"])
 def test_corpus_validate_names_the_first_non_finite_record(kind):
     corpus = random_corpus(num_videos=5, captions_per_video=2)
-    records = getattr(corpus, kind)
+    videos, texts = editable_records(corpus)
+    records = videos if kind == "videos" else texts
     for i, value in ((6 if kind == "texts" else 3, np.nan), (1, np.inf), (4, -np.inf)):
         array = records[i].tokens if kind == "videos" else records[i].features
         array.flat[-1] = value
     want = ("video 'v1' has non-finite token entries" if kind == "videos"
             else "text 'v0_t1' has non-finite features")
     with pytest.raises(CorpusError, match=f"^{want}$"):
-        corpus.validate()
+        Corpus(videos, texts, corpus.dims)
 
 
 def test_corpus_validate_keeps_the_record_order_of_its_errors():
     # a non-finite record before a structural error is named first, and after it is not
     corpus = random_corpus(num_videos=4, captions_per_video=1)
-    corpus.videos[1].tokens[0, 0] = np.nan
-    late_dup = Corpus(corpus.videos + [corpus.videos[0]], corpus.texts, corpus.dims)
+    videos, texts = editable_records(corpus)
+    videos[1].tokens[0, 0] = np.nan
     with pytest.raises(CorpusError, match="^video 'v1' has non-finite token entries$"):
-        late_dup.validate()
-    early_dup = Corpus([corpus.videos[0]] + corpus.videos, corpus.texts, corpus.dims)
+        Corpus(videos + [videos[0]], texts, corpus.dims)
     with pytest.raises(CorpusError, match="^duplicate video id 'v0'$"):
-        early_dup.validate()
-    corpus.videos[3].tokens = np.zeros((2, 8))  # a record of another shape
+        Corpus([videos[0]] + videos, texts, corpus.dims)
+    videos[3] = videos[3]._replace(tokens=np.zeros((2, 8)))  # a record of another shape
     with pytest.raises(CorpusError, match="^video 'v1' has non-finite token entries$"):
-        corpus.validate()
-    corpus.videos[1].tokens[0, 0] = 0.0
+        Corpus(videos, texts, corpus.dims)
+    videos[1].tokens[0, 0] = 0.0
     with pytest.raises(CorpusError, match=r"^video 'v3' tokens \(2, 8\) != \(5, 8\)$"):
-        corpus.validate()
-
-
-# Edits to a built corpus's records that break no rule the record walk checks.
-RECORD_EDITS = {
-    "replaced_array": lambda c: setattr(c.texts[1], "features", c.texts[1].features.copy()),
-    "appended_video": lambda c: (
-        c.videos.append(VideoRecord("v9", np.zeros((5, 8)))),
-        c.texts.append(TextRecord("v9_t0", "v9", np.zeros(7))),
-    ),
-    "appended_text": lambda c: c.texts.append(TextRecord("v0_t9", "v0", np.zeros(7))),
-    "removed_text": lambda c: c.texts.pop(),
-    "moved_caption": lambda c: setattr(c.texts[0], "video_id", "v2"),
-    "swapped_video_ids": lambda c: (
-        setattr(c.videos[1], "video_id", "v2"), setattr(c.videos[2], "video_id", "v1")
-    ),
-    "relabelled_caption": lambda c: setattr(c.texts[2], "event_label", 1),
-}
-
-
-@pytest.mark.parametrize("edit", RECORD_EDITS.values(), ids=RECORD_EDITS.keys())
-def test_corpus_validate_raises_once_its_records_change(edit):
-    # every consumer reads the columns, which keep what the records held
-    corpus = random_corpus(num_videos=3, captions_per_video=2)
-    corpus.validate()
-    edit(corpus)
-    changed = "^corpus records changed after it was built; build a new Corpus$"
-    with pytest.raises(CorpusError, match=changed):
-        corpus.validate()
+        Corpus(videos, texts, corpus.dims)
 
 
 def test_corpus_validate_names_a_changed_record_as_the_walk_does():
     corpus = random_corpus(num_videos=3, captions_per_video=1)
-    corpus.videos.append(corpus.videos[0])
     with pytest.raises(CorpusError, match="^duplicate video id 'v0'$"):
-        corpus.validate()
-    corpus = random_corpus(num_videos=3, captions_per_video=1)
-    corpus.texts[1].video_id = "v7"
+        Corpus(corpus.videos + corpus.videos[:1], corpus.texts, corpus.dims)
+    texts = list(corpus.texts)
+    texts[1] = texts[1]._replace(video_id="v7")
     with pytest.raises(DanglingReferenceError, match="^text 'v1_t0' references unknown video"):
-        corpus.validate()
+        Corpus(corpus.videos, texts, corpus.dims)
+
+
+# Edits to a built corpus, each of which must raise.
+CORPUS_EDITS = (
+    lambda c: setattr(c.texts[1], "features", c.texts[1].features.copy()),
+    lambda c: c.videos.append(VideoRecord("v9", np.zeros((5, 8)))),
+    lambda c: c.texts.append(TextRecord("v0_t9", "v0", np.zeros(7))),
+    lambda c: c.texts.pop(),
+    lambda c: setattr(c.texts[0], "video_id", "v2"),
+    lambda c: setattr(c.videos[1], "video_id", "v2"),
+    lambda c: setattr(c.texts[2], "event_label", 1),
+    lambda c: c.video_ids.append("v9"),
+    lambda c: c.text_ids.append("v0_t9"),
+    lambda c: c.event_labels.append(1),
+)
+
+
+def test_a_built_corpus_is_read_only(tmp_path):
+    manifest = tmp_path / "manifest.jsonl"
+    save_corpus(random_corpus(num_videos=3), manifest)
+    loaded = load_corpus(manifest)
+    # the records are views of the columns
+    for i, video in enumerate(loaded.videos):
+        assert np.shares_memory(video.tokens, loaded.tokens)
+        np.testing.assert_array_equal(video.tokens, loaded.tokens[i])
+    for i, text in enumerate(loaded.texts):
+        assert np.shares_memory(text.features, loaded.features)
+        np.testing.assert_array_equal(text.features, loaded.features[i])
+    # attribute rebinding and appends raise
+    for edit in CORPUS_EDITS:
+        with pytest.raises(AttributeError):
+            edit(loaded)
+    # so do array writes, to a column or through a record
+    arrays = (loaded.tokens, loaded.features, loaded.text_video, loaded.caption_order,
+              loaded.caption_starts, loaded.videos[1].tokens, loaded.texts[2].features)
+    for array in arrays:
+        with pytest.raises(ValueError, match="read-only"):
+            array.flat[0] = 7
+    # the columns are copies, so a write to the caller's input changes nothing
+    videos, texts = editable_records(loaded)
+    corpus = Corpus(videos, texts, loaded.dims)
+    videos[1].tokens[0, 0] = 7.0
+    texts[2].features[3] = 8.0
+    assert corpus.tokens.tobytes() == loaded.tokens.tobytes()
+    assert corpus.features.tobytes() == loaded.features.tobytes()
+    # a prefix of the records builds a corpus, as the benchmark's prefix_corpus does
+    prefix = Corpus(loaded.videos[:2], [t for t in loaded.texts if t.video_id != "v2"], loaded.dims)
+    assert (prefix.video_ids, prefix.num_texts) == (("v0", "v1"), 4)
+    np.testing.assert_array_equal(prefix.tokens, loaded.tokens[:2])
 
 
 # ---------------------------------------------------------------------------
@@ -369,7 +400,6 @@ def test_synth_counts_and_label_range():
     corpus = synth_corpus(SynthConfig(num_videos=4, captions_per_video=3, events_per_video=2))
     assert corpus.num_videos == 4 and corpus.num_texts == 12
     assert all(t.event_label in (0, 1) for t in corpus.texts)
-    corpus.validate()
 
 
 def test_synth_zero_noise_single_event_degenerates():

@@ -137,12 +137,11 @@ def test_subsampling_caps_inter_pair_count():
     assert stats.inter_hist.sum() == 50
 
 
-def test_every_caption_of_one_video_rejected():
-    corpus = corpus_from_features(
-        {"a": [np.array([1.0, 0.0]), np.array([0.0, 1.0])], "b": []}, text_dim=2
-    )
-    with pytest.raises(ValidationError, match="same video"):
-        intra_inter_stats(corpus)
+@pytest.mark.parametrize("pair_cap", [0, -5])
+def test_pair_cap_below_one_rejected(pair_cap):
+    corpus = synth_corpus(SynthConfig(num_videos=4, seed=5))
+    with pytest.raises(ValidationError, match=f"^pair_cap must be >= 1, got {pair_cap}$"):
+        intra_inter_stats(corpus, pair_cap=pair_cap)
 
 
 def _triu_pairs_oracle(video_of, pair_cap, seed):
@@ -183,7 +182,9 @@ def _triu_stats_oracle(corpus, params, pair_cap, seed):
 
 def _ragged_corpus(seed):
     """2-15 videos of 0-5 captions each (the first two of at least 2 and 1),
-    captions stored video by video for even seeds and shuffled for odd ones."""
+    captions stored video by video for even seeds and shuffled for odd ones.
+    The corpus holds the captioned videos only; counts keeps the zeros, and
+    each caption's video number is in its id."""
     rng = RngStream(seed, stream=3)
     n_videos = 2 + int(rng.integers(14))
     counts = rng.integers(6, n_videos)
@@ -195,7 +196,8 @@ def _ragged_corpus(seed):
             texts.append(TextRecord(f"v{v}_t{c}", f"v{v}", rng.normal((6,))))
     if seed % 2:
         texts = [texts[k] for k in rng.permutation(len(texts))]
-    return Corpus(videos, texts, (3, 4, 6)), counts
+    captioned = [video for video, count in zip(videos, counts) if count]
+    return Corpus(captioned, texts, (3, 4, 6)), counts
 
 
 def _sampled_pairs_in_permutation_order(video_of, pair_cap, seed):
