@@ -342,15 +342,58 @@ def test_corpus_validate_names_a_changed_record_as_the_walk_does():
         Corpus(corpus.videos, texts, corpus.dims)
 
 
-# Edits to a built corpus, each of which must raise.
-CORPUS_EDITS = (
-    lambda c: setattr(c.texts[1], "features", c.texts[1].features.copy()),
-    lambda c: c.videos.append(VideoRecord("v9", np.zeros((5, 8)))),
-    lambda c: c.texts.append(TextRecord("v0_t9", "v0", np.zeros(7))),
-    lambda c: c.texts.pop(),
-    lambda c: setattr(c.texts[0], "video_id", "v2"),
-    lambda c: setattr(c.videos[1], "video_id", "v2"),
-    lambda c: setattr(c.texts[2], "event_label", 1),
+# Edits to a built corpus's records that break no rule the record walk checks.
+RECORD_EDITS = {
+    "replaced_array": lambda c: setattr(c.texts[1], "features", c.texts[1].features.copy()),
+    "appended_video": lambda c: (
+        c.videos.append(VideoRecord("v9", np.zeros((5, 8)))),
+        c.texts.append(TextRecord("v9_t0", "v9", np.zeros(7))),
+    ),
+    "appended_text": lambda c: c.texts.append(TextRecord("v0_t9", "v0", np.zeros(7))),
+    "removed_text": lambda c: c.texts.pop(),
+    "moved_caption": lambda c: setattr(c.texts[0], "video_id", "v2"),
+    "swapped_video_ids": lambda c: (
+        setattr(c.videos[1], "video_id", "v2"), setattr(c.videos[2], "video_id", "v1")
+    ),
+    "relabelled_caption": lambda c: setattr(c.texts[2], "event_label", 1),
+}
+
+
+@pytest.mark.parametrize("edit", RECORD_EDITS.values(), ids=RECORD_EDITS.keys())
+def test_corpus_validate_raises_once_its_records_change(edit):
+    # a built corpus's records are immutable, so the edit raises and the corpus keeps
+    # what it held when it was checked
+    corpus = random_corpus(num_videos=3, captions_per_video=2)
+    videos, texts = corpus.videos, corpus.texts
+    with pytest.raises(AttributeError):
+        edit(corpus)
+    assert corpus.videos == videos and corpus.texts == texts
+    assert [t.video_id for t in corpus.texts] == ["v0", "v0", "v1", "v1", "v2", "v2"]
+    assert corpus.video_ids == ("v0", "v1", "v2") and corpus.num_texts == 6
+
+
+def test_loaded_records_are_views_of_the_corpus_columns(tmp_path):
+    manifest = tmp_path / "manifest.jsonl"
+    save_corpus(random_corpus(num_videos=3), manifest)
+    loaded = load_corpus(manifest)
+    for i, video in enumerate(loaded.videos):
+        assert np.shares_memory(video.tokens, loaded.tokens)
+        np.testing.assert_array_equal(video.tokens, loaded.tokens[i])
+    for i, text in enumerate(loaded.texts):
+        assert np.shares_memory(text.features, loaded.features)
+        np.testing.assert_array_equal(text.features, loaded.features[i])
+    # the views are read-only, so no write through a record reaches the columns
+    tokens, features = loaded.tokens.copy(), loaded.features.copy()
+    with pytest.raises(ValueError, match="read-only"):
+        loaded.videos[1].tokens[0, 0] = 7.0
+    with pytest.raises(ValueError, match="read-only"):
+        loaded.texts[2].features[3] = 8.0
+    np.testing.assert_array_equal(loaded.tokens, tokens)
+    np.testing.assert_array_equal(loaded.features, features)
+
+
+# Edits to a built corpus's id and label columns, each of which must raise.
+COLUMN_EDITS = (
     lambda c: c.video_ids.append("v9"),
     lambda c: c.text_ids.append("v0_t9"),
     lambda c: c.event_labels.append(1),
@@ -361,20 +404,12 @@ def test_a_built_corpus_is_read_only(tmp_path):
     manifest = tmp_path / "manifest.jsonl"
     save_corpus(random_corpus(num_videos=3), manifest)
     loaded = load_corpus(manifest)
-    # the records are views of the columns
-    for i, video in enumerate(loaded.videos):
-        assert np.shares_memory(video.tokens, loaded.tokens)
-        np.testing.assert_array_equal(video.tokens, loaded.tokens[i])
-    for i, text in enumerate(loaded.texts):
-        assert np.shares_memory(text.features, loaded.features)
-        np.testing.assert_array_equal(text.features, loaded.features[i])
-    # attribute rebinding and appends raise
-    for edit in CORPUS_EDITS:
+    for edit in COLUMN_EDITS:
         with pytest.raises(AttributeError):
             edit(loaded)
-    # so do array writes, to a column or through a record
+    # array writes to a column raise
     arrays = (loaded.tokens, loaded.features, loaded.text_video, loaded.caption_order,
-              loaded.caption_starts, loaded.videos[1].tokens, loaded.texts[2].features)
+              loaded.caption_starts)
     for array in arrays:
         with pytest.raises(ValueError, match="read-only"):
             array.flat[0] = 7
