@@ -54,7 +54,6 @@ from .metrics import (
 )
 from .numerics import (
     AdamState,
-    LrSchedule,
     ParamTensor,
     RngStream,
     adam_step,

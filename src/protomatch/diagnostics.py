@@ -15,8 +15,8 @@ video's later captions, and its cosines are one gather of the partners and
 one dot against the row's caption, scattered back to their sampled
 positions.  Beyond O(captions x dim) for the embeddings, the memory is the
 seeded permutation of all pair ordinals (4 bytes a pair, int32, freed once
-the kept prefix is copied) and O(pair_cap) for the kept pairs; a row's
-gather is at most one copy of the embeddings.
+the kept prefix is copied) and O(DEFAULT_PAIR_CAP) for the kept pairs; a
+row's gather is at most one copy of the embeddings.
 """
 
 from __future__ import annotations
@@ -73,22 +73,17 @@ def _inter_video_pairs(
 
 
 def intra_inter_stats(
-    corpus: Corpus,
-    params: HeadParameters | None = None,
-    pair_cap: int = DEFAULT_PAIR_CAP,
-    seed: int = 0,
+    corpus: Corpus, params: HeadParameters | None = None, seed: int = 0
 ) -> AmbiguityStats:
     """Cosine statistics of caption pairs within and across videos.
 
     Uses raw text features by default; pass params to compare captions in
     the learned joint embedding space instead.  Inter-video pairs beyond
-    pair_cap are subsampled uniformly (seeded); the histogram only needs
-    the distribution's shape.
+    DEFAULT_PAIR_CAP, read at call time, are subsampled uniformly
+    (seeded); the histogram only needs the distribution's shape.
     """
     if corpus.num_videos < 2:
         raise ValidationError("inter-video statistics need at least 2 videos")
-    if pair_cap < 1:
-        raise ValidationError(f"pair_cap must be >= 1, got {pair_cap}")
     if params is not None:
         unit = embed_texts(corpus.features, params)
     else:
@@ -110,7 +105,7 @@ def intra_inter_stats(
     slot = np.empty(corpus.num_texts, np.intp)  # each caption's position in order
     slot[order] = np.arange(corpus.num_texts)
     siblings_after = (bounds[corpus.text_video + 1] - 1) - slot
-    ordinals, starts, position = _inter_video_pairs(siblings_after, pair_cap, seed)
+    ordinals, starts, position = _inter_video_pairs(siblings_after, DEFAULT_PAIR_CAP, seed)
     # One row of pairs at a time: "pd,d->p" runs the same per-pair dot kernel
     # as "pd,pd->p", so each cosine keeps its bits.  Scattered back to the
     # sampled order, the mean sums in the same order too.

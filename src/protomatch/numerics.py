@@ -54,18 +54,18 @@ def _scale_rows(m: np.ndarray, factors: np.ndarray, out: np.ndarray | None) -> n
     return np.einsum("...d,...->...d", m, factors, out=out)
 
 
-def l2_normalize_rows(m: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-    """Scale each row by 1 / (its Euclidean norm + NORM_GUARD); zero rows stay zero.
-
-    out, if given, is an array of m's shape that receives the result.
-    """
-    return l2_normalize_rows_with_norms(m, out)[0]
+def l2_normalize_rows(m: np.ndarray) -> np.ndarray:
+    """Scale each row by 1 / (its Euclidean norm + NORM_GUARD); zero rows stay zero."""
+    return l2_normalize_rows_with_norms(m)[0]
 
 
 def l2_normalize_rows_with_norms(
     m: np.ndarray, out: np.ndarray | None = None
 ) -> tuple[np.ndarray, np.ndarray]:
-    """l2_normalize_rows' result and the squared row norms, (...,), that the VJP takes."""
+    """l2_normalize_rows' result and the squared row norms, (...,), that the VJP takes.
+
+    out, if given, is an array of m's shape that receives the result.
+    """
     sq_norms = _row_dots(m, m)
     return _scale_rows(m, 1.0 / (np.sqrt(sq_norms) + NORM_GUARD), out), sq_norms
 
@@ -148,37 +148,21 @@ def adam_step(values: np.ndarray, grads: np.ndarray, state: AdamState, lr: float
     np.subtract(values, np.divide(a, b, out=a), out=values)
 
 
-@dataclass(frozen=True)
-class LrSchedule:
-    """Linear warmup from 0 to peak_lr, then cosine decay to 0."""
+def lr_at(epoch_fraction: float, warmup_epochs: float, peak_lr: float, epochs: float) -> float:
+    """Learning rate at a (possibly fractional) epoch position of a run of epochs.
 
-    warmup_epochs: float
-    peak_lr: float
-    total_epochs: float
-    steps_per_epoch: int = 1
-
-    def __post_init__(self) -> None:
-        if self.total_epochs < self.warmup_epochs or self.warmup_epochs < 0:
-            raise ValidationError(
-                f"schedule needs 0 <= warmup ({self.warmup_epochs}) <= total ({self.total_epochs})"
-            )
-        if self.peak_lr < 0 or self.steps_per_epoch < 1:
-            raise ValidationError("peak_lr must be >= 0 and steps_per_epoch >= 1")
-
-
-def lr_at(epoch_fraction: float, sched: LrSchedule) -> float:
-    """Learning rate at a (possibly fractional) epoch position."""
-    if epoch_fraction < 0 or epoch_fraction > sched.total_epochs:
-        raise ValidationError(
-            f"epoch position {epoch_fraction} outside [0, {sched.total_epochs}]"
-        )
-    if epoch_fraction < sched.warmup_epochs:
-        return sched.peak_lr * epoch_fraction / sched.warmup_epochs
-    decay_span = sched.total_epochs - sched.warmup_epochs
+    Linear warmup from 0 to peak_lr, then cosine decay to 0; TrainConfig
+    checks 0 <= warmup_epochs <= epochs and peak_lr >= 0.
+    """
+    if epoch_fraction < 0 or epoch_fraction > epochs:
+        raise ValidationError(f"epoch position {epoch_fraction} outside [0, {epochs}]")
+    if epoch_fraction < warmup_epochs:
+        return peak_lr * epoch_fraction / warmup_epochs
+    decay_span = epochs - warmup_epochs
     if decay_span == 0:
-        return sched.peak_lr
-    t = (epoch_fraction - sched.warmup_epochs) / decay_span
-    return sched.peak_lr * 0.5 * (1.0 + math.cos(math.pi * t))
+        return peak_lr
+    t = (epoch_fraction - warmup_epochs) / decay_span
+    return peak_lr * 0.5 * (1.0 + math.cos(math.pi * t))
 
 
 class RngStream:

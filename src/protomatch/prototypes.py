@@ -86,9 +86,6 @@ class HeadParameters:
     def tensors(self) -> dict[str, ParamTensor]:
         return {name: getattr(self, name) for name in PARAM_ORDER}
 
-    def zero_grads(self) -> None:
-        self.grads.fill(0.0)
-
 
 def init_head(
     n_prototypes: int,
@@ -126,9 +123,8 @@ def init_head(
 
 @dataclass(eq=False)
 class HeadCache:
-    """Forward intermediates kept for the backward pass."""
+    """Forward intermediates kept for the backward pass; a part head has no masks."""
 
-    variant: str
     acts: np.ndarray | None  # (..., L, B, K); None for the part variant
     masks: np.ndarray | None  # (..., L, B, K); None for the part variant
     protos: np.ndarray  # (..., L, K+1, token_dim)
@@ -180,7 +176,7 @@ def head_forward(
     projected_out, embedded_out = (None, None) if out is None else out
     projected = np.matmul(protos, params.vproj_w.value[..., None, :, :], out=projected_out)
     embedded, sq_norms = l2_normalize_rows_with_norms(projected, embedded_out)
-    return HeadCache(variant, acts, masks, protos, projected, embedded, sq_norms)
+    return HeadCache(acts, masks, protos, projected, embedded, sq_norms)
 
 
 def head_backward(
@@ -224,7 +220,7 @@ def head_backward(
     grad_class = grad_protos[:, k, :]  # (L, token_dim)
 
     grad_tokens = None
-    if cache.variant == "mask":
+    if cache.masks is not None:
         grad_masks = tokens @ grad_learned.swapaxes(-1, -2)
         if extra_mask_grad is not None:
             grad_masks = grad_masks + extra_mask_grad

@@ -35,7 +35,6 @@ from .losses import (
 from .matching import SimilarityMatrix, prototype_scores, similarity_matrix, similarity_vjp
 from .numerics import (
     AdamState,
-    LrSchedule,
     ParamTensor,
     RngStream,
     adam_step,
@@ -287,7 +286,7 @@ def train_step(
     A workspace sized for the batch holds the step's intermediates; the
     same bits come out without one.
     """
-    params.zero_grads()
+    params.grads.fill(0.0)
     breakdown, _, _ = batch_objective(
         batch.tokens, batch.text_features, params, cfg.loss, cfg.head_variant,
         workspace=workspace,
@@ -336,9 +335,6 @@ def train(
         sampler_rng.set_state(state.rng_state)
 
     steps_per_epoch = corpus.num_videos // cfg.batch_size
-    schedule = None
-    if cfg.epochs > 0:
-        schedule = LrSchedule(cfg.warmup_epochs, cfg.peak_lr, cfg.epochs, steps_per_epoch)
     ckpt_dir = None
     if out_dir is not None:
         ckpt_dir = Path(out_dir) / "checkpoints"
@@ -349,7 +345,7 @@ def train(
     step = start_epoch * steps_per_epoch
     for epoch in range(start_epoch, cfg.epochs):
         for batch in make_batches(corpus, cfg.batch_size, sampler_rng):
-            lr = lr_at(step / steps_per_epoch, schedule)
+            lr = lr_at(step / steps_per_epoch, cfg.warmup_epochs, cfg.peak_lr, cfg.epochs)
             try:
                 breakdown = train_step(batch, params, adam, cfg, lr, workspace)
             except NumericError as exc:

@@ -23,7 +23,7 @@ from protomatch.metrics import (
     recall_at_k,
     sum_recalls,
 )
-from protomatch.numerics import LrSchedule, RngStream, l2_normalize_rows, lr_at
+from protomatch.numerics import RngStream, l2_normalize_rows, lr_at
 from protomatch.prototypes import embed_texts, embed_videos, init_head
 from protomatch.trainer import TrainConfig, objective_finite_diff, train
 
@@ -263,14 +263,13 @@ def test_variance_regularizer_diversifies_prototypes():
 
 
 def test_schedule_anchor_values_are_exact():
-    sched = LrSchedule(warmup_epochs=5, peak_lr=3e-5, total_epochs=50)
     anchors = {
         0.0: 0.0,
         5.0: 3e-5,
         27.5: 1.5e-5,  # cosine midpoint of the 45-epoch decay
         50.0: 0.0,
     }
-    measured = {pos: lr_at(pos, sched) for pos in anchors}
+    measured = {pos: lr_at(pos, warmup_epochs=5, peak_lr=3e-5, epochs=50) for pos in anchors}
     ok = all(measured[pos] == want for pos, want in anchors.items())
     check(
         "schedule anchors",

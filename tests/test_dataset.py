@@ -7,6 +7,7 @@ from collections import defaultdict
 import numpy as np
 import pytest
 
+from protomatch import diagnostics
 from protomatch.dataset import (
     BLOB_DTYPE,
     Corpus,
@@ -269,7 +270,7 @@ def test_blob_paths_resolve_as_path_is_file_does(tmp_path, kind):
         load_corpus(manifest)
 
 
-def test_corpus_from_records_and_its_reload_report_the_same(tmp_path):
+def test_corpus_from_records_and_its_reload_report_the_same(tmp_path, monkeypatch):
     # at storage precision, so that the reload holds the same values
     ragged = ragged_corpus(40, seed=2)
     records = Corpus(
@@ -283,8 +284,9 @@ def test_corpus_from_records_and_its_reload_report_the_same(tmp_path):
     loaded = load_corpus(tmp_path / "manifest.jsonl")
     head = make_head(token_dim=4, text_dim=5, embed_dim=6)
     assert evaluate(records, head).to_json_dict() == evaluate(loaded, head).to_json_dict()
+    monkeypatch.setattr(diagnostics, "DEFAULT_PAIR_CAP", 300)
     for params in (None, head):
-        a, b = (intra_inter_stats(c, params=params, pair_cap=300, seed=3) for c in (records, loaded))
+        a, b = (intra_inter_stats(c, params=params, seed=3) for c in (records, loaded))
         np.testing.assert_array_equal(a.inter_hist, b.inter_hist)
         assert (a.min_intra, a.mean_inter, a.fraction_below) == (
             b.min_intra, b.mean_inter, b.fraction_below

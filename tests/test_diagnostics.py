@@ -5,6 +5,7 @@ import json
 import numpy as np
 import pytest
 
+from protomatch import diagnostics
 from protomatch.dataset import Corpus, SynthConfig, TextRecord, VideoRecord, synth_corpus
 from protomatch.diagnostics import (
     DEFAULT_BINS,
@@ -131,17 +132,11 @@ def test_overflowing_text_projection_raises_instead_of_nan_stats():
         intra_inter_stats(corpus, params=params)
 
 
-def test_subsampling_caps_inter_pair_count():
+def test_subsampling_caps_inter_pair_count(monkeypatch):
+    monkeypatch.setattr(diagnostics, "DEFAULT_PAIR_CAP", 50)
     corpus = synth_corpus(SynthConfig(num_videos=12, seed=5))
-    stats = intra_inter_stats(corpus, pair_cap=50)
+    stats = intra_inter_stats(corpus)
     assert stats.inter_hist.sum() == 50
-
-
-@pytest.mark.parametrize("pair_cap", [0, -5])
-def test_pair_cap_below_one_rejected(pair_cap):
-    corpus = synth_corpus(SynthConfig(num_videos=4, seed=5))
-    with pytest.raises(ValidationError, match=f"^pair_cap must be >= 1, got {pair_cap}$"):
-        intra_inter_stats(corpus, pair_cap=pair_cap)
 
 
 def _triu_pairs_oracle(video_of, pair_cap, seed):
@@ -221,7 +216,9 @@ def _sampled_pairs_in_permutation_order(video_of, pair_cap, seed):
 
 
 def _assert_stats_match_oracle(corpus, params, pair_cap, seed):
-    got = intra_inter_stats(corpus, params=params, pair_cap=pair_cap, seed=seed)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(diagnostics, "DEFAULT_PAIR_CAP", pair_cap)
+        got = intra_inter_stats(corpus, params=params, seed=seed)
     want = _triu_stats_oracle(corpus, params, pair_cap, seed)
     assert np.array_equal(got.bin_edges, want.bin_edges)
     assert np.array_equal(got.inter_hist, want.inter_hist), pair_cap

@@ -10,13 +10,13 @@ from protomatch import numerics
 from protomatch.errors import NumericError, ValidationError
 from protomatch.numerics import (
     AdamState,
-    LrSchedule,
     ParamTensor,
     RngStream,
     adam_step,
     finite_diff_check,
     l2_normalize_rows,
     l2_normalize_rows_vjp,
+    l2_normalize_rows_with_norms,
     lr_at,
     relu,
     relu_vjp,
@@ -145,7 +145,7 @@ def test_normalize_bits_do_not_depend_on_alignment(shape):
         xs, gs = _shifted(x, offset), _shifted(g, offset)
         out, scratch = _shifted(np.zeros(shape), offset), _shifted(np.zeros(shape), 7 - offset)
         assert l2_normalize_rows(xs).tobytes() == forward, offset
-        assert l2_normalize_rows(xs, out=out).tobytes() == forward, offset
+        assert l2_normalize_rows_with_norms(xs, out)[0].tobytes() == forward, offset
         assert normalize_vjp(xs, gs).tobytes() == backward, offset
         got = normalize_vjp(xs, gs, out=out, scratch=scratch)
         assert got.tobytes() == backward, offset
@@ -211,46 +211,34 @@ def test_adam_step_allocates_nothing_and_matches_the_oracle_bitwise():
 
 
 # ---------------------------------------------------------------------------
-# LrSchedule / lr_at
+# lr_at
 # ---------------------------------------------------------------------------
 
 
-def default_schedule() -> LrSchedule:
-    return LrSchedule(warmup_epochs=5, peak_lr=3e-5, total_epochs=50)
+# warmup_epochs, peak_lr and epochs of TrainConfig's defaults
+SCHEDULE = (5, 3e-5, 50)
 
 
 def test_schedule_anchor_values_exact():
-    sched = default_schedule()
-    assert lr_at(0.0, sched) == 0.0
-    assert lr_at(5.0, sched) == 3e-5
-    assert lr_at(27.5, sched) == 1.5e-5  # cosine midpoint of the decay phase
-    assert lr_at(50.0, sched) == pytest.approx(0.0, abs=1e-20)
+    assert lr_at(0.0, *SCHEDULE) == 0.0
+    assert lr_at(5.0, *SCHEDULE) == 3e-5
+    assert lr_at(27.5, *SCHEDULE) == 1.5e-5  # cosine midpoint of the decay phase
+    assert lr_at(50.0, *SCHEDULE) == pytest.approx(0.0, abs=1e-20)
 
 
 def test_schedule_is_continuous_on_a_grid():
-    sched = default_schedule()
     grid = np.linspace(0.0, 50.0, 5001)
-    values = np.array([lr_at(float(e), sched) for e in grid])
+    values = np.array([lr_at(float(e), *SCHEDULE) for e in grid])
     assert np.all(values >= 0.0)
     # 5000 sub-steps: adjacent values may differ by at most max|lr'| * h
     assert np.abs(np.diff(values)).max() < 3e-5 * math.pi * (50.0 / 5000) / 2 + 3e-5 / 5
 
 
 def test_schedule_out_of_range_epoch_rejected():
-    sched = default_schedule()
     with pytest.raises(ValidationError):
-        lr_at(-0.1, sched)
+        lr_at(-0.1, *SCHEDULE)
     with pytest.raises(ValidationError):
-        lr_at(50.1, sched)
-
-
-def test_schedule_invalid_configs_rejected():
-    with pytest.raises(ValidationError):
-        LrSchedule(warmup_epochs=6, peak_lr=1e-3, total_epochs=5)
-    with pytest.raises(ValidationError):
-        LrSchedule(warmup_epochs=-1, peak_lr=1e-3, total_epochs=5)
-    with pytest.raises(ValidationError):
-        LrSchedule(warmup_epochs=1, peak_lr=-1e-3, total_epochs=5)
+        lr_at(50.1, *SCHEDULE)
 
 
 # ---------------------------------------------------------------------------

@@ -19,7 +19,6 @@ from protomatch.errors import CheckpointError, NumericError, ShapeError, Validat
 from protomatch.losses import LossConfig
 from protomatch.numerics import (
     AdamState,
-    LrSchedule,
     RngStream,
     adam_step,
     finite_diff_check,
@@ -59,6 +58,10 @@ def small_cfg(**overrides) -> TrainConfig:
     return TrainConfig(**base)
 
 
+def schedule_fields(cfg: TrainConfig) -> tuple[float, float, int]:
+    return cfg.warmup_epochs, cfg.peak_lr, cfg.epochs
+
+
 def params_snapshot(params) -> dict[str, np.ndarray]:
     return {name: t.value.copy() for name, t in params.tensors().items()}
 
@@ -86,6 +89,10 @@ def test_config_validation():
         small_cfg(variant="unknown")
     with pytest.raises(ValidationError):
         small_cfg(epochs=2, warmup_epochs=3)
+    with pytest.raises(ValidationError):
+        small_cfg(warmup_epochs=-1)
+    with pytest.raises(ValidationError):
+        small_cfg(peak_lr=-1e-3)
     with pytest.raises(ValidationError):
         small_cfg(batch_size=0)
     with pytest.raises(ValidationError):
@@ -186,7 +193,7 @@ def test_gradients_reach_mask_params_even_when_class_token_wins():
     params.vproj_w.value[:] = np.eye(dim)
     params.tproj_w.value[:] = np.eye(dim)
 
-    params.zero_grads()
+    params.grads.fill(0.0)
     _, sim, _ = batch_objective(tokens, texts, params, LossConfig())
     assert np.all(sim.winners == k)  # class prototype everywhere
     assert np.abs(params.mask_w.grad).max() > 0.0
@@ -254,10 +261,9 @@ def test_lr_trace_matches_schedule_exactly():
     cfg = small_cfg(batch_size=4, epochs=4, warmup_epochs=2)
     _, history = train(corpus, cfg)
     steps_per_epoch = 2
-    sched = LrSchedule(cfg.warmup_epochs, cfg.peak_lr, cfg.epochs, steps_per_epoch)
     assert len(history) == cfg.epochs * steps_per_epoch
     for row in history:
-        assert row.lr == lr_at(row.step / steps_per_epoch, sched)
+        assert row.lr == lr_at(row.step / steps_per_epoch, *schedule_fields(cfg))
         assert row.epoch == row.step // steps_per_epoch
 
 
@@ -287,11 +293,10 @@ def train_without_workspace(corpus, cfg):
     adam = AdamState.init(params.tensors())
     sampler = RngStream(cfg.seed, stream=1)
     steps_per_epoch = corpus.num_videos // cfg.batch_size
-    schedule = LrSchedule(cfg.warmup_epochs, cfg.peak_lr, cfg.epochs, steps_per_epoch)
     history = []
     for epoch in range(cfg.epochs):
         for batch in make_batches(corpus, cfg.batch_size, sampler):
-            lr = lr_at(len(history) / steps_per_epoch, schedule)
+            lr = lr_at(len(history) / steps_per_epoch, *schedule_fields(cfg))
             b = train_step(batch, params, adam, cfg, lr, workspace=None)
             history.append((len(history), epoch, lr, b.contrastive, b.variance, b.total))
     return params, adam, history
@@ -381,7 +386,7 @@ def test_flat_adam_matches_the_per_tensor_oracle_bitwise(variant, n_prototypes):
     first = {name: np.zeros_like(v) for name, v in values.items()}
     second = {name: np.zeros_like(v) for name, v in values.items()}
     for step in range(1, 7):
-        params.zero_grads()
+        params.grads.fill(0.0)
         batch_objective(batch.tokens, batch.text_features, params, cfg.loss, cfg.head_variant)
         grads = {name: t.grad.copy() for name, t in params.tensors().items()}
         adam_oracle(values, grads, first, second, step, 1e-2)
@@ -934,7 +939,7 @@ def test_part_variant_objective_has_no_variance_term():
     batch, corpus = make_one_batch(seed=9)
     cfg = small_cfg(batch_size=8, variant="part")
     params, _ = fresh_state(cfg, corpus)
-    params.zero_grads()
+    params.grads.fill(0.0)
     breakdown, _, _ = batch_objective(
         batch.tokens, batch.text_features, params, cfg.loss, head_variant="part"
     )
