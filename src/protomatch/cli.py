@@ -227,9 +227,9 @@ def cmd_heatmap(args: argparse.Namespace) -> int:
     cfg = build_run_config(args)
     corpus = load_corpus(args.corpus)
     state = load_checkpoint(args.checkpoint)
-    if state.config.head_variant != "mask":
+    if state.config.variant != "mask":  # a baseline head's masks are empty
         raise ValidationError(
-            f"checkpoint {args.checkpoint} has a {state.config.head_variant} head, "
+            f"checkpoint {args.checkpoint} has a {state.config.variant} head, "
             "which learns no masks to export"
         )
     matches = [v for v in corpus.videos if v.video_id == args.video_id]

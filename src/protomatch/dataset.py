@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import errno
 import json
+import math
 import os
 import stat
 from dataclasses import dataclass, fields
@@ -276,6 +277,11 @@ def _check_record(rec: dict, kind: str, source: str, lineno: int, keys=None) -> 
 def _text_features(rec: dict, source: str, lineno: int) -> np.ndarray:
     try:  # under np.errstate(over="raise"), a number beyond float32 range raises
         feats = np.asarray(rec["features"], dtype=np.float32)
+        # json.loads makes NaN, -Infinity and 1e400 non-finite floats; past the
+        # cast each finite value is within float32 range, so the sum cannot
+        # overflow, and it is ~10x cheaper than np.isfinite on a short list
+        if not math.isfinite(sum(rec["features"])):
+            feats = None
     except (TypeError, ValueError, OverflowError, FloatingPointError):
         feats = None
     if feats is None or feats.ndim != 1:

@@ -319,7 +319,9 @@ def train(
 
     When out_dir is given, checkpoints go to out_dir/checkpoints/ every
     cfg.checkpoint_every epochs plus a final one.  Resuming from a
-    checkpoint continues the interrupted run bit-exactly.
+    checkpoint continues the interrupted run bit-exactly; a checkpoint
+    saved under another config raises ValidationError naming the first
+    field that differs.
     """
     validate_setup(corpus, cfg)
     _, token_dim, text_dim = corpus.dims
@@ -331,6 +333,15 @@ def train(
     start_epoch = 0
     if resume_from is not None:
         state = load_checkpoint(resume_from)
+        if state.config != cfg:  # a different run's state would train on silently or crash
+            saved, given = (
+                {**dataclasses.asdict(c), **dataclasses.asdict(c.loss)} for c in (state.config, cfg)
+            )
+            key = next(k for k in given if k != "loss" and saved[k] != given[k])
+            raise ValidationError(
+                f"checkpoint {resume_from} was saved with {key} = {saved[key]!r}, "
+                f"this run has {given[key]!r}"
+            )
         params, adam, start_epoch = state.params, state.adam, state.epoch
         sampler_rng.set_state(state.rng_state)
 

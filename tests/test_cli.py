@@ -555,10 +555,10 @@ def test_eval_of_head_whose_norms_overflow_exits_2(tmp_path, capsys):
     assert not (out / "e").exists()
 
 
-def test_heatmap_refuses_part_checkpoint(tmp_path, capsys):
+def assert_heatmap_refused(tmp_path, capsys, variant):
     _, out, manifest = synth_small(tmp_path)
     train_cfg = write_config(tmp_path, SMALL_CORPUS + SMALL_TRAIN, name="train.cfg")
-    assert main(["train", "--config", str(train_cfg), "--set", "variant=part",
+    assert main(["train", "--config", str(train_cfg), "--set", f"variant={variant}",
                  "--corpus", str(manifest), "--out-dir", str(out / "train")]) == 0
     (train_dir,) = (out / "train").iterdir()
     ckpt = sorted((train_dir / "checkpoints").iterdir())[-1]
@@ -566,8 +566,17 @@ def test_heatmap_refuses_part_checkpoint(tmp_path, capsys):
     code = main(["heatmap", "--corpus", str(manifest), "--checkpoint", str(ckpt),
                  "--video-id", "v3", "--out-dir", str(out / "heat")])
     assert code == 1
-    assert_one_line_error(capsys, "part")
+    assert_one_line_error(capsys, f"has a {variant} head, which learns no masks to export")
     assert not (out / "heat").exists()
+
+
+def test_heatmap_refuses_part_checkpoint(tmp_path, capsys):
+    assert_heatmap_refused(tmp_path, capsys, "part")
+
+
+def test_heatmap_refuses_baseline_checkpoint(tmp_path, capsys):
+    # a baseline head has no learned prototypes, so its masks are empty
+    assert_heatmap_refused(tmp_path, capsys, "baseline")
 
 
 def _trained_checkpoint_state(tmp_path, out, manifest):

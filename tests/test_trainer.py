@@ -505,6 +505,20 @@ def test_resume_reproduces_uninterrupted_run_bit_exactly(tmp_path):
     assert [h.total for h in resumed_history] == tail
 
 
+def test_resume_refuses_a_checkpoint_of_another_config(tmp_path):
+    # another loss would train on silently; another head shape would fail
+    # inside a matmul with numpy's bare ValueError
+    corpus, cfg, out, _, _ = run_with_checkpoints(tmp_path, epochs=2)
+    mid = out / "checkpoints" / "epoch_0002.bin"
+    for change, message in (
+        ({"loss": LossConfig(temperature=0.5)}, "temperature = 0.05, this run has 0.5"),
+        ({"n_prototypes": cfg.n_prototypes + 1}, f"n_prototypes = {cfg.n_prototypes}, "),
+    ):
+        pattern = f"^checkpoint .*epoch_0002.bin was saved with {message}"
+        with pytest.raises(ValidationError, match=pattern):
+            train(corpus, dataclasses.replace(cfg, **change), resume_from=mid)
+
+
 def test_checkpoint_wrong_version_rejected(tmp_path):
     _, _, out, _, _ = run_with_checkpoints(tmp_path, epochs=2)
     path = out / "checkpoints" / "epoch_0002.bin"
