@@ -179,12 +179,15 @@ def test_garbled_manifest_line_reports_path_and_lineno(tmp_path):
          "manifest.jsonl:7: text record 't9' key 'features' must be a list of numbers in float32"),
         ('{"kind": "text", "id": "t9", "video_id": "v0", "features": [0.5, 1e400]}',
          "manifest.jsonl:7: text record 't9' key 'features' must be a list of numbers in float32"),
+        ('{"kind": "text", "id": "t9", "video_id": "v0", "features": ["0.5", "1.0"]}',
+         "manifest.jsonl:7: text record 't9' key 'features' must be a list of numbers in float32"),
         ('{"kind": "text", "id": "t9", "video_id": "v0"}',
          "manifest.jsonl:7: text record 't9' has neither features nor blob"),
     ],
     ids=["not_an_object", "string_features", "numeric_blob_path", "numeric_id", "list_label",
          "features_beyond_float", "features_beyond_float32", "nan_features",
-         "negative_infinity_features", "features_beyond_float64", "no_features"],
+         "negative_infinity_features", "features_beyond_float64", "numeric_string_features",
+         "no_features"],
 )
 def test_ill_typed_manifest_record_raises_corpus_error(tmp_path, line, needle):
     corpus = random_corpus(num_videos=2)
