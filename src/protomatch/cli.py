@@ -33,6 +33,7 @@ from .numerics import (
     l2_normalize_rows_vjp,
     l2_normalize_rows_with_norms,
 )
+from .prototypes import has_learned_masks
 from .trainer import (
     TrainConfig,
     load_checkpoint,
@@ -227,10 +228,12 @@ def cmd_heatmap(args: argparse.Namespace) -> int:
     cfg = build_run_config(args)
     corpus = load_corpus(args.corpus)
     state = load_checkpoint(args.checkpoint)
-    if state.config.variant != "mask":  # a baseline head's masks are empty
+    if not has_learned_masks(state.params, state.config.head_variant):
+        # a baseline head, or a mask head with no prototypes, has empty masks
+        variant = state.config.variant
+        head = "head with no prototypes" if variant == "mask" else f"{variant} head"
         raise ValidationError(
-            f"checkpoint {args.checkpoint} has a {state.config.variant} head, "
-            "which learns no masks to export"
+            f"checkpoint {args.checkpoint} has a {head}, which learns no masks to export"
         )
     matches = [v for v in corpus.videos if v.video_id == args.video_id]
     if not matches:

@@ -347,8 +347,8 @@ def load_corpus(manifest_path: str | Path) -> Corpus:
 class Batch:
     """A training batch: distinct videos, one sampled caption each."""
 
-    video_ids: list[str]
-    text_ids: list[str]
+    videos: np.ndarray  # (batch,) indices into the corpus's videos
+    texts: np.ndarray  # (batch,) indices into the corpus's captions, one of each video's
     tokens: np.ndarray  # (batch, n_tokens, token_dim)
     text_features: np.ndarray  # (batch, text_dim)
 
@@ -370,9 +370,4 @@ def make_batches(corpus: Corpus, batch_size: int, rng: RngStream) -> list[Batch]
     videos = rng.permutation(m)[: n_batches * batch_size].reshape(n_batches, batch_size)
     picks = rng.integers(np.diff(corpus.caption_starts)[videos])
     texts = corpus.caption_order[corpus.caption_starts[videos] + picks]
-    tokens, features = corpus.tokens[videos], corpus.features[texts]
-    video_ids, text_ids = corpus.video_ids, corpus.text_ids
-    return [
-        Batch([video_ids[v] for v in vs], [text_ids[t] for t in ts], tokens[b], features[b])
-        for b, (vs, ts) in enumerate(zip(videos.tolist(), texts.tolist()))
-    ]
+    return list(map(Batch, videos, texts, corpus.tokens[videos], corpus.features[texts]))

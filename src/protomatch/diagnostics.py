@@ -219,10 +219,10 @@ def prototype_diversity(
 def matching_purity(corpus: Corpus, params: HeadParameters, variant: str = "mask") -> float:
     """How cleanly captions split over prototypes along event lines.
 
-    For each video, captions are grouped by the prototype that wins the
-    max-similarity match against their own video (each caption is scored
-    against its own video's K+1 prototypes only, the lowest index winning
-    a tie); a group's hits are the count of its most common event label.
+    Each caption is scored against its own video's K+1 prototypes only,
+    and the prototype that wins the max-similarity match (the lowest
+    index winning a tie) puts it in that video's group for the prototype;
+    a group's hits are the count of its most common event label.
     Purity is total hits over total captions.  1.0 means every prototype
     serves captions of a single event; a head that routes everything
     through one prototype scores the frequency of the most common event.
@@ -235,14 +235,9 @@ def matching_purity(corpus: Corpus, params: HeadParameters, variant: str = "mask
     video_embedded = embed_videos(corpus.tokens, params, variant)
     text_embedded = embed_texts(corpus.features, params)
 
-    hits = 0
-    for vi in range(corpus.num_videos):
-        captions = corpus.texts_of(corpus.video_ids[vi])
-        # own-video scores only; argmax takes the lowest index among equal maxima
-        winners = (text_embedded[captions] @ video_embedded[vi].T).argmax(axis=1)
-        groups: dict[int, list[int]] = {}
-        for ti, winner in zip(captions, winners.tolist()):
-            groups.setdefault(winner, []).append(corpus.event_labels[ti])
-        for labels in groups.values():
-            hits += max(labels.count(e) for e in set(labels))
-    return hits / corpus.num_texts
+    own = video_embedded[corpus.text_video]  # (T, K+1, embed_dim)
+    winners = (own @ text_embedded[:, :, None])[:, :, 0].argmax(axis=1)
+    _, labels = np.unique(corpus.event_labels, return_inverse=True)
+    counts = np.zeros((corpus.num_videos, own.shape[1], labels.max() + 1), np.intp)
+    np.add.at(counts, (corpus.text_video, winners, labels.ravel()), 1)
+    return int(counts.max(axis=2).sum()) / corpus.num_texts

@@ -109,16 +109,10 @@ def ranks_from_scores(
             f"got {scores.shape[0]} score rows but {len(gt_per_query)} ground-truth sets"
         )
     gts = list(map(list, gt_per_query))
-    counts = np.fromiter(map(len, gts), np.intp, len(gts))
-    rows = np.repeat(np.arange(len(gts)), counts)
-    try:
-        cols = np.fromiter(chain.from_iterable(gts), np.intp, rows.size)
-        valid = counts.all() and ((cols >= 0) & (cols < scores.shape[1])).all()
-    except OverflowError:  # an index no gallery reaches
-        valid = False
-    if not valid:
-        for gt in gts:  # the first bad set raises
-            _check_gt(gt, scores.shape[1])
+    for gt in gts:  # the first bad set raises
+        _check_gt(gt, scores.shape[1])
+    rows = np.repeat(np.arange(len(gts)), list(map(len, gts)))
+    cols = np.fromiter(chain.from_iterable(gts), np.intp, rows.size)
     return _ranks(scores, rows, cols).tolist()
 
 

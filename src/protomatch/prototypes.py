@@ -87,6 +87,11 @@ class HeadParameters:
         return {name: getattr(self, name) for name in PARAM_ORDER}
 
 
+def has_learned_masks(params: HeadParameters, variant: str) -> bool:
+    """Whether a head of this variant learns masks: a mask head with a prototype."""
+    return variant == "mask" and params.n_prototypes > 0
+
+
 def init_head(
     n_prototypes: int,
     token_dim: int,

@@ -46,6 +46,7 @@ from .prototypes import (
     HeadCache,
     HeadParameters,
     TextCache,
+    has_learned_masks,
     head_backward,
     head_forward,
     init_head,
@@ -225,7 +226,7 @@ def _objective_forward(
     sim = similarity_matrix(text_cache.embedded, head_cache.embedded, winners, ws and ws.block)
 
     contrastive, grad_scores = contrastive_loss(sim.scores, loss_cfg.temperature)
-    if head_variant == "mask" and params.n_prototypes > 0:
+    if has_learned_masks(params, head_variant):
         variance, grad_masks = variance_loss(head_cache.masks, loss_cfg)
     else:
         variance, grad_masks = 0.0, None

@@ -309,6 +309,17 @@ def test_gradcheck_command_passes(tmp_path, capsys):
     assert all("PASS" in l for l in lines)
 
 
+def test_gradcheck_failure_exits_2(tmp_path, capsys, monkeypatch):
+    # every relative error is at or above a zero tolerance
+    monkeypatch.setattr(protomatch.cli, "GRADCHECK_TOLERANCE", 0.0)
+    assert main(["gradcheck", "--out-dir", str(tmp_path)]) == 2
+    captured = capsys.readouterr()
+    lines = captured.out.splitlines()
+    assert all("FAIL" in line for line in lines[:-1]) and len(lines) >= 6
+    assert lines[-1] == f"{len(lines) - 1} gradient check(s) at or above 0.0"
+    assert captured.err == ""
+
+
 @pytest.mark.filterwarnings("error")
 def test_gradcheck_with_overflowing_temperature_exits_1(tmp_path, capsys):
     code = main(["gradcheck", "--set", "temperature=1e-310", "--out-dir", str(tmp_path)])
@@ -364,6 +375,27 @@ def test_batch_size_beyond_corpus_exits_1_naming_both(tmp_path, capsys):
     err = capsys.readouterr().err
     assert "12" in err and "8" in err
     assert not (out / "t").exists()  # validation failed before any writes
+
+
+def test_part_prototypes_beyond_non_class_tokens_exit_1(tmp_path, capsys):
+    # SMALL_CORPUS videos have 6 tokens, so at most 5 parts
+    _, out, manifest = synth_small(tmp_path)
+    cfg = write_config(tmp_path, SMALL_CORPUS + SMALL_TRAIN, name="train.cfg")
+    capsys.readouterr()
+    code = main(["train", "--config", str(cfg), "--set", "variant=part",
+                 "--set", "n_prototypes=6", "--corpus", str(manifest),
+                 "--out-dir", str(out / "t")])
+    assert code == 1
+    assert_one_line_error(capsys, "part variant needs n_prototypes (6) <= non-class tokens (5)")
+    assert not (out / "t").exists()
+
+
+def test_missing_config_file_exits_1_naming_path(tmp_path, capsys):
+    code = main(["synth", "--config", str(tmp_path / "absent.cfg"),
+                 "--out-dir", str(tmp_path / "r")])
+    assert code == 1
+    assert_one_line_error(capsys, "config file", "absent.cfg", "does not exist")
+    assert not (tmp_path / "r").exists()
 
 
 def test_missing_corpus_exits_1_naming_path(tmp_path, capsys):
@@ -555,10 +587,10 @@ def test_eval_of_head_whose_norms_overflow_exits_2(tmp_path, capsys):
     assert not (out / "e").exists()
 
 
-def assert_heatmap_refused(tmp_path, capsys, variant):
+def assert_heatmap_refused(tmp_path, capsys, setting, head):
     _, out, manifest = synth_small(tmp_path)
     train_cfg = write_config(tmp_path, SMALL_CORPUS + SMALL_TRAIN, name="train.cfg")
-    assert main(["train", "--config", str(train_cfg), "--set", f"variant={variant}",
+    assert main(["train", "--config", str(train_cfg), "--set", setting,
                  "--corpus", str(manifest), "--out-dir", str(out / "train")]) == 0
     (train_dir,) = (out / "train").iterdir()
     ckpt = sorted((train_dir / "checkpoints").iterdir())[-1]
@@ -566,17 +598,22 @@ def assert_heatmap_refused(tmp_path, capsys, variant):
     code = main(["heatmap", "--corpus", str(manifest), "--checkpoint", str(ckpt),
                  "--video-id", "v3", "--out-dir", str(out / "heat")])
     assert code == 1
-    assert_one_line_error(capsys, f"has a {variant} head, which learns no masks to export")
+    assert_one_line_error(capsys, f"has a {head}, which learns no masks to export")
     assert not (out / "heat").exists()
 
 
 def test_heatmap_refuses_part_checkpoint(tmp_path, capsys):
-    assert_heatmap_refused(tmp_path, capsys, "part")
+    assert_heatmap_refused(tmp_path, capsys, "variant=part", "part head")
 
 
 def test_heatmap_refuses_baseline_checkpoint(tmp_path, capsys):
     # a baseline head has no learned prototypes, so its masks are empty
-    assert_heatmap_refused(tmp_path, capsys, "baseline")
+    assert_heatmap_refused(tmp_path, capsys, "variant=baseline", "baseline head")
+
+
+def test_heatmap_refuses_mask_checkpoint_with_no_prototypes(tmp_path, capsys):
+    # a baseline head in all but name: its masks are empty too
+    assert_heatmap_refused(tmp_path, capsys, "n_prototypes=0", "head with no prototypes")
 
 
 def _trained_checkpoint_state(tmp_path, out, manifest):

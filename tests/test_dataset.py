@@ -199,6 +199,18 @@ def test_ill_typed_manifest_record_raises_corpus_error(tmp_path, line, needle):
     assert needle in str(exc.value)
 
 
+@pytest.mark.parametrize("kind, missing", [("text", "video"), ("video", "text")])
+def test_manifest_without_records_of_a_kind_raises_corpus_error(tmp_path, kind, missing):
+    corpus = random_corpus(num_videos=2)
+    manifest = tmp_path / "manifest.jsonl"
+    save_corpus(corpus, manifest)
+    kept = [line for line in manifest.read_text().splitlines() if json.loads(line)["kind"] == kind]
+    manifest.write_text("\n".join(kept) + "\n")
+    with pytest.raises(CorpusError) as exc:
+        load_corpus(manifest)
+    assert str(exc.value) == f"manifest {manifest} contains no {missing} records"
+
+
 def test_load_errors_come_in_manifest_line_order(tmp_path):
     # a line that fails to parse is named after the blobs of the lines before
     # it are read, and before any blob after it
@@ -311,6 +323,12 @@ def test_corpus_validate_catches_duplicates_and_nonfinite():
     videos[0].tokens[0, 0] = np.nan
     with pytest.raises(CorpusError):
         Corpus(videos, texts, good.dims)
+
+
+def test_corpus_refuses_a_duplicate_text_id():
+    corpus = random_corpus(num_videos=3, captions_per_video=2)
+    with pytest.raises(CorpusError, match="^duplicate text id 'v1_t0'$"):
+        Corpus(corpus.videos, corpus.texts + corpus.texts[2:3], corpus.dims)
 
 
 @pytest.mark.parametrize("kind", ["videos", "texts"])
@@ -523,19 +541,27 @@ def test_synth_config_validation():
 # ---------------------------------------------------------------------------
 
 
+def batch_video_ids(corpus: Corpus, batch) -> list[str]:
+    return [corpus.video_ids[v] for v in batch.videos]
+
+
+def batch_text_ids(corpus: Corpus, batch) -> list[str]:
+    return [corpus.text_ids[t] for t in batch.texts]
+
+
 def test_two_full_batches_from_ten_videos():
     corpus = random_corpus(num_videos=10, captions_per_video=2)
     batches = make_batches(corpus, 4, RngStream(0, stream=1))
     assert len(batches) == 2
     for batch in batches:
-        assert len(set(batch.video_ids)) == 4
+        assert len(set(batch_video_ids(corpus, batch))) == 4
         assert batch.tokens.shape[0] == 4 and batch.text_features.shape[0] == 4
 
 
 def test_full_corpus_batch_contains_every_video_once():
     corpus = random_corpus(num_videos=6, captions_per_video=2)
     (batch,) = make_batches(corpus, 6, RngStream(0, stream=1))
-    assert sorted(batch.video_ids) == sorted(v.video_id for v in corpus.videos)
+    assert sorted(batch_video_ids(corpus, batch)) == sorted(v.video_id for v in corpus.videos)
 
 
 def test_batch_size_above_corpus_size_rejected():
@@ -551,7 +577,7 @@ def test_batch_videos_unique_across_many_epochs():
     seen = 0
     while seen < 1000:
         for batch in make_batches(corpus, 4, rng):
-            assert len(set(batch.video_ids)) == 4
+            assert len(set(batch_video_ids(corpus, batch))) == 4
             seen += 1
     assert seen >= 1000
 
@@ -560,7 +586,7 @@ def test_sampled_caption_matches_its_video():
     corpus = random_corpus(num_videos=8, captions_per_video=3)
     text_owner = {t.text_id: t.video_id for t in corpus.texts}
     for batch in make_batches(corpus, 8, RngStream(2, stream=1)):
-        for vid, tid in zip(batch.video_ids, batch.text_ids):
+        for vid, tid in zip(batch_video_ids(corpus, batch), batch_text_ids(corpus, batch)):
             assert text_owner[tid] == vid
 
 
@@ -571,7 +597,7 @@ def test_caption_sampling_close_to_uniform_over_100_epochs():
     rng = RngStream(10, stream=1)
     for _ in range(100):
         for batch in make_batches(corpus, 2, rng):
-            for tid in batch.text_ids:
+            for tid in batch_text_ids(corpus, batch):
                 counts[tid] += 1
     for text in corpus.texts:
         assert abs(counts[text.text_id] / 100.0 - 1.0 / 3.0) <= 0.05
@@ -581,8 +607,8 @@ def test_batches_deterministic_given_stream():
     corpus = random_corpus(num_videos=9, captions_per_video=2)
     a = make_batches(corpus, 3, RngStream(7, stream=1))
     b = make_batches(corpus, 3, RngStream(7, stream=1))
-    assert [x.video_ids for x in a] == [y.video_ids for y in b]
-    assert [x.text_ids for x in a] == [y.text_ids for y in b]
+    assert [batch_video_ids(corpus, x) for x in a] == [batch_video_ids(corpus, y) for y in b]
+    assert [batch_text_ids(corpus, x) for x in a] == [batch_text_ids(corpus, y) for y in b]
 
 
 def per_video_batches(corpus: Corpus, batch_size: int, rng: RngStream) -> list[tuple]:
@@ -615,7 +641,8 @@ def test_array_bound_draw_matches_one_draw_per_video(seed):
         want = per_video_batches(corpus, 64, oracle_rng)
         assert len(batches) == len(want) == 15
         for batch, (video_ids, text_ids, tokens, features) in zip(batches, want):
-            assert (batch.video_ids, batch.text_ids) == (video_ids, text_ids)
+            assert batch_video_ids(corpus, batch) == video_ids
+            assert batch_text_ids(corpus, batch) == text_ids
             assert batch.tokens.tobytes() == tokens.tobytes()
             assert batch.text_features.tobytes() == features.tobytes()
     np.testing.assert_equal(rng.state, oracle_rng.state)
