@@ -191,14 +191,18 @@ def prototype_diversity(
     mirroring what the variance regularizer pushes on, then averages over
     token positions.  Both read the mask head, so a head of any other
     variant raises ValidationError: a part head's mask_w and mask_b are
-    untrained.
+    untrained.  A head whose video embeddings are not all finite raises
+    NumericError, as embed_videos does.
     """
     if variant != "mask":
         raise ValidationError(f"prototype diversity reads learned masks; a {variant} head has none")
     k = params.n_prototypes
     if k < 2:
         raise ValidationError(f"prototype diversity needs at least 2 prototypes, got {k}")
-    cache = head_forward(corpus.tokens, params)
+    with np.errstate(over="ignore", invalid="ignore"):
+        cache = head_forward(corpus.tokens, params)
+    if not np.isfinite(cache.sq_norms).all():  # NaN rows would read as dead masks
+        raise NumericError("the head gives non-finite video embeddings; nothing to compare")
     embedded = cache.embedded[:, :k, :]  # learned rows only
     live = np.linalg.norm(embedded, axis=2) > NORM_GUARD
     per_video = []

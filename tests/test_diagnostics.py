@@ -399,6 +399,17 @@ def test_diversity_skips_dead_prototypes():
         prototype_diversity(corpus, head)
 
 
+@pytest.mark.filterwarnings("error")  # the overflow raises, not warns
+@pytest.mark.parametrize("scale", [1e308, np.nan], ids=["overflowing", "nan"])
+def test_diversity_of_a_non_finite_head_raises_numeric_error(scale):
+    corpus = random_corpus(num_videos=3, captions_per_video=2, n_tokens=5, token_dim=8, text_dim=7)
+    head = make_head(2, 8, 7, 6)
+    prototype_diversity(corpus, head)
+    head.vproj_w.value[:] *= scale
+    with pytest.raises(NumericError, match="non-finite video embeddings"):
+        prototype_diversity(corpus, head)
+
+
 def test_mask_spread_statistic_matches_direct_formula():
     corpus = random_corpus(num_videos=4, captions_per_video=2, n_tokens=6, token_dim=8, text_dim=7)
     head = make_head(3, 8, 7, 6, seed=12)

@@ -234,6 +234,12 @@ def test_schedule_is_continuous_on_a_grid():
     assert np.abs(np.diff(values)).max() < 3e-5 * math.pi * (50.0 / 5000) / 2 + 3e-5 / 5
 
 
+def test_schedule_with_warmup_to_the_end_holds_peak_lr():
+    # no decay phase: the rate reaches peak_lr at the last epoch and stays there
+    assert lr_at(2.5, 10, 3e-5, 10) == 3e-5 * 2.5 / 10
+    assert lr_at(10.0, 10, 3e-5, 10) == 3e-5
+
+
 def test_schedule_out_of_range_epoch_rejected():
     with pytest.raises(ValidationError):
         lr_at(-0.1, *SCHEDULE)
