@@ -348,7 +348,7 @@ class Batch:
     """A training batch: distinct videos, one sampled caption each."""
 
     videos: np.ndarray  # (batch,) indices into the corpus's videos
-    texts: np.ndarray  # (batch,) indices into the corpus's captions, one of each video's
+    texts: np.ndarray  # (batch,) indices into the corpus's captions, one per video
     tokens: np.ndarray  # (batch, n_tokens, token_dim)
     text_features: np.ndarray  # (batch, text_dim)
 

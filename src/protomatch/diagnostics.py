@@ -243,5 +243,5 @@ def matching_purity(corpus: Corpus, params: HeadParameters, variant: str = "mask
     winners = (own @ text_embedded[:, :, None])[:, :, 0].argmax(axis=1)
     _, labels = np.unique(corpus.event_labels, return_inverse=True)
     counts = np.zeros((corpus.num_videos, own.shape[1], labels.max() + 1), np.intp)
-    np.add.at(counts, (corpus.text_video, winners, labels.ravel()), 1)
+    np.add.at(counts, (corpus.text_video, winners, labels), 1)
     return int(counts.max(axis=2).sum()) / corpus.num_texts

@@ -319,16 +319,12 @@ def test_corpus_validate_catches_duplicates_and_nonfinite():
     good = random_corpus(num_videos=2, captions_per_video=1)
     with pytest.raises(CorpusError):
         Corpus(good.videos + good.videos[:1], good.texts, good.dims)
+    with pytest.raises(CorpusError, match="^duplicate text id 'v1_t0'$"):
+        Corpus(good.videos, good.texts + good.texts[1:], good.dims)
     videos, texts = editable_records(good)
     videos[0].tokens[0, 0] = np.nan
     with pytest.raises(CorpusError):
         Corpus(videos, texts, good.dims)
-
-
-def test_corpus_refuses_a_duplicate_text_id():
-    corpus = random_corpus(num_videos=3, captions_per_video=2)
-    with pytest.raises(CorpusError, match="^duplicate text id 'v1_t0'$"):
-        Corpus(corpus.videos, corpus.texts + corpus.texts[2:3], corpus.dims)
 
 
 @pytest.mark.parametrize("kind", ["videos", "texts"])

@@ -452,10 +452,9 @@ def test_purity_single_event_is_always_one():
     assert matching_purity(corpus, head) == 1.0
 
 
-def test_purity_of_a_part_head_matches_its_part_prototypes():
-    corpus = synth_corpus(SynthConfig(num_videos=6, seed=20))
-    head = init_head(3, corpus.dims[1], corpus.dims[2], 6, RngStream(20, stream=0))
-    videos = embed_videos(np.stack([v.tokens for v in corpus.videos]), head, "part")
+def purity_oracle(corpus, head, variant):
+    """Purity from one caption at a time, grouped in a dict of label lists."""
+    videos = embed_videos(np.stack([v.tokens for v in corpus.videos]), head, variant)
     texts = embed_texts(np.stack([t.features for t in corpus.texts]), head)
     index = {v.video_id: i for i, v in enumerate(corpus.videos)}
     groups: dict[tuple[int, int], list[int]] = {}
@@ -464,7 +463,24 @@ def test_purity_of_a_part_head_matches_its_part_prototypes():
         winner = int(np.argmax(videos[vi] @ texts[ti]))
         groups.setdefault((vi, winner), []).append(text.event_label)
     hits = sum(max(labels.count(e) for e in labels) for labels in groups.values())
+    return hits / corpus.num_texts
+
+
+def test_purity_of_a_part_head_matches_its_part_prototypes():
+    corpus = synth_corpus(SynthConfig(num_videos=6, seed=20))
+    head = init_head(3, corpus.dims[1], corpus.dims[2], 6, RngStream(20, stream=0))
     purity = matching_purity(corpus, head, variant="part")
-    assert purity == hits / corpus.num_texts
+    assert purity == purity_oracle(corpus, head, "part")
     # the mask reading of the same parameters, which the part head never trains, differs
     assert purity != matching_purity(corpus, head)
+
+
+@pytest.mark.parametrize("variant", ["mask", "part"])
+def test_purity_counts_any_integer_label_as_the_oracle_does(variant):
+    # the corpus does not check label signs, and labels need not be small
+    corpus = synth_corpus(SynthConfig(num_videos=12, captions_per_video=5, seed=21))
+    relabel = {0: -7, 1: 10**15, 2: 3}
+    texts = [t._replace(event_label=relabel[t.event_label]) for t in corpus.texts]
+    corpus = Corpus(corpus.videos, texts, corpus.dims)
+    head = init_head(3, corpus.dims[1], corpus.dims[2], 6, RngStream(21, stream=0))
+    assert matching_purity(corpus, head, variant) == purity_oracle(corpus, head, variant)
