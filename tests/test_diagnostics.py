@@ -399,7 +399,7 @@ def test_diversity_skips_dead_prototypes():
         prototype_diversity(corpus, head)
 
 
-@pytest.mark.filterwarnings("error")  # the overflow raises, not warns
+@pytest.mark.filterwarnings("error")  # no overflow warning escapes
 @pytest.mark.parametrize("scale", [1e308, np.nan], ids=["overflowing", "nan"])
 def test_diversity_of_a_non_finite_head_raises_numeric_error(scale):
     corpus = random_corpus(num_videos=3, captions_per_video=2, n_tokens=5, token_dim=8, text_dim=7)

@@ -235,7 +235,7 @@ def test_schedule_is_continuous_on_a_grid():
 
 
 def test_schedule_with_warmup_to_the_end_holds_peak_lr():
-    # no decay phase: the rate reaches peak_lr at the last epoch and stays there
+    # no decay phase: the warmup ends at the last epoch, at peak_lr
     assert lr_at(2.5, 10, 3e-5, 10) == 3e-5 * 2.5 / 10
     assert lr_at(10.0, 10, 3e-5, 10) == 3e-5
 
