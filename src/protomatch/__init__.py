@@ -37,7 +37,17 @@ from .errors import (
     ShapeError,
     ValidationError,
 )
-from .losses import LossBreakdown, LossConfig, contrastive_loss, total_loss, variance_loss
+from .losses import (
+    ContrastiveForward,
+    LossBreakdown,
+    LossConfig,
+    VarianceForward,
+    contrastive_loss,
+    contrastive_vjp,
+    total_loss,
+    variance_loss,
+    variance_vjp,
+)
 from .matching import (
     SimilarityMatrix,
     prototype_scores,

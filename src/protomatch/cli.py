@@ -23,7 +23,7 @@ import numpy as np
 from .dataset import SynthConfig, load_corpus, save_corpus, synth_corpus
 from .diagnostics import export_mask_heatmaps, intra_inter_stats, write_ambiguity_csvs
 from .errors import ConfigError, NumericError, ValidationError
-from .losses import LossConfig, contrastive_loss, variance_loss
+from .losses import LossConfig, contrastive_loss, contrastive_vjp, variance_loss, variance_vjp
 from .matching import similarity_matrix, similarity_vjp
 from .metrics import evaluate, write_report
 from .numerics import (
@@ -284,9 +284,10 @@ def _check_variance_loss(seed: int, cfg: LossConfig) -> float:
     masks = np.abs(rng.normal((3, 6, 2)))  # in the relu image, away from hinge w.h.p.
 
     def loss(values):
-        return variance_loss(values["masks"], cfg)[0]
+        return variance_loss(values["masks"], cfg).value
 
-    return finite_diff_check(loss, {"masks": masks}, {"masks": variance_loss(masks, cfg)[1]})
+    grad = variance_vjp(variance_loss(masks, cfg))
+    return finite_diff_check(loss, {"masks": masks}, {"masks": grad})
 
 
 def _check_contrastive_loss(seed: int, cfg: LossConfig) -> float:
@@ -294,9 +295,9 @@ def _check_contrastive_loss(seed: int, cfg: LossConfig) -> float:
     scores = rng.normal((5, 5))
 
     def loss(values):
-        return contrastive_loss(values["scores"], cfg.temperature)[0]
+        return contrastive_loss(values["scores"], cfg.temperature).value
 
-    grad = contrastive_loss(scores, cfg.temperature)[1]
+    grad = contrastive_vjp(contrastive_loss(scores, cfg.temperature))
     return finite_diff_check(loss, {"scores": scores}, {"scores": grad})
 
 

@@ -25,12 +25,16 @@ import numpy as np
 from .dataset import Batch, Corpus, make_batches
 from .errors import CheckpointError, NumericError, ValidationError
 from .losses import (
+    ContrastiveForward,
     LossBreakdown,
     LossConfig,
+    VarianceForward,
     contrastive_loss,
+    contrastive_vjp,
     mask_std,
     total_loss,
     variance_loss,
+    variance_vjp,
 )
 from .matching import SimilarityMatrix, prototype_scores, similarity_matrix, similarity_vjp
 from .numerics import (
@@ -186,8 +190,8 @@ class _ObjectiveForward:
     sim: SimilarityMatrix
     head_cache: HeadCache
     text_cache: TextCache
-    grad_scores: np.ndarray  # d contrastive / d scores
-    grad_masks: np.ndarray | None  # d variance / d masks; None without a variance term
+    contrastive: ContrastiveForward
+    variance: VarianceForward | None  # None without a variance term
 
 
 def _objective_forward(
@@ -199,7 +203,7 @@ def _objective_forward(
     workspace: StepWorkspace | None = None,
     winners: bool = False,
 ) -> _ObjectiveForward:
-    """Forward half of batch_objective for one batch; touches no gradient.
+    """Forward half of batch_objective for one batch; computes no gradient.
 
     The variance regularizer applies to a mask head with at least one
     learned prototype; the part head has no masks and the baseline head's
@@ -225,13 +229,12 @@ def _objective_forward(
             raise NumericError(f"the head gives non-finite {side} embeddings")
     sim = similarity_matrix(text_cache.embedded, head_cache.embedded, winners, ws and ws.block)
 
-    contrastive, grad_scores = contrastive_loss(sim.scores, loss_cfg.temperature)
+    contrastive = contrastive_loss(sim.scores, loss_cfg.temperature)
+    variance = None
     if has_learned_masks(params, head_variant):
-        variance, grad_masks = variance_loss(head_cache.masks, loss_cfg)
-    else:
-        variance, grad_masks = 0.0, None
-    breakdown = total_loss(contrastive, variance, loss_cfg)
-    return _ObjectiveForward(breakdown, sim, head_cache, text_cache, grad_scores, grad_masks)
+        variance = variance_loss(head_cache.masks, loss_cfg)
+    breakdown = total_loss(contrastive.value, 0.0 if variance is None else variance.value, loss_cfg)
+    return _ObjectiveForward(breakdown, sim, head_cache, text_cache, contrastive, variance)
 
 
 def batch_objective(
@@ -252,7 +255,7 @@ def batch_objective(
     ws = workspace
     fwd = _objective_forward(tokens, text_features, params, loss_cfg, head_variant, ws, True)
     grad_text_emb, grad_video_emb = similarity_vjp(
-        fwd.grad_scores,
+        contrastive_vjp(fwd.contrastive),
         fwd.text_cache.embedded,
         fwd.head_cache.embedded,
         fwd.sim.winners,
@@ -264,8 +267,8 @@ def batch_objective(
         scratch=ws and ws.text_vjp,
     )
     extra = None
-    if fwd.grad_masks is not None:
-        extra = loss_cfg.variance_weight * fwd.grad_masks
+    if fwd.variance is not None:
+        extra = loss_cfg.variance_weight * variance_vjp(fwd.variance)
     grad_tokens = head_backward(
         tokens, params, fwd.head_cache, grad_video_emb, extra, want_input_grads,
         scratch=ws and ws.video_vjp,

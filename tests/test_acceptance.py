@@ -63,10 +63,10 @@ def test_loss_identities_hold_in_closed_form():
     cfg = LossConfig()
     uniform_dev = 0.0
     for size in (2, 4, 16):
-        loss, _ = contrastive_loss(np.full((size, size), 0.25), cfg.temperature)
+        loss = contrastive_loss(np.full((size, size), 0.25), cfg.temperature).value
         uniform_dev = max(uniform_dev, abs(loss - 2.0 * math.log(size)))
-    single, _ = contrastive_loss(np.array([[0.9]]), cfg.temperature)
-    constant, _ = variance_loss(np.full((4, 9, 3), 0.2), cfg)
+    single = contrastive_loss(np.array([[0.9]]), cfg.temperature).value
+    constant = variance_loss(np.full((4, 9, 3), 0.2), cfg).value
     constant_dev = abs(constant - 0.74)
     check(
         "loss identities",

@@ -457,6 +457,36 @@ def test_probe_losses_run_on_heads_without_gradients(monkeypatch):
         assert all(t.grad is None for t in stack.tensors().values())
 
 
+def test_probes_compute_no_loss_gradient(monkeypatch):
+    # the loss VJPs run only inside the one batch_objective call at the drawn point
+    analytic, ran = [], []
+    batch_objective_ = trainer_module.batch_objective
+
+    def at_the_drawn_point(*args, **kwargs):
+        analytic.append(True)
+        try:
+            return batch_objective_(*args, **kwargs)
+        finally:
+            analytic.pop()
+
+    def guarded(name):
+        vjp = getattr(trainer_module, name)
+
+        def run(fwd):
+            if not analytic:
+                raise AssertionError(f"a probe ran {name}")
+            ran.append(name)
+            return vjp(fwd)
+
+        return run
+
+    monkeypatch.setattr(trainer_module, "batch_objective", at_the_drawn_point)
+    for name in ("contrastive_vjp", "variance_vjp"):
+        monkeypatch.setattr(trainer_module, name, guarded(name))
+    assert objective_finite_diff(seed=0) < 1e-5
+    assert sorted(ran) == ["contrastive_vjp", "variance_vjp"]
+
+
 def test_only_the_analytic_point_runs_the_winner_pass(monkeypatch):
     # the probe stacks read losses only, so their scoring skips the winners
     asked = []
