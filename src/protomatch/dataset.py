@@ -86,14 +86,17 @@ class Corpus:
     video_ids, text_ids and event_labels are tuples.  text_video[t] is
     caption t's video index.  Video v's captions, in corpus order, are
     caption_order[caption_starts[v]:caption_starts[v + 1]].  videos and
-    texts are tuples of records whose arrays are views of the rows.  The
-    first bad record, in record order, raises CorpusError.
+    texts are tuples of records whose arrays are views of the rows.  A
+    corpus without videos, or the first bad record in record order, raises
+    CorpusError.
     """
 
     def __init__(self, videos: Sequence[VideoRecord], texts: Sequence[TextRecord], dims: tuple):
         n_tokens, token_dim, text_dim = self.dims = dims
         if n_tokens < 1:
             raise CorpusError("corpus needs at least one token per video")
+        if not videos:
+            raise CorpusError("corpus needs at least one video")
         self.num_videos, self.num_texts = len(videos), len(texts)
         token_arrays, feature_arrays = [v.tokens for v in videos], [t.features for t in texts]
         if any(a.shape != (n_tokens, token_dim) for a in token_arrays) or any(

@@ -92,10 +92,14 @@ def intra_inter_stats(
     # captions grouped by video, corpus order within each group
     order, bounds = corpus.caption_order, corpus.caption_starts
     min_intra: list[tuple[str, float]] = []
+    upper: dict[int, tuple[np.ndarray, np.ndarray]] = {}  # caption count -> its pairs
     for v in np.flatnonzero(np.diff(bounds) >= 2).tolist():
         rows = order[bounds[v] : bounds[v + 1]]
+        n_rows = len(rows)
+        if n_rows not in upper:
+            upper[n_rows] = np.triu_indices(n_rows, k=1)
         sims = unit[rows] @ unit[rows].T
-        pair_min = sims[np.triu_indices(len(rows), k=1)].min()
+        pair_min = sims[upper[n_rows]].min()
         min_intra.append((corpus.video_ids[v], float(pair_min)))
     if not min_intra:
         raise ValidationError(

@@ -315,6 +315,14 @@ def test_corpus_from_records_and_its_reload_report_the_same(tmp_path, monkeypatc
         )
 
 
+def test_a_corpus_without_videos_is_refused():
+    # downstream reductions over zero videos would fail outside the error taxonomy
+    good = random_corpus(num_videos=1)
+    for texts in ((), good.texts):
+        with pytest.raises(CorpusError, match="^corpus needs at least one video$"):
+            Corpus([], texts, good.dims)
+
+
 def test_corpus_validate_catches_duplicates_and_nonfinite():
     good = random_corpus(num_videos=2, captions_per_video=1)
     with pytest.raises(CorpusError):
