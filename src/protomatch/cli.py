@@ -235,13 +235,13 @@ def cmd_heatmap(args: argparse.Namespace) -> int:
         raise ValidationError(
             f"checkpoint {args.checkpoint} has a {head}, which learns no masks to export"
         )
-    matches = [v for v in corpus.videos if v.video_id == args.video_id]
-    if not matches:
+    if args.video_id not in corpus.video_ids:
         raise ValidationError(f"video id {args.video_id!r} not present in {args.corpus}")
+    video = corpus.videos[corpus.video_ids.index(args.video_id)]
     # the export computes the masks before it writes, so a head that does
     # not fit the corpus leaves no run directory
     path = run_directory(cfg, args.out_dir) / f"heatmap_{args.video_id}.csv"
-    export_mask_heatmaps(matches[0], state.params, path)
+    export_mask_heatmaps(video, state.params, path)
     _prepare_run_dir(cfg, args)
     print(f"wrote {path}")
     return 0

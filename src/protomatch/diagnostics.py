@@ -47,7 +47,7 @@ class AmbiguityStats:
 
 def _inter_video_pairs(
     siblings_after: np.ndarray, pair_cap: int, seed: int
-) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Ordinals of the sampled caption pairs (i, j), i < j, of different videos.
 
     siblings_after[i] counts the captions after i that describe i's video.
@@ -56,15 +56,16 @@ def _inter_video_pairs(
     ordinals of a seeded permutation of all of them, else all.  Returns
     (ordinals, starts, position) with the kept ordinals ascending, starts[i]
     the ordinal of row i's first pair, and position[p] the index of kept
-    pair p in the permutation prefix; position is None when every pair is
-    kept, already in order.
+    pair p in the permutation prefix.  When every pair is kept, in order,
+    position is the ordinals array itself.
     """
     n = siblings_after.shape[0]
     row_pairs = (n - 1 - np.arange(n)) - siblings_after
     starts = np.cumsum(row_pairs) - row_pairs
     total = int(starts[-1] + row_pairs[-1])
     if total <= pair_cap:
-        return np.arange(total), starts, None
+        ordinals = np.arange(total)
+        return ordinals, starts, ordinals
     permuted = RngStream(seed).permutation(total)
     kept = permuted[:pair_cap].copy()
     del permuted
@@ -124,8 +125,7 @@ def intra_inter_stats(
         # other videos come between the row and later[k]
         j = row + 1 + (ordinals[start:stop] - starts[row])
         j += np.searchsorted(later - np.arange(later.shape[0]), j, side="right")
-        pairs = slice(start, stop) if position is None else position[start:stop]
-        inter[pairs] = np.einsum("pd,d->p", unit[j], unit[row])
+        inter[position[start:stop]] = np.einsum("pd,d->p", unit[j], unit[row])
 
     edges = np.linspace(-1.0, 1.0, DEFAULT_BINS + 1)
     hist, _ = np.histogram(np.clip(inter, -1.0, 1.0), bins=edges)

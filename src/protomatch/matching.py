@@ -163,7 +163,7 @@ def similarity_vjp(
     out: tuple[np.ndarray, np.ndarray] | None = None,
     weights: np.ndarray | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Backward of similarity_matrix.
+    """Backward of similarity_matrix for one unstacked batch.
 
     The gradient for pair (t, v) flows into text row t and into the single
     winning prototype row of video v recorded in winners.  Returns
@@ -172,21 +172,14 @@ def similarity_vjp(
     receive them; weights, if given, is a C-contiguous (n_texts, n_videos,
     K+1) array that holds the one-hot weights.
     """
-    if (
-        grad_scores.ndim != 2
-        or winners.shape != grad_scores.shape
-        or text_embedded.ndim != 2
-        or video_embedded.ndim != 3
-        or text_embedded.shape[0] != grad_scores.shape[0]
-        or video_embedded.shape[0] != grad_scores.shape[1]
-        or text_embedded.shape[1] != video_embedded.shape[2]
-    ):
+    stacked = _check_shapes(text_embedded, video_embedded)  # a stack's lead is not ()
+    n_texts = text_embedded.shape[-2]
+    n_videos, n_rows, dim = video_embedded.shape[-3:]
+    if stacked or not grad_scores.shape == winners.shape == (n_texts, n_videos):
         raise ShapeError(
             f"grad {grad_scores.shape} and winners {winners.shape} do not conform with "
             f"{text_embedded.shape} texts and {video_embedded.shape} videos"
         )
-    n_texts = grad_scores.shape[0]
-    n_videos, n_rows, dim = video_embedded.shape
     # weights[t, v, k] is grad_scores[t, v] where k won the pair, else 0:
     # the max subgradient itself, not an approximation of it
     if weights is None:

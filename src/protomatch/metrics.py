@@ -33,17 +33,17 @@ def _check_gt(gt: list[int], n_items: int) -> None:
         raise ValidationError(f"ground-truth indices {gt} outside gallery of {n_items}")
 
 
-def recall_at_k(ranks: Sequence[int], k: int) -> float:
-    """Percent of queries whose rank is at most k."""
+def recall_at_k(ranks: Sequence[int] | np.ndarray, k: int) -> float:
+    """Percent of queries whose rank is at most k; ranks is an int array or a list."""
     if len(ranks) == 0:
         raise ValidationError("recall_at_k needs at least one rank")
     if k < 1:
         raise ValidationError(f"k must be >= 1, got {k}")
-    return 100.0 * sum(1 for r in ranks if r <= k) / len(ranks)
+    return 100.0 * int(np.count_nonzero(np.asarray(ranks) <= k)) / len(ranks)
 
 
-def median_rank(ranks: Sequence[int]) -> float:
-    """Middle rank; midpoint of the middle two for even counts."""
+def median_rank(ranks: Sequence[int] | np.ndarray) -> float:
+    """Middle rank; midpoint of the middle two for even counts.  ranks as in recall_at_k."""
     if len(ranks) == 0:
         raise ValidationError("median_rank needs at least one rank")
     return float(np.median(np.asarray(ranks)))
@@ -140,7 +140,7 @@ def evaluate(corpus: Corpus, params: HeadParameters, variant: str = "mask") -> R
     captions, videos = np.arange(corpus.num_texts), corpus.text_video
     reports: dict[str, DirectionReport] = {}
     for name, args in zip(DIRECTIONS, ((scores, captions, videos), (scores.T, videos, captions))):
-        ranks = _ranks(*args).tolist()
+        ranks = _ranks(*args)
         reports[name] = DirectionReport(
             {k: recall_at_k(ranks, k) for k in REPORTED_KS}, median_rank(ranks)
         )

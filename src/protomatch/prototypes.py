@@ -147,7 +147,7 @@ def head_forward(
     """Embed a (..., L, B, token_dim) stack of videos into (..., L, K+1, embed_dim).
 
     The part variant mean-pools the B-1 non-class tokens of each video in
-    K contiguous chunks laid out by _part_bounds.  Either variant appends
+    K contiguous chunks laid out by np.array_split.  Either variant appends
     the class token as the final prototype.  Leading axes of the tokens
     and of a stack of heads broadcast; each (L, B, token_dim) slice gives
     the same bits as an unstacked call.  out, if given, is a pair of
@@ -175,8 +175,8 @@ def head_forward(
                 f"n_parts must be in [1, {n_body}] for {tokens.shape[-2]} tokens, got {n_parts}"
             )
         acts = masks = None
-        bounds = _part_bounds(n_body, n_parts)
-        parts = [tokens[..., 1 + lo : 1 + hi, :].mean(axis=-2) for lo, hi in bounds]
+        chunks = np.array_split(tokens[..., 1:, :], n_parts, axis=-2)
+        parts = [chunk.mean(axis=-2) for chunk in chunks]
         protos = np.stack(parts + [tokens[..., 0, :]], axis=-2)
     projected_out, embedded_out = (None, None) if out is None else out
     projected = np.matmul(protos, params.vproj_w.value[..., None, :, :], out=projected_out)
@@ -242,21 +242,11 @@ def head_backward(
             raise ValidationError("the part variant has no masks to receive a mask gradient")
         if want_input_grads:
             grad_tokens = np.zeros_like(tokens)
-            bounds = _part_bounds(tokens.shape[1] - 1, k)
-            for part, (lo, hi) in enumerate(bounds):
-                grad_tokens[:, 1 + lo : 1 + hi, :] += grad_learned[:, part : part + 1, :] / (hi - lo)
+            # views of grad_tokens, cut as head_forward cut the tokens
+            for part, chunk in enumerate(np.array_split(grad_tokens[:, 1:, :], k, axis=1)):
+                chunk += grad_learned[:, part : part + 1, :] / chunk.shape[1]
             grad_tokens[:, 0, :] += grad_class
     return grad_tokens
-
-
-def _part_bounds(n_body: int, n_parts: int) -> list[tuple[int, int]]:
-    """Half-open ranges cutting n_body items into n_parts contiguous chunks.
-
-    Chunk sizes differ by at most one and earlier chunks take the extra
-    item, the layout of np.array_split.
-    """
-    size, extra = divmod(n_body, n_parts)
-    return [(i * size + min(i, extra), (i + 1) * size + min(i + 1, extra)) for i in range(n_parts)]
 
 
 @dataclass(eq=False)
