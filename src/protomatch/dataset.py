@@ -282,8 +282,9 @@ def _text_features(rec: dict, source: str, lineno: int) -> np.ndarray:
         feats = np.asarray(rec["features"], dtype=np.float32)
         # json.loads makes NaN, -Infinity and 1e400 non-finite floats; past the
         # cast each finite value is within float32 range, so the sum cannot
-        # overflow, and it is ~10x cheaper than np.isfinite on a short list
-        if not math.isfinite(sum(rec["features"])):
+        # overflow, and it is ~10x cheaper than np.isfinite on a short list.
+        # The cast and the sum take true and false as 1 and 0.
+        if not math.isfinite(sum(rec["features"])) or bool in map(type, rec["features"]):
             feats = None
     except (TypeError, ValueError, OverflowError, FloatingPointError):
         feats = None

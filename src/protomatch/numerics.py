@@ -165,6 +165,10 @@ def lr_at(epoch_fraction: float, warmup_epochs: float, peak_lr: float, epochs: f
     return peak_lr * 0.5 * (1.0 + math.cos(math.pi * t))
 
 
+# RngStream's seeds are 64-bit unsigned integers, the low word of a Philox key.
+SEED_BOUND = 2**64
+
+
 class RngStream:
     """Counter-based deterministic random stream (Philox under the hood).
 
@@ -174,7 +178,7 @@ class RngStream:
     """
 
     def __init__(self, seed: int, stream: int = 0):
-        if not 0 <= seed < 2**64:
+        if not 0 <= seed < SEED_BOUND:
             raise ValidationError(f"seed must be a 64-bit unsigned integer, got {seed}")
         self.seed = seed
         self.stream = stream

@@ -38,6 +38,7 @@ from .losses import (
 )
 from .matching import SimilarityMatrix, prototype_scores, similarity_matrix, similarity_vjp
 from .numerics import (
+    SEED_BOUND,
     AdamState,
     ParamTensor,
     RngStream,
@@ -101,6 +102,8 @@ class TrainConfig:
                 f"warmup_epochs ({self.warmup_epochs}) must not exceed epochs ({self.epochs})"
             )
         self._check_at_least(peak_lr=0, checkpoint_every=1, seed=0)
+        if self.seed >= SEED_BOUND:  # RngStream's refusal, before a run writes anything
+            raise ValidationError(f"seed must be a 64-bit unsigned integer, got {self.seed}")
 
     def _check_at_least(self, **lows) -> None:
         """Raise ValidationError for the first of these fields below its bound."""

@@ -1,5 +1,6 @@
 """Command-line surface: config handling, run layout, exit codes, pipeline."""
 
+import errno
 import json
 import os
 import struct
@@ -411,6 +412,36 @@ def test_unwritable_out_dir_exits_3(tmp_path, capsys):
     code = main(["synth", "--out-dir", str(blocked)])
     assert code == 3
     assert "i/o error" in capsys.readouterr().err
+
+
+def test_unreadable_blob_exits_3(tmp_path, capsys, monkeypatch):
+    # root reads a file whatever its mode, so the open itself is made to refuse
+    _, out, manifest = synth_small(tmp_path)
+    blob = manifest.parent / "blobs" / "video_00000.bin"
+    real_open = os.open
+
+    def refusing_open(path, flags, *args, **kwargs):
+        if Path(path) == blob:
+            raise PermissionError(errno.EACCES, os.strerror(errno.EACCES), str(path))
+        return real_open(path, flags, *args, **kwargs)
+
+    monkeypatch.setattr(os, "open", refusing_open)
+    capsys.readouterr()
+    code = main(["train", "--corpus", str(manifest), "--out-dir", str(out / "t")])
+    assert code == 3
+    assert capsys.readouterr().err == f"i/o error: [Errno 13] Permission denied: '{blob}'\n"
+    assert not (out / "t").exists()
+
+
+def test_seed_beyond_64_bits_exits_1_leaving_no_run_directory(tmp_path, capsys):
+    _, out, manifest = synth_small(tmp_path)
+    train_cfg = write_config(tmp_path, SMALL_CORPUS + SMALL_TRAIN, name="train.cfg")
+    capsys.readouterr()
+    code = main(["train", "--config", str(train_cfg), "--corpus", str(manifest),
+                 "--seed", str(2**64), "--out-dir", str(out / "t")])
+    assert code == 1
+    assert_one_line_error(capsys, "seed must be a 64-bit unsigned integer, got 18446744073709551616")
+    assert not (out / "t").exists()
 
 
 def test_unknown_video_id_exits_1(tmp_path, capsys):

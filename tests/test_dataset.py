@@ -199,6 +199,77 @@ def test_ill_typed_manifest_record_raises_corpus_error(tmp_path, line, needle):
     assert needle in str(exc.value)
 
 
+def test_boolean_caption_features_are_refused(tmp_path):
+    # json.loads makes true and false bools, which a float32 cast reads as 1 and 0
+    corpus = random_corpus(num_videos=2, captions_per_video=1, text_dim=3)
+    manifest = tmp_path / "manifest.jsonl"
+    save_corpus(corpus, manifest)
+    lines = manifest.read_text().splitlines()
+    lines[3] = json.dumps({**json.loads(lines[3]), "features": [True, False, 1.5]})
+    manifest.write_text("\n".join(lines) + "\n")
+    with pytest.raises(CorpusError) as exc:
+        load_corpus(manifest)
+    assert str(exc.value) == (
+        f"{manifest}:4: text record 'v1_t0' key 'features' must be a list of numbers in "
+        "float32 range"
+    )
+
+
+def test_blank_manifest_lines_are_skipped(tmp_path):
+    corpus = random_corpus(num_videos=2, captions_per_video=2)
+    manifest = tmp_path / "manifest.jsonl"
+    save_corpus(corpus, manifest)
+    plain = load_corpus(manifest)
+    lines = manifest.read_text().splitlines()
+    manifest.write_text("\n" + "\n  \t\n".join(lines) + "\n\n")
+    loaded = load_corpus(manifest)
+    for name in ("dims", "video_ids", "text_ids", "event_labels"):
+        assert getattr(loaded, name) == getattr(plain, name)
+    for name in ("tokens", "features", "text_video", "caption_order", "caption_starts"):
+        np.testing.assert_array_equal(getattr(loaded, name), getattr(plain, name))
+
+
+def test_videos_without_tokens_are_refused(tmp_path):
+    corpus = random_corpus(num_videos=2, captions_per_video=1)
+    manifest = tmp_path / "manifest.jsonl"
+    save_corpus(corpus, manifest)
+    lines = manifest.read_text().splitlines()
+    for i in (0, 1):
+        video = json.loads(lines[i])
+        (tmp_path / video["blob"]).write_bytes(b"")
+        lines[i] = json.dumps({**video, "rows": 0})
+    manifest.write_text("\n".join(lines) + "\n")
+    with pytest.raises(CorpusError, match="^corpus needs at least one token per video$"):
+        load_corpus(manifest)
+
+
+def test_text_blob_of_a_partial_float_raises_size_error(tmp_path):
+    corpus = random_corpus(num_videos=2, captions_per_video=1)
+    manifest = tmp_path / "manifest.jsonl"
+    save_corpus(corpus, manifest)
+    lines = manifest.read_text().splitlines()
+    text = json.loads(lines[3])
+    blob = tmp_path / "blobs" / "text.bin"
+    blob.write_bytes(np.asarray(text.pop("features"), BLOB_DTYPE).tobytes() + b"\0")
+    lines[3] = json.dumps({**text, "blob": "blobs/text.bin"})
+    manifest.write_text("\n".join(lines) + "\n")
+    with pytest.raises(BlobSizeError) as exc:
+        load_corpus(manifest)
+    assert str(exc.value) == f"record 'v1_t0': blob {blob} holds 29 bytes, not a multiple of 4"
+
+
+def test_blob_that_shrinks_while_read_raises_size_error(tmp_path, monkeypatch):
+    corpus = random_corpus(num_videos=2, captions_per_video=1)
+    manifest = tmp_path / "manifest.jsonl"
+    save_corpus(corpus, manifest)
+    readv = os.readv  # the read comes up short of the size fstat gave
+    monkeypatch.setattr(os, "readv", lambda fd, buffers: readv(fd, buffers) - 4)
+    blob = tmp_path / "blobs" / "video_00000.bin"
+    with pytest.raises(BlobSizeError) as exc:
+        load_corpus(manifest)
+    assert str(exc.value) == f"record 'v0': blob {blob} changed while read"
+
+
 @pytest.mark.parametrize("kind, missing", [("text", "video"), ("video", "text")])
 def test_manifest_without_records_of_a_kind_raises_corpus_error(tmp_path, kind, missing):
     corpus = random_corpus(num_videos=2)
@@ -573,6 +644,12 @@ def test_batch_size_above_corpus_size_rejected():
     with pytest.raises(ValidationError) as exc:
         make_batches(corpus, 4, RngStream(0))
     assert "4" in str(exc.value) and "3" in str(exc.value)
+
+
+def test_batch_size_below_one_rejected():
+    corpus = random_corpus(num_videos=3)
+    with pytest.raises(ValidationError, match="^batch size must be >= 1, got 0$"):
+        make_batches(corpus, 0, RngStream(0))
 
 
 def test_batch_videos_unique_across_many_epochs():

@@ -184,6 +184,12 @@ def test_mask_statistics_keep_numpys_bits_across_the_pairwise_sum_boundary(video
             assert left_to_right.tobytes() != masks.sum(axis=-1).tobytes()
 
 
+def test_masks_without_a_prototype_axis_rejected():
+    with pytest.raises(ShapeError) as exc:
+        variance_loss(np.zeros((2, 3)), LossConfig())
+    assert str(exc.value) == "masks must be (batch, tokens, prototypes), got (2, 3)"
+
+
 def test_zero_prototype_masks_rejected():
     # a head without learned prototypes has no variance term to compute
     with pytest.raises(ValidationError, match="prototype, got \\(2, 3, 0\\)"):
@@ -261,6 +267,12 @@ def test_contrastive_vjp_matches_finite_differences():
 def test_non_square_matrix_rejected():
     with pytest.raises(ShapeError):
         contrastive_loss(np.zeros((2, 3)), 0.05)
+
+
+def test_zero_temperature_rejected():
+    with pytest.raises(ValidationError) as exc:
+        contrastive_loss(np.zeros((2, 2)), 0.0)
+    assert str(exc.value) == "temperature must be > 0, got 0.0"
 
 
 # ---------------------------------------------------------------------------

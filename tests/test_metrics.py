@@ -67,6 +67,26 @@ def test_recall_empty_rejected():
         recall_at_k([], 5)
 
 
+def test_recall_k_below_one_rejected():
+    with pytest.raises(ValidationError) as exc:
+        recall_at_k([1], 0)
+    assert str(exc.value) == "k must be >= 1, got 0"
+
+
+def test_median_of_no_ranks_rejected():
+    with pytest.raises(ValidationError) as exc:
+        median_rank([])
+    assert str(exc.value) == "median_rank needs at least one rank"
+
+
+def test_recall_and_median_take_an_int_array_as_its_list():
+    ranks = RngStream(3).integers(40, 101) + 1
+    for k in (1, 5, 10, 41):
+        assert recall_at_k(ranks, k) == recall_at_k(ranks.tolist(), k)
+    assert median_rank(ranks) == median_rank(ranks.tolist())
+    assert median_rank(ranks[1:]) == median_rank(ranks[1:].tolist())
+
+
 def test_median_odd_and_even():
     assert median_rank([1, 2, 3]) == 2.0
     assert median_rank([2, 3]) == 2.5

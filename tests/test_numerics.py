@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from protomatch import numerics
-from protomatch.errors import NumericError, ValidationError
+from protomatch.errors import NumericError, ShapeError, ValidationError
 from protomatch.numerics import (
     AdamState,
     ParamTensor,
@@ -272,6 +272,13 @@ def test_rng_state_roundtrip_resumes_sequence():
     np.testing.assert_array_equal(rng2.normal(7), expected)
 
 
+@pytest.mark.parametrize("seed", [-1, 2**64])
+def test_rng_refuses_seeds_beyond_64_unsigned_bits(seed):
+    with pytest.raises(ValidationError) as exc:
+        RngStream(seed)
+    assert str(exc.value) == f"seed must be a 64-bit unsigned integer, got {seed}"
+
+
 @pytest.mark.parametrize("n", [1, 2, 17, 1024, 100_003])
 def test_rng_permutation_is_the_generators_in_int32(n):
     # the batch sampler and the ambiguity pair sampler draw through it
@@ -317,6 +324,12 @@ def test_finite_diff_rejects_non_finite_loss():
 
     with pytest.raises(NumericError):
         finite_diff_check(loss, {"w": np.array([1.0])}, {"w": np.zeros(1)})
+
+
+def test_finite_diff_refuses_a_gradient_of_another_shape():
+    with pytest.raises(ShapeError) as exc:
+        finite_diff_check(_square_sum, {"w": np.ones(3)}, {"w": np.ones(2)})
+    assert str(exc.value) == "gradient for 'w' has shape (2,), expected (3,)"
 
 
 def _cubic_loss(values):

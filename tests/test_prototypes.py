@@ -269,6 +269,27 @@ def test_init_rejects_negative_prototype_count():
         init_head(-1, 8, 7, 6, RngStream(0))
 
 
+def test_init_rejects_a_zero_dim():
+    with pytest.raises(ValidationError) as exc:
+        init_head(2, 8, 0, 6, RngStream(0))
+    assert str(exc.value) == "dims must be >= 1, got token=8 text=0 embed=6"
+
+
+def test_forward_rejects_an_unknown_variant():
+    with pytest.raises(ValidationError) as exc:
+        head_forward(np.zeros((2, 5, 8)), make_head(), "bogus")
+    assert str(exc.value) == "unknown head variant 'bogus', expected one of ('mask', 'part')"
+
+
+def test_backward_rejects_a_gradient_unlike_the_embedding():
+    head = make_head(2, 5, 6, 4)
+    tokens = RngStream(0).normal((2, 7, 5))
+    cache = head_forward(tokens, head)
+    with pytest.raises(ShapeError) as exc:
+        head_backward(tokens, head, cache, np.zeros((2, 2, 4)))
+    assert str(exc.value) == "grad (2, 2, 4) does not conform with embedded (2, 3, 4)"
+
+
 # ---------------------------------------------------------------------------
 # batched forward equals per-video path; K=0 reduction
 # ---------------------------------------------------------------------------

@@ -16,8 +16,9 @@ import pytest
 from protomatch import trainer as trainer_module
 from protomatch.dataset import SynthConfig, make_batches, synth_corpus
 from protomatch.errors import CheckpointError, NumericError, ShapeError, ValidationError
-from protomatch.losses import LossConfig
+from protomatch.losses import LossConfig, mask_std
 from protomatch.numerics import (
+    SEED_BOUND,
     AdamState,
     RngStream,
     adam_step,
@@ -97,6 +98,23 @@ def test_config_validation():
         small_cfg(batch_size=0)
     with pytest.raises(ValidationError):
         small_cfg(n_prototypes=-1)
+
+
+def test_part_variant_needs_a_prototype():
+    with pytest.raises(ValidationError) as exc:
+        TrainConfig(variant="part", n_prototypes=0)
+    assert str(exc.value) == "the part variant needs at least one prototype"
+
+
+def test_config_refuses_the_seeds_the_random_stream_refuses():
+    # refused when the config is built, before a run writes anything
+    with pytest.raises(ValidationError) as exc:
+        small_cfg(seed=SEED_BOUND)
+    with pytest.raises(ValidationError) as stream_exc:
+        RngStream(SEED_BOUND)
+    assert str(exc.value) == str(stream_exc.value)
+    assert str(exc.value) == "seed must be a 64-bit unsigned integer, got 18446744073709551616"
+    assert small_cfg(seed=SEED_BOUND - 1).seed == 2**64 - 1
 
 
 def test_baseline_variant_means_zero_prototypes():
@@ -685,6 +703,16 @@ def test_checkpoint_header_not_json_rejected(tmp_path):
     assert "not_json.bin" in str(exc.value)
 
 
+def test_checkpoint_header_of_another_json_type_rejected(tmp_path):
+    _, _, out, _, _ = run_with_checkpoints(tmp_path, epochs=2)
+    data = (out / "checkpoints" / "epoch_0002.bin").read_bytes()
+    bad = tmp_path / "list_header.bin"
+    bad.write_bytes(with_header(data, b"[]"))
+    with pytest.raises(CheckpointError) as exc:
+        load_checkpoint(bad)
+    assert str(exc.value) == f"{bad} has a corrupt header (not a JSON object)"
+
+
 @pytest.mark.parametrize(
     "key", ["blob_order", "shapes", "adam_step", "config", "epoch", "rng_state"]
 )
@@ -870,6 +898,19 @@ def test_full_objective_gradient_single_seed():
     assert objective_finite_diff(seed=0) < 1e-5
 
 
+def gradcheck_point(seed: int):
+    """(tokens, text, head) objective_finite_diff checks at seed: its first draw clear of kinks."""
+    cfg, d = LossConfig(), trainer_module.GRADCHECK_DRAW
+    for attempt in range(trainer_module.MAX_DRAWS):
+        rng = RngStream(seed, stream=attempt + 2)
+        tokens = rng.normal((d["batch"], d["n_tokens"], d["token_dim"]))
+        text = rng.normal((d["batch"], d["text_dim"]))
+        params = init_head(d["n_prototypes"], d["token_dim"], d["text_dim"], d["embed_dim"], rng)
+        if not trainer_module._near_nonsmooth_point(tokens, text, params, cfg):
+            return tokens, text, params
+    raise AssertionError(f"seed {seed}: no smooth point in {trainer_module.MAX_DRAWS} tries")
+
+
 def full_objective_finite_diff(seed: int) -> float:
     """objective_finite_diff's check with the full objective at every probe.
 
@@ -877,29 +918,52 @@ def full_objective_finite_diff(seed: int) -> float:
     with fresh parameter tensors, at the unperturbed point and at each of
     the 2 * n perturbed ones.
     """
-    cfg, d = LossConfig(), trainer_module.GRADCHECK_DRAW
-    for attempt in range(trainer_module.MAX_DRAWS):
-        rng = RngStream(seed, stream=attempt + 2)
-        tokens = rng.normal((d["batch"], d["n_tokens"], d["token_dim"]))
-        text = rng.normal((d["batch"], d["text_dim"]))
-        params = init_head(d["n_prototypes"], d["token_dim"], d["text_dim"], d["embed_dim"], rng)
-        if trainer_module._near_nonsmooth_point(tokens, text, params, cfg):
-            continue
+    cfg = LossConfig()
+    tokens, text, params = gradcheck_point(seed)
 
-        def full_objective(values):
-            p = trainable_head(values)
-            breakdown, _, inputs = batch_objective(
-                values["tokens"], values["text"], p, cfg, want_input_grads=True
-            )
-            grads = {name: t.grad for name, t in p.tensors().items()}
-            grads["tokens"], grads["text"] = inputs
-            return breakdown.total, grads
+    def full_objective(values):
+        p = trainable_head(values)
+        breakdown, _, inputs = batch_objective(
+            values["tokens"], values["text"], p, cfg, want_input_grads=True
+        )
+        grads = {name: t.grad for name, t in p.tensors().items()}
+        grads["tokens"], grads["text"] = inputs
+        return breakdown.total, grads
 
-        values = {name: t.value for name, t in params.tensors().items()}
-        values["tokens"], values["text"] = tokens, text
-        _, grads = full_objective(values)
-        return finite_diff_check(per_row(lambda point: full_objective(point)[0]), values, grads)
-    raise AssertionError(f"seed {seed}: no smooth point in {trainer_module.MAX_DRAWS} tries")
+    values = {name: t.value for name, t in params.tensors().items()}
+    values["tokens"], values["text"] = tokens, text
+    _, grads = full_objective(values)
+    return finite_diff_check(per_row(lambda point: full_objective(point)[0]), values, grads)
+
+
+# With a margin this small only an exact kink counts, so a True names the kink made.
+EXACT_KINK = 1e-300
+
+
+def test_equal_mask_columns_sit_on_a_prototype_tie(monkeypatch):
+    tokens, text, params = gradcheck_point(0)
+    monkeypatch.setattr(trainer_module, "KINK_MARGIN", EXACT_KINK)
+    assert not trainer_module._near_nonsmooth_point(tokens, text, params, LossConfig())
+    # column 1's activations take column 0's values, so no relu kink comes closer
+    params.mask_w.value[:, 1] = params.mask_w.value[:, 0]
+    params.mask_b.value[1] = params.mask_b.value[0]
+    assert trainer_module._near_nonsmooth_point(tokens, text, params, LossConfig())
+
+
+def test_a_std_target_at_a_tokens_mask_std_sits_on_the_hinge(monkeypatch):
+    tokens, text, params = gradcheck_point(0)
+    _, std = mask_std(trainer_module.head_forward(tokens, params).masks, LossConfig())
+    monkeypatch.setattr(trainer_module, "KINK_MARGIN", EXACT_KINK)
+    assert not trainer_module._near_nonsmooth_point(tokens, text, params, LossConfig())
+    cfg = LossConfig(std_target=float(std[3]))
+    assert trainer_module._near_nonsmooth_point(tokens, text, params, cfg)
+
+
+def test_objective_check_without_a_smooth_draw_raises(monkeypatch):
+    monkeypatch.setattr(trainer_module, "KINK_MARGIN", 10.0)  # every relu is nearer its kink
+    with pytest.raises(NumericError) as exc:
+        objective_finite_diff(0)
+    assert str(exc.value) == "could not draw a point 10.0 away from all kinks in 64 tries"
 
 
 def test_forward_only_probes_match_full_objective_oracle():
