@@ -415,7 +415,7 @@ def test_unwritable_out_dir_exits_3(tmp_path, capsys):
 
 
 def test_unreadable_blob_exits_3(tmp_path, capsys, monkeypatch):
-    # root reads a file whatever its mode, so the open itself is made to refuse
+    # a superuser reads a file whatever its mode, so the open itself is made to refuse
     _, out, manifest = synth_small(tmp_path)
     blob = manifest.parent / "blobs" / "video_00000.bin"
     real_open = os.open

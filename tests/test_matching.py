@@ -484,3 +484,17 @@ def test_vjp_rejects_embedding_width_mismatch():
     texts, videos = np.zeros((2, 3)), np.zeros((4, 2, 5))
     with pytest.raises(ShapeError):
         similarity_vjp(np.ones((2, 4)), texts, videos, np.zeros((2, 4), dtype=np.int64))
+
+
+def test_vjp_checks_its_inputs_as_the_forward_does_and_refuses_stacks():
+    winners = np.zeros((2, 4), dtype=np.int64)
+    for texts, videos in ((np.zeros((2, 3)), np.zeros((4, 2, 5))), (np.zeros(3), np.zeros((4, 3)))):
+        with pytest.raises(ShapeError) as forward:
+            similarity_matrix(texts, videos)
+        with pytest.raises(ShapeError) as backward:
+            similarity_vjp(np.ones((2, 4)), texts, videos, winners)
+        assert str(backward.value) == str(forward.value)
+    stacked_texts, stacked_videos = np.zeros((1, 2, 3)), np.zeros((1, 4, 2, 3))
+    similarity_matrix(stacked_texts, stacked_videos)  # the forward takes a stack
+    with pytest.raises(ShapeError, match="do not conform with"):
+        similarity_vjp(np.ones((2, 4)), stacked_texts, stacked_videos, winners)
