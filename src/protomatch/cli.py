@@ -20,7 +20,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .dataset import SynthConfig, load_corpus, save_corpus, synth_corpus
+from .dataset import SynthConfig, VideoRecord, load_corpus, save_corpus, synth_corpus
 from .diagnostics import export_mask_heatmaps, intra_inter_stats, write_ambiguity_csvs
 from .errors import ConfigError, NumericError, ValidationError
 from .losses import LossConfig, contrastive_loss, contrastive_vjp, variance_loss, variance_vjp
@@ -28,6 +28,7 @@ from .matching import similarity_matrix, similarity_vjp
 from .metrics import evaluate, write_report
 from .numerics import (
     RngStream,
+    check_seed,
     finite_diff_check,
     l2_normalize_rows,
     l2_normalize_rows_vjp,
@@ -107,7 +108,12 @@ def parse_config_file(path: str | Path) -> dict[str, str]:
 
 
 def build_run_config(args: argparse.Namespace) -> RunConfig:
-    """Defaults, then config file, then --set pairs, then --seed."""
+    """Defaults, then config file, then --set pairs, then --seed.
+
+    A seed RngStream would refuse raises its ValidationError before any
+    command reads a corpus or writes a file, whether or not it draws from
+    the seed.
+    """
     values: dict[str, object] = {}
 
     def apply(key: str, raw: str) -> None:
@@ -127,7 +133,9 @@ def build_run_config(args: argparse.Namespace) -> RunConfig:
         apply(key.strip(), raw.strip())
     if args.seed is not None:
         values["seed"] = args.seed
-    return RunConfig(**values)
+    cfg = RunConfig(**values)
+    check_seed(cfg.seed)
+    return cfg
 
 
 def config_lines(cfg: RunConfig) -> str:
@@ -237,7 +245,7 @@ def cmd_heatmap(args: argparse.Namespace) -> int:
         )
     if args.video_id not in corpus.video_ids:
         raise ValidationError(f"video id {args.video_id!r} not present in {args.corpus}")
-    video = corpus.videos[corpus.video_ids.index(args.video_id)]
+    video = VideoRecord(args.video_id, corpus.tokens[corpus.video_ids.index(args.video_id)])
     # the export computes the masks before it writes, so a head that does
     # not fit the corpus leaves no run directory
     path = run_directory(cfg, args.out_dir) / f"heatmap_{args.video_id}.csv"

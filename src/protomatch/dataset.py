@@ -52,43 +52,41 @@ def _raise_first_bad_record(videos, texts, dims: tuple) -> None:
     """Raise CorpusError for the first bad record, in record order."""
     n_tokens, token_dim, text_dim = dims
     token_shape, video_ids, text_ids = (n_tokens, token_dim), set(), set()
-    for v in videos:
-        if v.video_id in video_ids:
-            raise CorpusError(f"duplicate video id '{v.video_id}'")
-        video_ids.add(v.video_id)
-        if v.tokens.shape != token_shape:
-            raise CorpusError(f"video '{v.video_id}' tokens {v.tokens.shape} != {token_shape}")
-        if not np.isfinite(v.tokens).all():
-            raise CorpusError(f"video '{v.video_id}' has non-finite token entries")
-    for t in texts:
-        if t.text_id in text_ids:
-            raise CorpusError(f"duplicate text id '{t.text_id}'")
-        text_ids.add(t.text_id)
-        if t.video_id not in video_ids:
-            raise DanglingReferenceError(
-                f"text '{t.text_id}' references unknown video '{t.video_id}'"
-            )
-        if t.features.shape != (text_dim,):
-            raise CorpusError(f"text '{t.text_id}' features {t.features.shape} != {(text_dim,)}")
-        if not np.isfinite(t.features).all():
-            raise CorpusError(f"text '{t.text_id}' has non-finite features")
-    captioned = {t.video_id for t in texts}
-    for v in videos:
-        if v.video_id not in captioned:
-            raise CorpusError(f"video '{v.video_id}' has no text description")
+    for video_id, tokens in videos:
+        if video_id in video_ids:
+            raise CorpusError(f"duplicate video id '{video_id}'")
+        video_ids.add(video_id)
+        if tokens.shape != token_shape:
+            raise CorpusError(f"video '{video_id}' tokens {tokens.shape} != {token_shape}")
+        if not np.isfinite(tokens).all():
+            raise CorpusError(f"video '{video_id}' has non-finite token entries")
+    for text_id, video_id, features, _ in texts:
+        if text_id in text_ids:
+            raise CorpusError(f"duplicate text id '{text_id}'")
+        text_ids.add(text_id)
+        if video_id not in video_ids:
+            raise DanglingReferenceError(f"text '{text_id}' references unknown video '{video_id}'")
+        if features.shape != (text_dim,):
+            raise CorpusError(f"text '{text_id}' features {features.shape} != {(text_dim,)}")
+        if not np.isfinite(features).all():
+            raise CorpusError(f"text '{text_id}' has non-finite features")
+    captioned = {video_id for _, video_id, _, _ in texts}
+    for video_id, _ in videos:
+        if video_id not in captioned:
+            raise CorpusError(f"video '{video_id}' has no text description")
 
 
 class Corpus:
     """Videos and their captions, checked once and held in read-only columns.
 
-    num_videos is V and num_texts T.  tokens (V, n_tokens, token_dim) and
-    features (T, text_dim) are float64 copies of the records' arrays;
-    video_ids, text_ids and event_labels are tuples.  text_video[t] is
-    caption t's video index.  Video v's captions, in corpus order, are
-    caption_order[caption_starts[v]:caption_starts[v + 1]].  videos and
-    texts are tuples of records whose arrays are views of the rows.  A
-    corpus without videos, or the first bad record in record order, raises
-    CorpusError.
+    videos and texts are records, or plain tuples of the same fields in
+    the same order.  num_videos is V and num_texts T.  tokens (V, n_tokens,
+    token_dim) and features (T, text_dim) are float64 copies of the
+    records' arrays; video_ids, text_ids and event_labels are tuples.
+    text_video[t] is caption t's video index.  Video v's captions, in
+    corpus order, are caption_order[caption_starts[v]:caption_starts[v + 1]].
+    A corpus without videos, or the first bad record in record order,
+    raises CorpusError.
     """
 
     def __init__(self, videos: Sequence[VideoRecord], texts: Sequence[TextRecord], dims: tuple):
@@ -98,17 +96,15 @@ class Corpus:
         if not videos:
             raise CorpusError("corpus needs at least one video")
         self.num_videos, self.num_texts = len(videos), len(texts)
-        token_arrays, feature_arrays = [v.tokens for v in videos], [t.features for t in texts]
+        self.video_ids, token_arrays = zip(*videos)
+        text_columns = zip(*texts) if texts else [()] * 4
+        self.text_ids, owners, feature_arrays, self.event_labels = text_columns
         if any(a.shape != (n_tokens, token_dim) for a in token_arrays) or any(
             a.shape != (text_dim,) for a in feature_arrays
         ):
             _raise_first_bad_record(videos, texts, dims)
         self.tokens = np.array(token_arrays, np.float64).reshape(len(videos), n_tokens, token_dim)
         self.features = np.array(feature_arrays, np.float64).reshape(len(texts), text_dim)
-        self.video_ids = tuple(v.video_id for v in videos)
-        self.text_ids = tuple(t.text_id for t in texts)
-        self.event_labels = tuple(t.event_label for t in texts)
-        owners = [t.video_id for t in texts]
         self._index = {video_id: v for v, video_id in enumerate(self.video_ids)}
         self.text_video = np.array([self._index.get(v, -1) for v in owners], np.intp)
         self.caption_starts = np.cumsum(np.bincount(self.text_video + 1, minlength=len(videos) + 1))
@@ -125,8 +121,25 @@ class Corpus:
         for column in self.tokens, self.features, self.text_video, self.caption_order:
             column.flags.writeable = False
         self.caption_starts.flags.writeable = False
-        self.videos = tuple(map(VideoRecord, self.video_ids, self.tokens))
-        self.texts = tuple(map(TextRecord, self.text_ids, owners, self.features, self.event_labels))
+        self._videos: tuple[VideoRecord, ...] | None = None
+        self._texts: tuple[TextRecord, ...] | None = None
+
+    @property
+    def videos(self) -> tuple[VideoRecord, ...]:
+        """A record per video, its tokens a view of its row; built on first access."""
+        if self._videos is None:
+            self._videos = tuple(map(VideoRecord, self.video_ids, self.tokens))
+        return self._videos
+
+    @property
+    def texts(self) -> tuple[TextRecord, ...]:
+        """A record per caption, its features a view of its row; built on first access."""
+        if self._texts is None:
+            owners = [self.video_ids[v] for v in self.text_video.tolist()]
+            self._texts = tuple(
+                map(TextRecord, self.text_ids, owners, self.features, self.event_labels)
+            )
+        return self._texts
 
     def texts_of(self, video_id: str) -> list[int]:
         """Indices into .texts of the captions describing video_id."""
@@ -250,10 +263,13 @@ def save_corpus(corpus: Corpus, manifest_path: str | Path) -> None:
         (manifest_path.parent / rel).write_bytes(video_tokens.tobytes())
         rec = {"kind": "video", "id": video_id, "blob": rel, "rows": n_tokens, "cols": token_dim}
         lines.append(json.dumps(rec))
-    for t, feats in zip(corpus.texts, features):
-        rec = {"kind": "text", "id": t.text_id, "video_id": t.video_id, "features": feats.tolist()}
-        if t.event_label is not None:
-            rec["event_label"] = t.event_label
+    for text_id, v, feats, label in zip(
+        corpus.text_ids, corpus.text_video.tolist(), features, corpus.event_labels
+    ):
+        video_id = corpus.video_ids[v]
+        rec = {"kind": "text", "id": text_id, "video_id": video_id, "features": feats.tolist()}
+        if label is not None:
+            rec["event_label"] = label
         lines.append(json.dumps(rec))
     manifest_path.write_text("\n".join(lines) + "\n")
 
@@ -323,7 +339,7 @@ def load_corpus(manifest_path: str | Path) -> Corpus:
             if kind == "video":
                 _check_record(rec, kind, source, lineno)
                 tokens = _read_blob(base / rec["blob"], rec["id"], (rec["rows"], rec["cols"]))
-                videos.append(VideoRecord(rec["id"], tokens))
+                videos.append((rec["id"], tokens))
             elif kind == "text":
                 _check_record(rec, kind, source, lineno)
                 if "event_label" in rec:  # optional, and a count when present
@@ -336,7 +352,7 @@ def load_corpus(manifest_path: str | Path) -> Corpus:
                 else:
                     raise CorpusError(f"{source}:{lineno}: text record {rec['id']!r} "
                                       "has neither features nor blob")
-                texts.append(TextRecord(rec["id"], rec["video_id"], feats, rec.get("event_label")))
+                texts.append((rec["id"], rec["video_id"], feats, rec.get("event_label")))
             else:
                 raise CorpusError(f"{manifest_path}:{lineno}: unknown record kind {kind!r}")
 
@@ -344,7 +360,7 @@ def load_corpus(manifest_path: str | Path) -> Corpus:
         raise CorpusError(f"manifest {manifest_path} contains no video records")
     if not texts:
         raise CorpusError(f"manifest {manifest_path} contains no text records")
-    return Corpus(videos, texts, (*videos[0].tokens.shape, texts[0].features.shape[0]))
+    return Corpus(videos, texts, (*videos[0][1].shape, texts[0][2].shape[0]))
 
 
 @dataclass(eq=False)

@@ -169,8 +169,8 @@ def similarity_vjp(
     winning prototype row of video v recorded in winners.  Returns
     (grad_text_embedded, grad_video_embedded).  out, if given, is a pair of
     C-contiguous arrays shaped like text_embedded and video_embedded that
-    receive them; weights, if given, is a C-contiguous (n_texts, n_videos,
-    K+1) array that holds the one-hot weights.
+    receive them; weights, if given, is a C-contiguous array of n_texts *
+    n_videos * (K+1) values, of any shape, that holds the one-hot weights.
     """
     stacked = _check_shapes(text_embedded, video_embedded)  # a stack's lead is not ()
     n_texts = text_embedded.shape[-2]
@@ -185,6 +185,7 @@ def similarity_vjp(
     if weights is None:
         weights = np.zeros((n_texts, n_videos, n_rows))
     else:
+        weights = weights.reshape(n_texts, n_videos, n_rows)
         weights.fill(0.0)
     np.put_along_axis(weights, winners[:, :, None], grad_scores[:, :, None], axis=2)
     weights = weights.reshape(n_texts, n_videos * n_rows)

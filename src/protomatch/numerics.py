@@ -85,8 +85,9 @@ def l2_normalize_rows_vjp(
     noise by 1e12).  With inv = 1 / (||x|| + guard), the gradient is
     g * inv - x * coef, coef = (x . g) * inv**2 / ||x||, from one pass of
     per-row factors that are zero for dead rows.  out, if given, receives
-    the gradient, and scratch, if given, holds the temporary; both have
-    m's shape.
+    the gradient and may be grad_out itself, which is then overwritten;
+    scratch, if given, holds the temporary and overlaps none of the other
+    arrays.  Both have m's shape.
     """
     norms = np.sqrt(sq_norms)
     live = norms > NORM_GUARD
@@ -95,9 +96,10 @@ def l2_normalize_rows_vjp(
     coef = _row_dots(m, grad_out) * inv * inv / np.where(live, norms, 1.0)
     inv *= live
     coef *= live
-    grad = _scale_rows(grad_out, inv, out)
-    grad -= _scale_rows(m, coef, scratch)
-    return grad
+    # grad_out is read whole before out is written, so out may be grad_out
+    scaled = _scale_rows(grad_out, inv, scratch)
+    grad = _scale_rows(m, coef, out)
+    return np.subtract(scaled, grad, out=grad)
 
 
 @dataclass(eq=False)
@@ -169,6 +171,12 @@ def lr_at(epoch_fraction: float, warmup_epochs: float, peak_lr: float, epochs: f
 SEED_BOUND = 2**64
 
 
+def check_seed(seed: int) -> None:
+    """Raise ValidationError for a seed RngStream cannot take."""
+    if not 0 <= seed < SEED_BOUND:
+        raise ValidationError(f"seed must be a 64-bit unsigned integer, got {seed}")
+
+
 class RngStream:
     """Counter-based deterministic random stream (Philox under the hood).
 
@@ -178,8 +186,7 @@ class RngStream:
     """
 
     def __init__(self, seed: int, stream: int = 0):
-        if not 0 <= seed < SEED_BOUND:
-            raise ValidationError(f"seed must be a 64-bit unsigned integer, got {seed}")
+        check_seed(seed)
         self.seed = seed
         self.stream = stream
         # 128-bit Philox key: low word = seed, high word = stream id.
@@ -200,7 +207,12 @@ class RngStream:
         return out if isinstance(out, np.ndarray) else int(out)
 
     def permutation(self, n: int) -> np.ndarray:
-        """Generator.permutation(n)'s draws and values, in int32 where n fits (half the bytes)."""
+        """Generator.permutation(n)'s draws and values, in int32 where n fits.
+
+        int32 halves the bytes but shuffles ~15-20 % slower, because
+        numpy's shuffle specializes only 8-byte items: at n = 4.7 M, 207
+        against 179 ms, median of 8 interleaved runs (2 CPUs, numpy 2.4.6).
+        """
         out = np.arange(n, dtype=np.int32 if n <= np.iinfo(np.int32).max else np.int64)
         self._gen.shuffle(out)
         return out

@@ -199,7 +199,8 @@ def head_backward(
     extra_mask_grad, if given, is an additional d(loss)/d(masks) term (the
     mask regularizer contributes one) and is added before the relu backward.
     scratch, if given, is a pair of (L, K+1, embed_dim) arrays for the
-    normalization backward's output and temporaries.
+    normalization backward's output, which may be grad_embedded itself,
+    and its temporary.
     Returns d(loss)/d(tokens) when want_input_grads is set, else None.
     """
     if grad_embedded.shape != cache.embedded.shape:
@@ -287,7 +288,8 @@ def text_backward(
     """Accumulate the text projection gradient; optionally return input grads.
 
     scratch, if given, is a pair of (L, embed_dim) arrays for the
-    normalization backward's output and temporaries.
+    normalization backward's output, which may be grad_embedded itself,
+    and its temporary.
     """
     vjp_out, vjp_scratch = (None, None) if scratch is None else scratch
     grad_projected = l2_normalize_rows_vjp(

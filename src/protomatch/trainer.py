@@ -38,11 +38,11 @@ from .losses import (
 )
 from .matching import SimilarityMatrix, prototype_scores, similarity_matrix, similarity_vjp
 from .numerics import (
-    SEED_BOUND,
     AdamState,
     ParamTensor,
     RngStream,
     adam_step,
+    check_seed,
     finite_diff_check,
     lr_at,
 )
@@ -101,9 +101,8 @@ class TrainConfig:
             raise ValidationError(
                 f"warmup_epochs ({self.warmup_epochs}) must not exceed epochs ({self.epochs})"
             )
-        self._check_at_least(peak_lr=0, checkpoint_every=1, seed=0)
-        if self.seed >= SEED_BOUND:  # RngStream's refusal, before a run writes anything
-            raise ValidationError(f"seed must be a 64-bit unsigned integer, got {self.seed}")
+        self._check_at_least(peak_lr=0, checkpoint_every=1)
+        check_seed(self.seed)  # RngStream's refusal, before a run writes anything
 
     def _check_at_least(self, **lows) -> None:
         """Raise ValidationError for the first of these fields below its bound."""
@@ -138,17 +137,18 @@ class StepWorkspace:
     instead of allocating afresh: freed arrays of this size go back to the
     OS, and each new step would fault them in again.  The arithmetic is
     unchanged, so a step gives the same bits with or without a workspace.
-    Sized for one batch shape; it belongs to one run and one thread, and
-    no array a public function returns points into it.
+    The backward reuses what the forward leaves dead: similarity_vjp's
+    one-hot weights go into the stripe-product block, and each
+    normalization backward writes over the similarity gradient it reads,
+    with the embedded rows as its scratch.  Sized for one batch shape; it
+    belongs to one run and one thread, and no array a public function
+    returns points into it.
     """
 
     video: tuple[np.ndarray, np.ndarray]  # head_forward out: projected, embedded (L, K+1, D)
     text: tuple[np.ndarray, np.ndarray]  # text_forward out: projected, embedded (L, D)
-    block: np.ndarray  # similarity_matrix stripe products (K+1, L, L)
-    weights: np.ndarray  # similarity_vjp one-hot weights (L, L, K+1)
+    block: np.ndarray  # similarity_matrix stripe products (K+1, L, L), then similarity_vjp weights
     grads: tuple[np.ndarray, np.ndarray]  # similarity_vjp out: (L, D) texts, (L, K+1, D) videos
-    video_vjp: tuple[np.ndarray, np.ndarray]  # head_backward scratch (L, K+1, D)
-    text_vjp: tuple[np.ndarray, np.ndarray]  # text_backward scratch (L, D)
 
     @classmethod
     def for_config(cls, cfg: TrainConfig) -> "StepWorkspace":
@@ -165,10 +165,7 @@ class StepWorkspace:
             "video": (video, video),
             "text": (text, text),
             "block": ((n_rows, batch_size, batch_size),),
-            "weights": ((batch_size, batch_size, n_rows),),
             "grads": (text, video),
-            "video_vjp": (video, video),
-            "text_vjp": (text, text),
         }
 
         def padded(shape: tuple[int, ...]) -> int:  # whole 64-byte lines per view
@@ -263,18 +260,20 @@ def batch_objective(
         fwd.head_cache.embedded,
         fwd.sim.winners,
         out=ws and ws.grads,
-        weights=ws and ws.weights,
+        weights=ws and ws.block,
     )
+    # with a workspace, each normalization backward runs in place over its
+    # gradient, with the embedded rows, which nothing reads again, as scratch
     grad_text_in = text_backward(
         text_features, params, fwd.text_cache, grad_text_emb, want_input_grads,
-        scratch=ws and ws.text_vjp,
+        scratch=ws and (grad_text_emb, fwd.text_cache.embedded),
     )
     extra = None
     if fwd.variance is not None:
         extra = loss_cfg.variance_weight * variance_vjp(fwd.variance)
     grad_tokens = head_backward(
         tokens, params, fwd.head_cache, grad_video_emb, extra, want_input_grads,
-        scratch=ws and ws.video_vjp,
+        scratch=ws and (grad_video_emb, fwd.head_cache.embedded),
     )
     inputs = (grad_tokens, grad_text_in) if want_input_grads else None
     return fwd.breakdown, fwd.sim, inputs

@@ -1,7 +1,9 @@
 """Corpus model, blob format, synthetic generator, and batch sampler."""
 
+import hashlib
 import json
 import os
+import sys
 from collections import defaultdict
 
 import numpy as np
@@ -29,6 +31,7 @@ from protomatch.errors import (
 )
 from protomatch.metrics import evaluate
 from protomatch.numerics import RngStream
+from protomatch.trainer import TrainConfig, train
 
 from conftest import make_head, random_corpus
 
@@ -529,6 +532,71 @@ def test_a_built_corpus_is_read_only(tmp_path):
     prefix = Corpus(loaded.videos[:2], [t for t in loaded.texts if t.video_id != "v2"], loaded.dims)
     assert (prefix.video_ids, prefix.num_texts) == (("v0", "v1"), 4)
     np.testing.assert_array_equal(prefix.tokens, loaded.tokens[:2])
+
+
+def count_record_builds(monkeypatch) -> dict[str, int]:
+    """Count the VideoRecord and TextRecord calls made under each package name."""
+    counts = {"VideoRecord": 0, "TextRecord": 0}
+
+    def counting(cls):
+        def build(*args, **kwargs):
+            counts[cls.__name__] += 1
+            return cls(*args, **kwargs)
+
+        return build
+
+    for name, module in list(sys.modules.items()):
+        if name.split(".")[0] == "protomatch":
+            for cls in (VideoRecord, TextRecord):
+                if getattr(module, cls.__name__, None) is cls:
+                    monkeypatch.setattr(module, cls.__name__, counting(cls))
+    return counts
+
+
+def test_load_train_and_evaluate_build_no_records(tmp_path, monkeypatch):
+    manifest = tmp_path / "manifest.jsonl"
+    save_corpus(synth_corpus(SynthConfig(num_videos=16, seed=2)), manifest)
+    counts = count_record_builds(monkeypatch)
+    corpus = load_corpus(manifest)
+    make_batches(corpus, 4, RngStream(0))
+    params, _ = train(corpus, TrainConfig(n_prototypes=2, embed_dim=8, batch_size=4, epochs=2,
+                                          warmup_epochs=1))
+    evaluate(corpus, params)
+    intra_inter_stats(corpus, params=params, seed=0)
+    assert counts == {"VideoRecord": 0, "TextRecord": 0}
+    corpus.videos, corpus.texts  # the counters see the records when they are built
+    assert counts == {"VideoRecord": 16, "TextRecord": 48}
+
+
+def test_records_are_built_once_from_the_columns():
+    corpus = ragged_corpus(6, seed=4)
+    videos, texts = corpus.videos, corpus.texts
+    assert corpus.videos is videos and corpus.texts is texts
+    with pytest.raises(AttributeError):
+        corpus.videos = ()
+    assert [v.video_id for v in videos] == list(corpus.video_ids)
+    for t, text in enumerate(texts):
+        assert text.text_id == corpus.text_ids[t]
+        assert text.video_id == corpus.video_ids[corpus.text_video[t]]
+        assert text.event_label == corpus.event_labels[t]
+        assert text.features.tobytes() == corpus.features[t].tobytes()
+
+
+def test_save_of_a_loaded_corpus_writes_pinned_bytes(tmp_path):
+    # captions out of video order, some without an event label; the digest
+    # is of the files the record-walking writer wrote for this corpus
+    ragged = ragged_corpus(5, seed=6)
+    texts = [t._replace(event_label=None) if i % 3 else t for i, t in enumerate(ragged.texts)]
+    save_corpus(Corpus(ragged.videos, texts, ragged.dims), tmp_path / "a" / "manifest.jsonl")
+    save_corpus(load_corpus(tmp_path / "a" / "manifest.jsonl"), tmp_path / "b" / "manifest.jsonl")
+    files = sorted(p.relative_to(tmp_path / "b") for p in (tmp_path / "b").rglob("*.*"))
+    digest = hashlib.sha256()
+    for name in files:
+        data = (tmp_path / "b" / name).read_bytes()
+        assert data == (tmp_path / "a" / name).read_bytes(), name
+        digest.update(str(name).encode() + b"\0" + data)
+    assert len(files) == 6
+    assert digest.hexdigest() == "d6276f290f425e96a782d6983bb987cd2949e12dfcc297d2f5153ba514050f44"
 
 
 # ---------------------------------------------------------------------------

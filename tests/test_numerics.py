@@ -136,8 +136,9 @@ def _shifted(a: np.ndarray, offset: int) -> np.ndarray:
 @pytest.mark.parametrize("shape", [(7, 17), (5, 3, 33), (64, 4, 256)])
 def test_normalize_bits_do_not_depend_on_alignment(shape):
     # a workspace view starts wherever its block puts it, and a step must
-    # give the same bits with or without one; the offsets cover every
-    # 8-byte position in a 64-byte line
+    # give the same bits with or without one, whose backward writes over
+    # the gradient it reads; the offsets cover every 8-byte position in a
+    # 64-byte line
     rng = RngStream(12)
     x, g = rng.normal(shape), rng.normal(shape)
     forward, backward = l2_normalize_rows(x).tobytes(), normalize_vjp(x, g).tobytes()
@@ -149,6 +150,23 @@ def test_normalize_bits_do_not_depend_on_alignment(shape):
         assert normalize_vjp(xs, gs).tobytes() == backward, offset
         got = normalize_vjp(xs, gs, out=out, scratch=scratch)
         assert got.tobytes() == backward, offset
+        got = normalize_vjp(xs, gs, out=gs, scratch=scratch)
+        assert np.shares_memory(got, gs) and gs.tobytes() == backward, offset
+
+
+def test_normalize_vjp_in_place_allocates_only_per_row_factors():
+    rng = RngStream(13)
+    x, g = rng.normal((64, 4, 256)), rng.normal((64, 4, 256))
+    sq_norms, scratch = l2_normalize_rows_with_norms(x)[1], np.empty_like(x)
+    want = normalize_vjp(x, g).tobytes()
+    tracemalloc.start()
+    try:
+        l2_normalize_rows_vjp(x, sq_norms, g, out=g, scratch=scratch)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < x.nbytes // 16  # a few (64, 4) arrays, no temporary of x's 512 KiB
+    assert g.tobytes() == want
 
 
 # ---------------------------------------------------------------------------

@@ -108,12 +108,13 @@ def test_part_variant_needs_a_prototype():
 
 def test_config_refuses_the_seeds_the_random_stream_refuses():
     # refused when the config is built, before a run writes anything
-    with pytest.raises(ValidationError) as exc:
-        small_cfg(seed=SEED_BOUND)
-    with pytest.raises(ValidationError) as stream_exc:
-        RngStream(SEED_BOUND)
-    assert str(exc.value) == str(stream_exc.value)
-    assert str(exc.value) == "seed must be a 64-bit unsigned integer, got 18446744073709551616"
+    for seed in -1, SEED_BOUND:
+        with pytest.raises(ValidationError) as exc:
+            small_cfg(seed=seed)
+        with pytest.raises(ValidationError) as stream_exc:
+            RngStream(seed)
+        assert str(exc.value) == str(stream_exc.value)
+        assert str(exc.value) == f"seed must be a 64-bit unsigned integer, got {seed}"
     assert small_cfg(seed=SEED_BOUND - 1).seed == 2**64 - 1
 
 
@@ -368,9 +369,24 @@ def test_batch_objective_returns_fresh_arrays_with_or_without_workspace():
             assert got.tobytes() == want.tobytes()
 
 
+def test_workspace_at_the_train_shape_is_one_block_of_2_mib():
+    # batch 64, K=3, D=256: the forwards' outputs, the stripe block and the
+    # similarity gradients; the backward reuses them and adds nothing
+    cfg = small_cfg(n_prototypes=3, embed_dim=256, batch_size=64)
+    workspace = StepWorkspace.for_config(cfg)
+    views = []
+    for field in dataclasses.fields(workspace):
+        value = getattr(workspace, field.name)
+        views.extend(value if isinstance(value, tuple) else [value])
+    storage = views[0].base
+    assert all(view.base is storage for view in views)
+    assert storage.nbytes == sum(view.nbytes for view in views) == 2 * 2**20
+
+
 def test_warm_train_step_transient_memory_fits_the_workspace_budget():
     # default synthetic dims at the train benchmark's shape; without the
-    # workspace one step's transient arrays peak at 3.14 MiB, with it 0.32
+    # workspace one step's transient arrays peak at 3.08 MiB, with its
+    # 2 MiB at 0.33 (tracemalloc, numpy 2.4.6)
     corpus = synth_corpus(SynthConfig(num_videos=64, seed=4))
     cfg = small_cfg(n_prototypes=3, embed_dim=256, batch_size=64)
     params, adam = fresh_state(cfg, corpus)
