@@ -564,7 +564,8 @@ def test_load_train_and_evaluate_build_no_records(tmp_path, monkeypatch):
     evaluate(corpus, params)
     intra_inter_stats(corpus, params=params, seed=0)
     assert counts == {"VideoRecord": 0, "TextRecord": 0}
-    corpus.videos, corpus.texts  # the counters see the records when they are built
+    # the counters do see the records once something reads them
+    assert (len(corpus.videos), len(corpus.texts)) == (16, 48)
     assert counts == {"VideoRecord": 16, "TextRecord": 48}
 
 
