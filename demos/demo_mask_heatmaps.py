@@ -10,7 +10,7 @@ from pathlib import Path
 
 import numpy as np
 
-from protomatch.dataset import SynthConfig, synth_corpus
+from protomatch.dataset import SynthConfig, VideoRecord, synth_corpus
 from protomatch.diagnostics import export_mask_heatmaps
 from protomatch.matching import similarity_matrix
 from protomatch.prototypes import embed_texts, embed_videos
@@ -30,7 +30,7 @@ params, _ = train(corpus, cfg)
 # Mask heatmap of one video: rows are prototypes, columns are tokens.
 # ---------------------------------------------------------------------------
 
-video = corpus.videos[VIDEO]
+video = VideoRecord(corpus.video_ids[VIDEO], corpus.tokens[VIDEO])
 export_mask_heatmaps(video, params, OUT_DIR / f"heatmap_{video.video_id}.csv")
 print(f"wrote heatmap_{video.video_id}.csv and heatmap_{video.video_id}_normalized.csv "
       f"under {OUT_DIR}")
@@ -49,15 +49,14 @@ for k, row in enumerate(normalized):
 # Which prototype serves which caption of this video.
 # ---------------------------------------------------------------------------
 
-video_embedded = embed_videos(np.stack([v.tokens for v in corpus.videos]), params)
-text_embedded = embed_texts(np.stack([t.features for t in corpus.texts]), params)
+video_embedded = embed_videos(corpus.tokens, params)
+text_embedded = embed_texts(corpus.features, params)
 sim = similarity_matrix(text_embedded, video_embedded)
 
 print()
 print("captions of this video and the prototype each one matched:")
 for ti in corpus.texts_of(video.video_id):
-    text = corpus.texts[ti]
     winner = int(sim.winners[ti, VIDEO])
     name = "class token" if winner == params.n_prototypes else f"prototype {winner}"
-    print(f"  {text.text_id} (event {text.event_label}): {name} "
+    print(f"  {corpus.text_ids[ti]} (event {corpus.event_labels[ti]}): {name} "
           f"(score {sim.scores[ti, VIDEO]:.3f})")

@@ -336,12 +336,13 @@ def load_corpus(manifest_path: str | Path) -> Corpus:
             if not isinstance(rec, dict):
                 raise CorpusError(f"{source}:{lineno}: expected a JSON object, got {line!r}")
             kind = rec.get("kind")
+            if kind not in ("video", "text"):  # a list kind is unhashable: no dict lookup
+                raise CorpusError(f"{source}:{lineno}: unknown record kind {kind!r}")
+            _check_record(rec, kind, source, lineno)
             if kind == "video":
-                _check_record(rec, kind, source, lineno)
                 tokens = _read_blob(base / rec["blob"], rec["id"], (rec["rows"], rec["cols"]))
                 videos.append((rec["id"], tokens))
-            elif kind == "text":
-                _check_record(rec, kind, source, lineno)
+            else:
                 if "event_label" in rec:  # optional, and a count when present
                     _check_record(rec, kind, source, lineno, (("event_label", int),))
                 if "features" in rec:
@@ -353,8 +354,6 @@ def load_corpus(manifest_path: str | Path) -> Corpus:
                     raise CorpusError(f"{source}:{lineno}: text record {rec['id']!r} "
                                       "has neither features nor blob")
                 texts.append((rec["id"], rec["video_id"], feats, rec.get("event_label")))
-            else:
-                raise CorpusError(f"{manifest_path}:{lineno}: unknown record kind {kind!r}")
 
     if not videos:
         raise CorpusError(f"manifest {manifest_path} contains no video records")

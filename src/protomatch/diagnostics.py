@@ -29,6 +29,7 @@ import numpy as np
 
 from .dataset import Corpus, VideoRecord
 from .errors import NumericError, ValidationError
+from .matching import similarity_matrix
 from .numerics import NORM_GUARD, RngStream, l2_normalize_rows
 from .prototypes import HeadParameters, embed_texts, embed_videos, head_forward
 
@@ -139,8 +140,9 @@ def write_ambiguity_csvs(stats: AmbiguityStats, out_dir: str | Path) -> None:
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     lines = ["bin_left,bin_right,count"]
+    edges = stats.bin_edges.tolist()  # Python floats: numpy >= 2 scalars repr as np.float64(...)
     for b in range(stats.inter_hist.shape[0]):
-        lines.append(f"{stats.bin_edges[b]!r},{stats.bin_edges[b + 1]!r},{int(stats.inter_hist[b])}")
+        lines.append(f"{edges[b]!r},{edges[b + 1]!r},{int(stats.inter_hist[b])}")
     (out / "inter_hist.csv").write_text("\n".join(lines) + "\n")
     lines = ["video_id,value"]
     for video_id, value in stats.min_intra:
@@ -227,10 +229,11 @@ def prototype_diversity(
 def matching_purity(corpus: Corpus, params: HeadParameters, variant: str = "mask") -> float:
     """How cleanly captions split over prototypes along event lines.
 
-    Each caption is scored against its own video's K+1 prototypes only,
-    and the prototype that wins the max-similarity match (the lowest
-    index winning a tie) puts it in that video's group for the prototype;
-    a group's hits are the count of its most common event label.
+    Each caption is matched against its own video's K+1 prototypes only,
+    one stacked similarity_matrix pair per caption, and the winner (the
+    lowest index on a tie, as in scoring) puts it in that video's group
+    for the prototype; a group's hits are the count of its most common
+    event label.
     Purity is total hits over total captions.  1.0 means every prototype
     serves captions of a single event; a head that routes everything
     through one prototype scores the frequency of the most common event.
@@ -243,9 +246,9 @@ def matching_purity(corpus: Corpus, params: HeadParameters, variant: str = "mask
     video_embedded = embed_videos(corpus.tokens, params, variant)
     text_embedded = embed_texts(corpus.features, params)
 
-    own = video_embedded[corpus.text_video]  # (T, K+1, embed_dim)
-    winners = (own @ text_embedded[:, :, None])[:, :, 0].argmax(axis=1)
+    own = similarity_matrix(text_embedded[:, None, :], video_embedded[corpus.text_video, None])
+    winners = own.winners[:, 0, 0]
     _, labels = np.unique(corpus.event_labels, return_inverse=True)
-    counts = np.zeros((corpus.num_videos, own.shape[1], labels.max() + 1), np.intp)
+    counts = np.zeros((corpus.num_videos, video_embedded.shape[1], labels.max() + 1), np.intp)
     np.add.at(counts, (corpus.text_video, winners, labels), 1)
     return int(counts.max(axis=2).sum()) / corpus.num_texts

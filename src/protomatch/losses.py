@@ -47,8 +47,6 @@ class LossConfig:
             raise ValidationError(f"variance_floor must be > 0, got {self.variance_floor}")
         if self.variance_weight < 0:
             raise ValidationError(f"variance_weight must be >= 0, got {self.variance_weight}")
-        if self.temperature <= 0:
-            raise ValidationError(f"temperature must be > 0, got {self.temperature}")
         if self.temperature <= MIN_TEMPERATURE:
             raise ValidationError(
                 f"temperature must be above {MIN_TEMPERATURE!r}, where the logit of a "

@@ -25,14 +25,6 @@ DIRECTIONS = ("text_to_video", "video_to_text")
 REPORTED_KS = (1, 5, 10)
 
 
-def _check_gt(gt: list[int], n_items: int) -> None:
-    """Raise ValidationError unless gt is not empty and inside the gallery."""
-    if not gt:
-        raise ValidationError("ranks_from_scores needs at least one ground-truth index")
-    if any(not 0 <= g < n_items for g in gt):
-        raise ValidationError(f"ground-truth indices {gt} outside gallery of {n_items}")
-
-
 def recall_at_k(ranks: Sequence[int] | np.ndarray, k: int) -> float:
     """Percent of queries whose rank is at most k; ranks is an int array or a list."""
     if len(ranks) == 0:
@@ -109,8 +101,12 @@ def ranks_from_scores(
             f"got {scores.shape[0]} score rows but {len(gt_per_query)} ground-truth sets"
         )
     gts = list(map(list, gt_per_query))
+    n_items = scores.shape[1]
     for gt in gts:  # the first bad set raises
-        _check_gt(gt, scores.shape[1])
+        if not gt:
+            raise ValidationError("ranks_from_scores needs at least one ground-truth index")
+        if any(not 0 <= g < n_items for g in gt):
+            raise ValidationError(f"ground-truth indices {gt} outside gallery of {n_items}")
     rows = np.repeat(np.arange(len(gts)), list(map(len, gts)))
     cols = np.fromiter(chain.from_iterable(gts), np.intp, rows.size)
     return _ranks(scores, rows, cols).tolist()

@@ -161,25 +161,12 @@ class StepWorkspace:
         """
         batch_size, n_rows = cfg.batch_size, cfg.effective_prototypes + 1
         video, text = (batch_size, n_rows, cfg.embed_dim), (batch_size, cfg.embed_dim)
-        layout = {
-            "video": (video, video),
-            "text": (text, text),
-            "block": ((n_rows, batch_size, batch_size),),
-            "grads": (text, video),
-        }
-
-        def padded(shape: tuple[int, ...]) -> int:  # whole 64-byte lines per view
-            return -(-math.prod(shape) // 8) * 8
-
-        storage = np.empty(sum(padded(s) for shapes in layout.values() for s in shapes))
-        start, fields = 0, {}
-        for name, shapes in layout.items():
-            views = []
-            for shape in shapes:
-                views.append(storage[start : start + math.prod(shape)].reshape(shape))
-                start += padded(shape)
-            fields[name] = views[0] if len(views) == 1 else tuple(views)
-        return cls(**fields)
+        # the fields' views in order, each on whole 64-byte lines
+        shapes = (video, video, text, text, (n_rows, batch_size, batch_size), text, video)
+        starts = np.cumsum([0] + [-(-math.prod(s) // 8) * 8 for s in shapes])
+        storage = np.empty(starts[-1])
+        v = [storage[a : a + math.prod(s)].reshape(s) for s, a in zip(shapes, starts)]
+        return cls((v[0], v[1]), (v[2], v[3]), v[4], (v[5], v[6]))
 
 
 @dataclass(eq=False)
@@ -222,8 +209,9 @@ def _objective_forward(
     in sim when winners is set.
     """
     ws = workspace
-    head_cache = head_forward(tokens, params, head_variant, out=ws and ws.video)
-    text_cache = text_forward(text_features, params, out=ws and ws.text)
+    with np.errstate(over="ignore", invalid="ignore"):  # the sq_norms check names an overflow
+        head_cache = head_forward(tokens, params, head_variant, out=ws and ws.video)
+        text_cache = text_forward(text_features, params, out=ws and ws.text)
     for side, cache in (("video", head_cache), ("text", text_cache)):
         if not np.isfinite(cache.sq_norms).all():
             raise NumericError(f"the head gives non-finite {side} embeddings")
@@ -646,7 +634,7 @@ def _near_nonsmooth_point(
         top2 = np.sort(per_proto, axis=2)[:, :, -2:]
         if (top2[:, :, 1] - top2[:, :, 0]).min() < KINK_MARGIN:
             return True
-    if params.n_prototypes > 0:  # variance hinge boundary
+    if has_learned_masks(params, "mask"):  # variance hinge boundary
         _, std = mask_std(cache.masks, cfg)
         if np.abs(cfg.std_target - std).min() < KINK_MARGIN:
             return True

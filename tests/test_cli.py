@@ -347,13 +347,15 @@ def test_gradcheck_with_loss_overflowing_temperature_exits_2(tmp_path, capsys, t
 
 
 @pytest.mark.filterwarnings("error")
-def test_train_whose_head_overflows_exits_2_naming_the_step(tmp_path, capsys):
+@pytest.mark.parametrize("variant", ["mask", "part", "baseline"])
+def test_train_whose_head_overflows_exits_2_naming_the_step(tmp_path, capsys, variant):
     # one Adam step at lr 1e160 moves each projection weight by about 1e160,
     # so the next step's projected rows overflow; a part head used to train
-    # on them as zero rows to the end of the run
+    # on them as zero rows to the end of the run, and a mask head's forward
+    # used to print numpy's overflow RuntimeWarning before the error line
     _, out, manifest = synth_small(tmp_path)
     cfg = write_config(tmp_path, SMALL_CORPUS + SMALL_TRAIN + [
-        "warmup_epochs = 0", "peak_lr = 1e160", "variant = part"
+        "warmup_epochs = 0", "peak_lr = 1e160", f"variant = {variant}"
     ], name="train.cfg")
     capsys.readouterr()
     code = main(["train", "--config", str(cfg), "--corpus", str(manifest),

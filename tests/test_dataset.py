@@ -186,11 +186,16 @@ def test_garbled_manifest_line_reports_path_and_lineno(tmp_path):
          "manifest.jsonl:7: text record 't9' key 'features' must be a list of numbers in float32"),
         ('{"kind": "text", "id": "t9", "video_id": "v0"}',
          "manifest.jsonl:7: text record 't9' has neither features nor blob"),
+        ('{"kind": "audio", "id": "a9"}', "manifest.jsonl:7: unknown record kind 'audio'"),
+        ('{"id": "t9", "video_id": "v0", "features": [1.0]}',
+         "manifest.jsonl:7: unknown record kind None"),
+        # an unhashable kind gets the same message, not a TypeError from a dict lookup
+        ('{"kind": ["video"], "id": "v9"}', "manifest.jsonl:7: unknown record kind ['video']"),
     ],
     ids=["not_an_object", "string_features", "numeric_blob_path", "numeric_id", "list_label",
          "features_beyond_float", "features_beyond_float32", "nan_features",
          "negative_infinity_features", "features_beyond_float64", "numeric_string_features",
-         "no_features"],
+         "no_features", "unknown_kind", "no_kind", "list_kind"],
 )
 def test_ill_typed_manifest_record_raises_corpus_error(tmp_path, line, needle):
     corpus = random_corpus(num_videos=2)

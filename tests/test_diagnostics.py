@@ -18,6 +18,7 @@ from protomatch.diagnostics import (
     write_ambiguity_csvs,
 )
 from protomatch.errors import NumericError, ValidationError
+from protomatch.matching import similarity_matrix
 from protomatch.numerics import RngStream, l2_normalize_rows
 from protomatch.prototypes import embed_texts, embed_videos, head_forward, init_head
 
@@ -273,8 +274,13 @@ def test_written_csvs_are_self_consistent(tmp_path):
     write_ambiguity_csvs(stats, tmp_path)
     hist_lines = (tmp_path / "inter_hist.csv").read_text().splitlines()
     assert hist_lines[0] == "bin_left,bin_right,count"
-    counts = [int(line.split(",")[2]) for line in hist_lines[1:]]
+    rows = [line.split(",") for line in hist_lines[1:]]
+    counts = [int(row[2]) for row in rows]
     assert sum(counts) == stats.inter_hist.sum()
+    # plain numbers on any numpy, not the np.float64(...) reprs of numpy >= 2
+    edges = np.linspace(-1.0, 1.0, DEFAULT_BINS + 1)
+    assert [float(row[0]) for row in rows] == edges[:-1].tolist()
+    assert [float(row[1]) for row in rows] == edges[1:].tolist()
     intra_lines = (tmp_path / "min_intra.csv").read_text().splitlines()
     assert intra_lines[0] == "video_id,value"
     summary = json.loads((tmp_path / "summary.json").read_text())
@@ -453,15 +459,13 @@ def test_purity_single_event_is_always_one():
 
 
 def purity_oracle(corpus, head, variant):
-    """Purity from one caption at a time, grouped in a dict of label lists."""
-    videos = embed_videos(np.stack([v.tokens for v in corpus.videos]), head, variant)
-    texts = embed_texts(np.stack([t.features for t in corpus.texts]), head)
-    index = {v.video_id: i for i, v in enumerate(corpus.videos)}
+    """Purity from the all-pairs scoring winners, grouped one caption at a time."""
+    videos = embed_videos(corpus.tokens, head, variant)
+    texts = embed_texts(corpus.features, head)
+    winners = similarity_matrix(texts, videos).winners
     groups: dict[tuple[int, int], list[int]] = {}
-    for ti, text in enumerate(corpus.texts):
-        vi = index[text.video_id]
-        winner = int(np.argmax(videos[vi] @ texts[ti]))
-        groups.setdefault((vi, winner), []).append(text.event_label)
+    for ti, vi in enumerate(corpus.text_video.tolist()):
+        groups.setdefault((vi, int(winners[ti, vi])), []).append(corpus.event_labels[ti])
     hits = sum(max(labels.count(e) for e in labels) for labels in groups.values())
     return hits / corpus.num_texts
 
@@ -473,6 +477,48 @@ def test_purity_of_a_part_head_matches_its_part_prototypes():
     assert purity == purity_oracle(corpus, head, "part")
     # the mask reading of the same parameters, which the part head never trains, differs
     assert purity != matching_purity(corpus, head)
+
+
+@pytest.mark.parametrize("seed", range(6))
+@pytest.mark.parametrize("variant", ["mask", "part"])
+def test_purity_picks_the_winners_that_scoring_picks(variant, seed):
+    corpus = synth_corpus(SynthConfig(num_videos=10, captions_per_video=4, seed=30 + seed))
+    head = init_head(3, corpus.dims[1], corpus.dims[2], 5, RngStream(seed, stream=1))
+    if variant == "mask" and seed % 2:  # a dead mask: its row is zero and scores exactly 0
+        head.mask_b.value[1] = -1e3
+    assert matching_purity(corpus, head, variant) == purity_oracle(corpus, head, variant)
+
+
+def test_purity_breaks_a_tie_of_identical_masks_toward_the_lowest_index():
+    # small nonnegative integers everywhere and a zero class token: every
+    # product before the normalization is exact, so identical mask columns
+    # give bit-equal learned rows on any BLAS; each caption scores above 0
+    # against them and exactly 0 against the class row
+    rng = RngStream(31)
+    n_videos, n_captions, k = 8, 4, 5
+    videos, texts = [], []
+    for v in range(n_videos):
+        tokens = rng.integers(4, (6, 4)).astype(np.float64)
+        tokens[0] = 0.0
+        videos.append(VideoRecord(f"v{v}", tokens))
+        for c in range(n_captions):
+            features = 1.0 + rng.integers(4, 3)
+            texts.append(TextRecord(f"v{v}_t{c}", f"v{v}", features, int(rng.integers(3))))
+    corpus = Corpus(videos, texts, (6, 4, 3))
+    head = init_head(k, 4, 3, 12, RngStream(31, stream=1))
+    head.mask_w.value[:] = 1.0 + np.arange(4)[:, None]
+    head.mask_b.value[:] = 0.5
+    for tensor in (head.vproj_w, head.tproj_w):
+        tensor.value[:] = 1.0 + rng.integers(3, tensor.value.shape)
+    rows = embed_videos(corpus.tokens, head)
+    assert (rows[:, 1:k] == rows[:, :1]).all() and not rows[:, k].any()
+    assert not similarity_matrix(embed_texts(corpus.features, head), rows).winners.any()
+    # so every caption of a video lands in one group, prototype 0's; a
+    # matvec can score bit-equal rows apart in its BLAS remainder tile
+    majority = [max(np.bincount([corpus.event_labels[t] for t in corpus.texts_of(v)]))
+                for v in corpus.video_ids]
+    assert matching_purity(corpus, head) == sum(majority) / corpus.num_texts
+    assert matching_purity(corpus, head) == purity_oracle(corpus, head, "mask")
 
 
 @pytest.mark.parametrize("variant", ["mask", "part"])

@@ -54,8 +54,9 @@ def test_config_validation():
         LossConfig(variance_floor=0.0)
     with pytest.raises(ValidationError):
         LossConfig(variance_weight=-1.0)
-    with pytest.raises(ValidationError):
-        LossConfig(temperature=0.0)
+    for temperature in (0.0, -1.0):  # refused by the MIN_TEMPERATURE bound, which covers them
+        with pytest.raises(ValidationError, match=f"got {temperature!r}$"):
+            LossConfig(temperature=temperature)
 
 
 def test_temperature_whose_unit_logit_overflows_rejected():
