@@ -28,6 +28,7 @@ from .matching import similarity_matrix, similarity_vjp
 from .metrics import evaluate, write_report
 from .numerics import (
     RngStream,
+    check_finite_floats,
     check_seed,
     finite_diff_check,
     l2_normalize_rows,
@@ -135,6 +136,7 @@ def build_run_config(args: argparse.Namespace) -> RunConfig:
         values["seed"] = args.seed
     cfg = RunConfig(**values)
     check_seed(cfg.seed)
+    check_finite_floats(cfg)
     return cfg
 
 
@@ -159,12 +161,11 @@ def _prepare_run_dir(cfg: RunConfig, args: argparse.Namespace) -> Path:
 
 
 # ---------------------------------------------------------------------------
-# Commands.  Each validates everything it needs before writing anything.
+# Commands, each given main's run config.  Each validates before writing.
 # ---------------------------------------------------------------------------
 
 
-def cmd_synth(args: argparse.Namespace) -> int:
-    cfg = build_run_config(args)
+def cmd_synth(args: argparse.Namespace, cfg: RunConfig) -> int:
     corpus = synth_corpus(_project(cfg, SynthConfig))
     run_dir = _prepare_run_dir(cfg, args)
     manifest = run_dir / "corpus" / "manifest.jsonl"
@@ -173,8 +174,7 @@ def cmd_synth(args: argparse.Namespace) -> int:
     return 0
 
 
-def cmd_train(args: argparse.Namespace) -> int:
-    cfg = build_run_config(args)
+def cmd_train(args: argparse.Namespace, cfg: RunConfig) -> int:
     corpus = load_corpus(args.corpus)
     train_cfg = _project(cfg, TrainConfig, loss=_project(cfg, LossConfig))
     validate_setup(corpus, train_cfg)
@@ -183,7 +183,7 @@ def cmd_train(args: argparse.Namespace) -> int:
     params, history = train(corpus, train_cfg, out_dir=run_dir)
     write_history_csv(history, run_dir / "train_log.csv")
     report = evaluate(corpus, params, variant=train_cfg.head_variant)
-    write_report(report, run_dir / "report.json", run_dir / "report.txt")
+    write_report(report, run_dir)
     if history:
         last = history[-1]
         print(f"final step {last.step}: total {last.total:.6f} "
@@ -193,19 +193,17 @@ def cmd_train(args: argparse.Namespace) -> int:
     return 0
 
 
-def cmd_eval(args: argparse.Namespace) -> int:
-    cfg = build_run_config(args)
+def cmd_eval(args: argparse.Namespace, cfg: RunConfig) -> int:
     corpus = load_corpus(args.corpus)
     state = load_checkpoint(args.checkpoint)
     report = evaluate(corpus, state.params, variant=state.config.head_variant)
     run_dir = _prepare_run_dir(cfg, args)
-    write_report(report, run_dir / "report.json", run_dir / "report.txt")
+    write_report(report, run_dir)
     print(report.to_text_table())
     return 0
 
 
-def cmd_gradcheck(args: argparse.Namespace) -> int:
-    cfg = build_run_config(args)
+def cmd_gradcheck(args: argparse.Namespace, cfg: RunConfig) -> int:
     failures = 0
     for name, err in run_gradcheck_suite(cfg.seed, _project(cfg, LossConfig)):
         status = "PASS" if err < GRADCHECK_TOLERANCE else "FAIL"
@@ -217,12 +215,9 @@ def cmd_gradcheck(args: argparse.Namespace) -> int:
     return 0
 
 
-def cmd_diagnose(args: argparse.Namespace) -> int:
-    cfg = build_run_config(args)
+def cmd_diagnose(args: argparse.Namespace, cfg: RunConfig) -> int:
     corpus = load_corpus(args.corpus)
-    params = None
-    if args.checkpoint is not None:
-        params = load_checkpoint(args.checkpoint).params
+    params = None if args.checkpoint is None else load_checkpoint(args.checkpoint).params
     stats = intra_inter_stats(corpus, params=params, seed=cfg.seed)
     run_dir = _prepare_run_dir(cfg, args)
     write_ambiguity_csvs(stats, run_dir)
@@ -232,8 +227,7 @@ def cmd_diagnose(args: argparse.Namespace) -> int:
     return 0
 
 
-def cmd_heatmap(args: argparse.Namespace) -> int:
-    cfg = build_run_config(args)
+def cmd_heatmap(args: argparse.Namespace, cfg: RunConfig) -> int:
     corpus = load_corpus(args.corpus)
     state = load_checkpoint(args.checkpoint)
     if not has_learned_masks(state.params, state.config.head_variant):
@@ -373,7 +367,7 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        return args.func(args)
+        return args.func(args, build_run_config(args))
     except ValidationError as exc:  # includes config, corpus, checkpoint errors
         print(f"error: {exc}", file=sys.stderr)
         return 1

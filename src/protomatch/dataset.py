@@ -27,7 +27,7 @@ from .errors import (
     MissingBlobError,
     ValidationError,
 )
-from .numerics import RngStream
+from .numerics import RngStream, check_finite_floats
 
 BLOB_DTYPE = np.dtype("<f4")
 
@@ -93,6 +93,8 @@ class Corpus:
         n_tokens, token_dim, text_dim = self.dims = dims
         if n_tokens < 1:
             raise CorpusError("corpus needs at least one token per video")
+        if min(token_dim, text_dim) < 1:
+            raise CorpusError(f"corpus widths must be >= 1, got token={token_dim} text={text_dim}")
         if not videos:
             raise CorpusError("corpus needs at least one video")
         self.num_videos, self.num_texts = len(videos), len(texts)
@@ -168,6 +170,7 @@ class SynthConfig:
     seed: int = 0
 
     def __post_init__(self) -> None:
+        check_finite_floats(self)
         ints = {f.name: getattr(self, f.name) for f in fields(self) if f.type == "int"}
         if any(c < 1 for name, c in ints.items() if name != "seed"):  # the others are counts
             raise ValidationError(f"all synthetic corpus counts must be >= 1, got {self}")
@@ -176,7 +179,7 @@ class SynthConfig:
                 f"tokens_per_video ({self.tokens_per_video}) must be >= "
                 f"events_per_video + 1 ({self.events_per_video + 1})"
             )
-        if self.token_noise < 0 or self.caption_noise < 0:
+        if not (self.token_noise >= 0 and self.caption_noise >= 0):  # NaN fails it too
             raise ValidationError("noise levels must be non-negative")
 
 

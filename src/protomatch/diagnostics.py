@@ -86,10 +86,8 @@ def intra_inter_stats(
     """
     if corpus.num_videos < 2:
         raise ValidationError("inter-video statistics need at least 2 videos")
-    if params is not None:
-        unit = embed_texts(corpus.features, params)
-    else:
-        unit = l2_normalize_rows(corpus.features)
+    features = corpus.features
+    unit = l2_normalize_rows(features) if params is None else embed_texts(features, params)
 
     # captions grouped by video, corpus order within each group
     order, bounds = corpus.caption_order, corpus.caption_starts
@@ -162,8 +160,7 @@ def export_mask_heatmaps(video: VideoRecord, params: HeadParameters, path: str |
     ignored; masks that are not all finite raise NumericError before any
     file is written.
     """
-    with np.errstate(over="ignore", invalid="ignore"):
-        heat = head_forward(video.tokens[None], params).masks[0].T  # (K, B)
+    heat = head_forward(video.tokens[None], params).masks[0].T  # (K, B)
     if not np.isfinite(heat).all():
         raise NumericError(f"the head gives non-finite masks for video {video.video_id!r}")
     path = Path(path)
@@ -205,8 +202,7 @@ def prototype_diversity(
     k = params.n_prototypes
     if k < 2:
         raise ValidationError(f"prototype diversity needs at least 2 prototypes, got {k}")
-    with np.errstate(over="ignore", invalid="ignore"):
-        cache = head_forward(corpus.tokens, params)
+    cache = head_forward(corpus.tokens, params)
     if not np.isfinite(cache.sq_norms).all():  # NaN rows would read as dead masks
         raise NumericError("the head gives non-finite video embeddings; nothing to compare")
     embedded = cache.embedded[:, :k, :]  # learned rows only

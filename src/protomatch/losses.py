@@ -18,6 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NumericError, ShapeError, ValidationError
+from .numerics import check_finite_floats
 
 # 1 / float max: at or below it, 1.0 / temperature (the logit of a matched
 # pair of unit vectors) is inf.
@@ -41,13 +42,14 @@ class LossConfig:
     temperature: float = 0.05
 
     def __post_init__(self) -> None:
-        if self.std_target <= 0:
+        check_finite_floats(self)  # the bounds below fail NaN too
+        if not self.std_target > 0:
             raise ValidationError(f"std_target must be > 0, got {self.std_target}")
-        if self.variance_floor <= 0:
+        if not self.variance_floor > 0:
             raise ValidationError(f"variance_floor must be > 0, got {self.variance_floor}")
-        if self.variance_weight < 0:
+        if not self.variance_weight >= 0:
             raise ValidationError(f"variance_weight must be >= 0, got {self.variance_weight}")
-        if self.temperature <= MIN_TEMPERATURE:
+        if not self.temperature > MIN_TEMPERATURE:
             raise ValidationError(
                 f"temperature must be above {MIN_TEMPERATURE!r}, where the logit of a "
                 f"unit score overflows, got {self.temperature!r}"

@@ -49,8 +49,7 @@ def sum_recalls(values: Iterable[float]) -> float:
     176.10000000000002).  Summing the printed decimal values and converting
     once yields the figure the reports actually state.
     """
-    total = sum(Decimal(repr(float(v))) for v in values)
-    return float(total)
+    return float(sum(Decimal(repr(float(v))) for v in values))
 
 
 @dataclass(frozen=True)
@@ -144,6 +143,8 @@ def evaluate(corpus: Corpus, params: HeadParameters, variant: str = "mask") -> R
     return RetrievalReport(reports, sum_recalls(all_recalls))
 
 
-def write_report(report: RetrievalReport, json_path: str | Path, text_path: str | Path) -> None:
-    Path(json_path).write_text(json.dumps(report.to_json_dict(), indent=2, sort_keys=True) + "\n")
-    Path(text_path).write_text(report.to_text_table() + "\n")
+def write_report(report: RetrievalReport, out_dir: str | Path) -> None:
+    """report.json and report.txt under out_dir."""
+    payload = json.dumps(report.to_json_dict(), indent=2, sort_keys=True)
+    Path(out_dir, "report.json").write_text(payload + "\n")
+    Path(out_dir, "report.txt").write_text(report.to_text_table() + "\n")

@@ -18,7 +18,7 @@ such a workspace belongs to its caller and must not be shared across threads.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Callable, Mapping
 
 import numpy as np
@@ -175,6 +175,13 @@ def check_seed(seed: int) -> None:
     """Raise ValidationError for a seed RngStream cannot take."""
     if not 0 <= seed < SEED_BOUND:
         raise ValidationError(f"seed must be a 64-bit unsigned integer, got {seed}")
+
+
+def check_finite_floats(config) -> None:
+    """Raise ValidationError for the first float field of a config dataclass that is NaN or inf."""
+    for f in fields(config):
+        if f.type == "float" and not math.isfinite(getattr(config, f.name)):
+            raise ValidationError(f"{f.name} must be finite, got {getattr(config, f.name)!r}")
 
 
 class RngStream:

@@ -108,7 +108,7 @@ def init_head(
         )
 
     def glorot(fan_in: int, fan_out: int) -> np.ndarray:
-        bound = np.sqrt(6.0 / (fan_in + fan_out)) if fan_in + fan_out else 0.0
+        bound = np.sqrt(6.0 / (fan_in + fan_out))
         return rng.uniform(-bound, bound, (fan_in, fan_out))
 
     tensors = {
@@ -152,7 +152,8 @@ def head_forward(
     and of a stack of heads broadcast; each (L, B, token_dim) slice gives
     the same bits as an unstacked call.  out, if given, is a pair of
     (..., L, K+1, embed_dim) arrays that receive the projected and the
-    embedded prototypes.
+    embedded prototypes.  It never warns: an overflow shows as non-finite
+    sq_norms, or masks, which each caller checks.
     """
     if variant not in VARIANTS:
         raise ValidationError(f"unknown head variant {variant!r}, expected one of {VARIANTS}")
@@ -160,27 +161,28 @@ def head_forward(
         raise ShapeError(
             f"token stack {tokens.shape} does not conform with head token_dim {params.token_dim}"
         )
-    if variant == "mask":
-        # the weights gain a video axis, so every product is one (B, token_dim) gemm
-        acts = tokens @ params.mask_w.value[..., None, :, :]
-        acts = acts + params.mask_b.value[..., None, None, :]
-        masks = relu(acts)
-        learned = masks.swapaxes(-1, -2) @ tokens
-        cls = np.broadcast_to(tokens[..., 0:1, :], learned.shape[:-2] + (1, tokens.shape[-1]))
-        protos = np.concatenate([learned, cls], axis=-2)
-    else:
-        n_body, n_parts = tokens.shape[-2] - 1, params.n_prototypes
-        if not 1 <= n_parts <= n_body:
-            raise ValidationError(
-                f"n_parts must be in [1, {n_body}] for {tokens.shape[-2]} tokens, got {n_parts}"
-            )
-        acts = masks = None
-        chunks = np.array_split(tokens[..., 1:, :], n_parts, axis=-2)
-        parts = [chunk.mean(axis=-2) for chunk in chunks]
-        protos = np.stack(parts + [tokens[..., 0, :]], axis=-2)
     projected_out, embedded_out = (None, None) if out is None else out
-    projected = np.matmul(protos, params.vproj_w.value[..., None, :, :], out=projected_out)
-    embedded, sq_norms = l2_normalize_rows_with_norms(projected, embedded_out)
+    with np.errstate(over="ignore", invalid="ignore"):
+        if variant == "mask":
+            # the weights gain a video axis, so every product is one (B, token_dim) gemm
+            acts = tokens @ params.mask_w.value[..., None, :, :]
+            acts = acts + params.mask_b.value[..., None, None, :]
+            masks = relu(acts)
+            learned = masks.swapaxes(-1, -2) @ tokens
+            cls = np.broadcast_to(tokens[..., 0:1, :], learned.shape[:-2] + (1, tokens.shape[-1]))
+            protos = np.concatenate([learned, cls], axis=-2)
+        else:
+            n_body, n_parts = tokens.shape[-2] - 1, params.n_prototypes
+            if not 1 <= n_parts <= n_body:
+                raise ValidationError(
+                    f"n_parts must be in [1, {n_body}] for {tokens.shape[-2]} tokens, got {n_parts}"
+                )
+            acts = masks = None
+            chunks = np.array_split(tokens[..., 1:, :], n_parts, axis=-2)
+            parts = [chunk.mean(axis=-2) for chunk in chunks]
+            protos = np.stack(parts + [tokens[..., 0, :]], axis=-2)
+        projected = np.matmul(protos, params.vproj_w.value[..., None, :, :], out=projected_out)
+        embedded, sq_norms = l2_normalize_rows_with_norms(projected, embedded_out)
     return HeadCache(acts, masks, protos, projected, embedded, sq_norms)
 
 
@@ -264,17 +266,18 @@ def text_forward(
 ) -> TextCache:
     """Embed a (..., L, text_dim) stack of caption features into unit vectors.
 
-    Leading axes broadcast against a stack of heads, as in head_forward.
-    out, if given, is a pair of (..., L, embed_dim) arrays that receive the
-    projected and the embedded captions.
+    Leading axes broadcast, and an overflow shows in sq_norms, as in
+    head_forward.  out, if given, is a pair of (..., L, embed_dim) arrays
+    that receive the projected and the embedded captions.
     """
     if features.ndim < 2 or features.shape[-1] != params.text_dim:
         raise ShapeError(
             f"text stack {features.shape} does not conform with head text_dim {params.text_dim}"
         )
     projected_out, embedded_out = (None, None) if out is None else out
-    projected = np.matmul(features, params.tproj_w.value, out=projected_out)
-    return TextCache(projected, *l2_normalize_rows_with_norms(projected, embedded_out))
+    with np.errstate(over="ignore", invalid="ignore"):
+        projected = np.matmul(features, params.tproj_w.value, out=projected_out)
+        return TextCache(projected, *l2_normalize_rows_with_norms(projected, embedded_out))
 
 
 def text_backward(
@@ -304,13 +307,12 @@ def embed_videos(
 ) -> np.ndarray:
     """Forward-only: (V, B, token_dim) -> (V, K+1, embed_dim).
 
-    Raises NumericError, in place of overflow warnings, when a projected
-    row's squared norm is not finite: its embedding is then NaN or, once
-    the norm overflows, a silent zero row.  A NaN score is never strictly
-    above another, so ranking them would put every ground truth first.
+    Raises NumericError when a projected row's squared norm is not finite:
+    its embedding is then NaN or, once the norm overflows, a silent zero row.
+    A NaN score is never strictly above another, so ranking them would put
+    every ground truth first.
     """
-    with np.errstate(over="ignore", invalid="ignore"):
-        cache = head_forward(token_stacks, params, variant)
+    cache = head_forward(token_stacks, params, variant)
     if not np.isfinite(cache.sq_norms).all():
         raise NumericError("the head gives non-finite video embeddings; nothing to rank")
     return cache.embedded
@@ -322,8 +324,7 @@ def embed_texts(features: np.ndarray, params: HeadParameters) -> np.ndarray:
     Raises NumericError when a projected row's squared norm is not finite,
     as embed_videos does.
     """
-    with np.errstate(over="ignore", invalid="ignore"):
-        cache = text_forward(features, params)
+    cache = text_forward(features, params)
     if not np.isfinite(cache.sq_norms).all():
         raise NumericError("the head gives non-finite text embeddings; nothing to rank")
     return cache.embedded

@@ -42,6 +42,7 @@ from .numerics import (
     ParamTensor,
     RngStream,
     adam_step,
+    check_finite_floats,
     check_seed,
     finite_diff_check,
     lr_at,
@@ -89,6 +90,7 @@ class TrainConfig:
     checkpoint_every: int = 10
 
     def __post_init__(self) -> None:
+        check_finite_floats(self)
         if self.variant not in TRAIN_VARIANTS:
             raise ValidationError(
                 f"unknown variant {self.variant!r}, expected one of {TRAIN_VARIANTS}"
@@ -107,7 +109,7 @@ class TrainConfig:
     def _check_at_least(self, **lows) -> None:
         """Raise ValidationError for the first of these fields below its bound."""
         for name, low in lows.items():
-            if getattr(self, name) < low:
+            if not getattr(self, name) >= low:  # NaN fails it too
                 raise ValidationError(f"{name} must be >= {low}, got {getattr(self, name)}")
 
     @property
@@ -209,9 +211,8 @@ def _objective_forward(
     in sim when winners is set.
     """
     ws = workspace
-    with np.errstate(over="ignore", invalid="ignore"):  # the sq_norms check names an overflow
-        head_cache = head_forward(tokens, params, head_variant, out=ws and ws.video)
-        text_cache = text_forward(text_features, params, out=ws and ws.text)
+    head_cache = head_forward(tokens, params, head_variant, out=ws and ws.video)
+    text_cache = text_forward(text_features, params, out=ws and ws.text)
     for side, cache in (("video", head_cache), ("text", text_cache)):
         if not np.isfinite(cache.sq_norms).all():
             raise NumericError(f"the head gives non-finite {side} embeddings")
@@ -396,8 +397,6 @@ def _rng_state_to_json(value):
         return {k: _rng_state_to_json(v) for k, v in value.items()}
     if isinstance(value, np.ndarray):
         return {"__array__": value.tolist(), "dtype": str(value.dtype)}
-    if isinstance(value, np.integer):
-        return int(value)
     return value
 
 
@@ -457,10 +456,7 @@ def _config_from_header(path: Path, config) -> TrainConfig:
     if not isinstance(config, dict) or not isinstance(config.get("loss"), dict):
         raise CheckpointError(f"{path} header config is not an object with a loss object")
     # a missing key would silently take its default
-    for where, cls, given in (
-        ("config", TrainConfig, config),
-        ("loss", LossConfig, config["loss"]),
-    ):
+    for where, cls, given in ("config", TrainConfig, config), ("loss", LossConfig, config["loss"]):
         missing = [f.name for f in dataclasses.fields(cls) if f.name not in given]
         if missing:
             raise CheckpointError(f"{path} header {where} lacks key(s) {', '.join(missing)}")
@@ -501,9 +497,7 @@ def load_checkpoint(path: str | Path) -> CheckpointState:
 
     order, shapes = header["blob_order"], header["shapes"]
     if order != list(PARAM_ORDER):
-        raise CheckpointError(
-            f"{path} header blob_order {order!r} is not {list(PARAM_ORDER)!r}"
-        )
+        raise CheckpointError(f"{path} header blob_order {order!r} is not {list(PARAM_ORDER)!r}")
     if not isinstance(shapes, dict):
         raise CheckpointError(f"{path} header shapes is not an object")
     for name in PARAM_ORDER:

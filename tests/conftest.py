@@ -1,5 +1,7 @@
 """Shared builders for the test suite."""
 
+import json
+
 import numpy as np
 import pytest
 
@@ -42,6 +44,21 @@ def random_corpus(
                 TextRecord(f"v{v}_t{c}", f"v{v}", rng.normal((text_dim,)), event_label=c)
             )
     return Corpus(videos, texts, (n_tokens, token_dim, text_dim))
+
+
+def write_zero_width_manifest(directory):
+    """A manifest of 2 videos of 3 tokens, 2 captions each, tokens and captions 0 wide."""
+    lines = []
+    for v in range(2):
+        (directory / f"v{v}.bin").write_bytes(b"")
+        video = {"kind": "video", "id": f"v{v}", "blob": f"v{v}.bin", "rows": 3, "cols": 0}
+        lines.append(json.dumps(video))
+        for c in range(2):
+            text = {"kind": "text", "id": f"v{v}_t{c}", "video_id": f"v{v}", "features": []}
+            lines.append(json.dumps(text))
+    manifest = directory / "manifest.jsonl"
+    manifest.write_text("\n".join(lines) + "\n")
+    return manifest
 
 
 def unit(v) -> np.ndarray:

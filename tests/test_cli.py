@@ -25,6 +25,8 @@ from protomatch.dataset import load_corpus
 from protomatch.errors import ConfigError
 from protomatch.trainer import load_checkpoint, save_checkpoint
 
+from conftest import write_zero_width_manifest
+
 
 SMALL_CORPUS = [
     "num_videos = 8",
@@ -464,6 +466,46 @@ def test_every_command_refuses_a_seed_outside_64_bits(eval_inputs, tmp_path, cap
                  "--out-dir", str(tmp_path / "r")])
     assert code == 1
     assert_one_line_error(capsys, f"seed must be a 64-bit unsigned integer, got {seed}")
+    assert not (tmp_path / "r").exists()
+
+
+@pytest.mark.parametrize(
+    "pair", ["peak_lr=nan", "warmup_epochs=nan", "temperature=nan", "variance_weight=-inf",
+             "token_noise=inf"],
+)
+def test_train_refuses_a_non_finite_config_value(eval_inputs, tmp_path, capsys, pair):
+    manifest, _ = eval_inputs
+    capsys.readouterr()
+    code = main(["train", "--corpus", str(manifest), "--set", pair,
+                 "--out-dir", str(tmp_path / "r")])
+    assert code == 1
+    name, _, value = pair.partition("=")
+    assert_one_line_error(capsys, f"{name} must be finite, got {float(value)!r}")
+    assert not (tmp_path / "r").exists()
+
+
+@pytest.mark.parametrize("command", ["synth", "eval", "gradcheck", "diagnose", "heatmap"])
+def test_every_command_refuses_a_nan_config_value(eval_inputs, tmp_path, capsys, command):
+    # as with the seed, a command that reads no learning rate refuses one all the same
+    manifest, checkpoint = eval_inputs
+    head = ["--corpus", str(manifest), "--checkpoint", str(checkpoint)]
+    inputs = {"eval": head, "diagnose": head, "heatmap": [*head, "--video-id", "v0"]}
+    capsys.readouterr()
+    code = main([command, *inputs.get(command, []), "--set", "peak_lr=nan",
+                 "--out-dir", str(tmp_path / "r")])
+    assert code == 1
+    assert_one_line_error(capsys, "peak_lr must be finite, got nan")
+    assert not (tmp_path / "r").exists()
+
+
+@pytest.mark.parametrize("command", ["train", "diagnose"])
+def test_a_zero_width_corpus_exits_1_leaving_no_run_directory(tmp_path, capsys, command):
+    manifest = write_zero_width_manifest(tmp_path)
+    capsys.readouterr()
+    code = main([command, "--corpus", str(manifest), "--set", "batch_size=2",
+                 "--out-dir", str(tmp_path / "r")])
+    assert code == 1
+    assert_one_line_error(capsys, "corpus widths must be >= 1, got token=0 text=0")
     assert not (tmp_path / "r").exists()
 
 

@@ -33,7 +33,7 @@ from protomatch.metrics import evaluate
 from protomatch.numerics import RngStream
 from protomatch.trainer import TrainConfig, train
 
-from conftest import make_head, random_corpus
+from conftest import make_head, random_corpus, write_zero_width_manifest
 
 
 def ragged_corpus(num_videos: int, seed: int = 0) -> Corpus:
@@ -249,6 +249,21 @@ def test_videos_without_tokens_are_refused(tmp_path):
     manifest.write_text("\n".join(lines) + "\n")
     with pytest.raises(CorpusError, match="^corpus needs at least one token per video$"):
         load_corpus(manifest)
+
+
+@pytest.mark.parametrize("token_dim, text_dim", [(0, 0), (0, 3), (4, 0)])
+def test_zero_width_tokens_or_captions_are_refused(token_dim, text_dim):
+    # a zero-width head has nothing to project; init_head refuses it later
+    videos = [VideoRecord(f"v{v}", np.zeros((3, token_dim))) for v in range(2)]
+    texts = [TextRecord(f"v{v}_t0", f"v{v}", np.zeros(text_dim)) for v in range(2)]
+    with pytest.raises(CorpusError) as exc:
+        Corpus(videos, texts, (3, token_dim, text_dim))
+    assert str(exc.value) == f"corpus widths must be >= 1, got token={token_dim} text={text_dim}"
+
+
+def test_a_zero_width_manifest_is_refused(tmp_path):
+    with pytest.raises(CorpusError, match="^corpus widths must be >= 1, got token=0 text=0$"):
+        load_corpus(write_zero_width_manifest(tmp_path))
 
 
 def test_text_blob_of_a_partial_float_raises_size_error(tmp_path):

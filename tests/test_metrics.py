@@ -304,7 +304,7 @@ def test_video_to_text_scores_best_caption():
 def test_write_report_json_and_table(tmp_path):
     corpus, params = make_eval_setup()
     report = evaluate(corpus, params)
-    write_report(report, tmp_path / "report.json", tmp_path / "report.txt")
+    write_report(report, tmp_path)
     payload = json.loads((tmp_path / "report.json").read_text())
     assert payload["sum_r"] == report.sum_r
     assert set(payload["directions"]) == {"text_to_video", "video_to_text"}

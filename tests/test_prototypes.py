@@ -478,3 +478,36 @@ def test_text_vjp_matches_finite_differences():
         values = {name: t.value.copy() for name, t in base.tensors().items()}
         values["feats"] = feats0
         assert finite_diff_check(per_row(loss), values, grads) < 1e-5
+
+
+# ---------------------------------------------------------------------------
+# overflow: shown in the forward caches, never as a numpy warning
+# ---------------------------------------------------------------------------
+
+
+def overflowing_head(tensor: str) -> HeadParameters:
+    head = make_head(2, 5, 3, 4, seed=21)
+    getattr(head, tensor).value[:] *= 1e308
+    return head
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("variant", ["mask", "part"])
+def test_head_forward_of_an_overflowing_projection_gives_non_finite_sq_norms(variant):
+    tokens = RngStream(22).normal((3, 6, 5))
+    cache = head_forward(tokens, overflowing_head("vproj_w"), variant)
+    assert not np.isfinite(cache.sq_norms).any()
+
+
+@pytest.mark.filterwarnings("error")
+def test_head_forward_of_overflowing_masks_gives_non_finite_masks():
+    tokens = RngStream(23).normal((3, 6, 5))
+    cache = head_forward(tokens, overflowing_head("mask_w"))
+    assert not np.isfinite(cache.masks).all()
+    assert not np.isfinite(cache.sq_norms).all()
+
+
+@pytest.mark.filterwarnings("error")
+def test_text_forward_of_an_overflowing_projection_gives_non_finite_sq_norms():
+    features = RngStream(24).normal((4, 3))
+    assert not np.isfinite(text_forward(features, overflowing_head("tproj_w")).sq_norms).any()

@@ -118,6 +118,39 @@ def test_config_refuses_the_seeds_the_random_stream_refuses():
     assert small_cfg(seed=SEED_BOUND - 1).seed == 2**64 - 1
 
 
+# every float field of the three config dataclasses
+FLOAT_FIELDS = [
+    (TrainConfig, "warmup_epochs"),
+    (TrainConfig, "peak_lr"),
+    (LossConfig, "std_target"),
+    (LossConfig, "variance_floor"),
+    (LossConfig, "variance_weight"),
+    (LossConfig, "temperature"),
+    (SynthConfig, "token_noise"),
+    (SynthConfig, "caption_noise"),
+]
+
+
+def test_float_fields_lists_every_float_config_field():
+    declared = {
+        (cls, f.name)
+        for cls in (TrainConfig, LossConfig, SynthConfig)
+        for f in dataclasses.fields(cls)
+        if f.type == "float"
+    }
+    assert declared == set(FLOAT_FIELDS)
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf], ids=["nan", "inf", "-inf"])
+@pytest.mark.parametrize("cls, name", FLOAT_FIELDS, ids=[name for _, name in FLOAT_FIELDS])
+def test_config_refuses_a_non_finite_float(cls, name, value):
+    # refused by name before any bound compares it: NaN is neither below
+    # nor above a bound, and inf is above every lower one
+    with pytest.raises(ValidationError) as exc:
+        cls(**{name: value})
+    assert str(exc.value) == f"{name} must be finite, got {value!r}"
+
+
 def test_baseline_variant_means_zero_prototypes():
     cfg = small_cfg(variant="baseline", n_prototypes=3)
     assert cfg.effective_prototypes == 0
